@@ -16,7 +16,9 @@ config file (flags override the file).  Reports are emitted as CSV with a
 fixed column order or as JSON with stable key order; floats are printed
 with 17 significant digits, exact rationals as "num/den" strings.
 
-Exit codes: 0 success, 1 invalid config, 2 computation error, 3 I/O error.
+Exit codes: 0 success, 1 invalid config (including an unknown config-file
+key), 2 computation error (including a report with any error row), 3 I/O
+error.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ def _fmt(v):
 def emit_report(report: dict, fmt: str, out) -> None:
     """Write a report as CSV (fixed column order) or JSON (stable keys)."""
     if fmt == "json":
-        def default(v):
-            if isinstance(v, Fraction):
-                return f"{v.numerator}/{v.denominator}"
-            raise TypeError(type(v).__name__)
         formatted = {
             "config": report["config"],
             "columns": report["columns"],
@@ -71,7 +69,7 @@ def emit_report(report: dict, fmt: str, out) -> None:
             ],
             "errors": report["errors"],
         }
-        json.dump(formatted, out, default=default, indent=2)
+        json.dump(formatted, out, indent=2)
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
@@ -85,20 +83,6 @@ def emit_report(report: dict, fmt: str, out) -> None:
 def _new_report(config: dict, columns: list) -> dict:
     public = {k: v for k, v in config.items() if v is not None}
     return {"config": public, "columns": columns, "rows": [], "errors": []}
-
-
-# ----------------------------------------------------------------------------
-# Regime tagging (Theorem-1 vs GRH-conditional vs conjectural ranges)
-# ----------------------------------------------------------------------------
-
-def regime_tag(k: int, c: float, delta: float) -> str:
-    if delta <= c <= (k + 2) / k - delta:
-        return "Theorem1Range"
-    if delta <= c <= 2 - delta:
-        return "GRHRange"
-    if c < delta:
-        return "SmallC"
-    return "ConjecturalOnly"
 
 
 # ----------------------------------------------------------------------------
@@ -209,7 +193,7 @@ def cmd_variance(cfg: dict) -> dict:
                 k, Q, X, base, tilde, g, p, phi=phi, delta=cfg["delta"])
             row = {
                 "k": k, "Q": Q, "X": X, "c": pred.c,
-                "regime": regime_tag(k, pred.c, cfg["delta"]),
+                "regime": pred.regime.value,
                 "delta": bd.delta, "a_term": bd.a_term, "b_term": bd.b_term,
                 "d_term": bd.d_term, "g_term": bd.g_term,
                 "prediction_leading": pred.smooth_prediction_leading,
@@ -340,8 +324,10 @@ def _load_config_file(path: str) -> dict:
                 out[key] = float(val)
             elif key == "c_grid":
                 out[key] = [float(t) for t in val.split(",")]
-            else:
+            elif key in _DEFAULTS:
                 out[key] = val
+            else:
+                raise ConfigError(f"unknown config key {key!r} in {path}")
     return out
 
 
@@ -446,9 +432,7 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         print(f"i/o error writing {cfg['out']}: {exc}", file=sys.stderr)
         return 3
-    if cfg["command"] == "selftest" and report["errors"]:
-        return 2
-    return 0
+    return 2 if report["errors"] else 0
 
 
 if __name__ == "__main__":

@@ -3,15 +3,18 @@
 The constants multiplying the variance main terms are built from the local
 factor
 
-    frak_a_p = sum_{l >= 0} C(k+l-1, k-1)^2 p^{-l},
+    frak_a_p = sum_{l >= 0} C(k+l-1, k-1)^2 p^{-l} = S(1/p) / (1 - 1/p)^{2k-1},
+    S(x) = sum_{j < k} C(k-1, j)^2 x^j,
 
-via a_k = prod_p (1 - 1/p)^{k^2} frak_a_p, its average version
-a~_k = a_k * prod_p (1 - (1/p)(1 - 1/frak_a_p)), and the modulus-local
-a_k(q) = a_k * prod_{p | q} 1/frak_a_p.
+via a_k = prod_p (1 - 1/p)^{k^2} frak_a_p = prod_p (1 - 1/p)^{(k-1)^2} S(1/p),
+its average version a~_k = a_k * prod_p (1 - (1/p)(1 - 1/frak_a_p)), and the
+modulus-local a_k(q) = a_k * prod_{p | q} 1/frak_a_p.
 
-Truncating at p <= P drops factors of the form 1 + O(k^4 / p^2); the tail
-bound uses sum_{p > P} p^-2 < 1/P with a deviation constant measured on the
-primes up to 10^4 and asserted beyond.
+Every factor is evaluated in closed form.  Truncating a product at p <= P
+drops factors whose logs are at most a constant over p^2 in size; the
+constants are proved from elementary inequalities (see _factor_log_bound
+and _tilde_log_bound), and sum_{p > P} p^-2 < 1/P turns them into the
+certified tail bounds.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sieve import factorize
+
 DEFAULT_PRIME_LIMIT = 10**6
-_MEASURE_LIMIT = 10**4
-_SERIES_RTOL = 1e-17
 
 
 @dataclass(frozen=True)
@@ -45,102 +48,121 @@ def primes(limit: int) -> np.ndarray:
     return np.nonzero(is_prime)[0].astype(np.int64)
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True
+def _s_minus_one(k: int, x):
+    """S(x) - 1 = sum_{1 <= j < k} C(k-1, j)^2 x^j by Horner, for floats or arrays."""
+    u = 0.0 * x
+    for j in range(k - 1, 0, -1):
+        u = (u + math.comb(k - 1, j) ** 2) * x
+    return u
+
+
+def _frak_a(k: int, x):
+    return (1.0 + _s_minus_one(k, x)) / (1.0 - x) ** (2 * k - 1)
 
 
 def frak_a_p(k: int, p: int) -> float:
-    """The local series sum_{l} C(k+l-1,k-1)^2 p^{-l}, summed to 1e-17 relative."""
+    """The local series sum_{l} C(k+l-1,k-1)^2 p^{-l}, in closed form."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if not is_prime(p):
+    if p < 2 or factorize(p) != [(p, 1)]:
         raise ValueError(f"p={p} is not prime")
-    total = 0.0
-    pinv = 1.0 / p
-    power = 1.0
-    ell = 0
-    while True:
-        term = math.comb(k + ell - 1, k - 1) ** 2 * power
-        total += term
-        ell += 1
-        power *= pinv
-        if term < _SERIES_RTOL * total and ell > k:
-            return total
-
-
-def _frak_a_vec(k: int, ps: np.ndarray) -> np.ndarray:
-    """frak_a_p for an array of primes at once."""
-    pinv = 1.0 / ps.astype(np.float64)
-    total = np.zeros_like(pinv)
-    power = np.ones_like(pinv)
-    ell = 0
-    while True:
-        b = math.comb(k + ell - 1, k - 1) ** 2
-        term = b * power
-        total += term
-        ell += 1
-        power *= pinv
-        # the largest prime ratio term/total is attained at p=2
-        if b * 2.0 ** (-(ell)) < _SERIES_RTOL and ell > k:
-            return total
+    return _frak_a(k, 1.0 / p)
 
 
 def _factor_logs(k: int, ps: np.ndarray) -> np.ndarray:
-    """log of the per-prime factor (1 - 1/p)^{k^2} * frak_a_p."""
-    pinv = 1.0 / ps.astype(np.float64)
-    return k * k * np.log1p(-pinv) + np.log(_frak_a_vec(k, ps))
+    """log of the a_k factor (1 - x)^{(k-1)^2} S(x), x = 1/p, for each prime.
 
-
-def _deviation_constant(k: int) -> float:
-    """Measured C with |factor - 1| <= C k^4 / p^2 for p > k^2, on p <= 10^4.
-
-    |factor - 1| * p^2 can approach its limit from below, so the measured
-    maximum carries a 2x safety margin; the product loop re-asserts the
-    padded bound on every prime actually used.
+    Both parts go through log1p: the factor is 1 + O(x^2), and forming
+    1 + (S(x) - 1) in floating point first would cost up to 1e-16 absolute,
+    a large share of the log once p^-2 nears that size.
     """
-    ps = primes(_MEASURE_LIMIT)
-    ps = ps[ps > k * k]
-    factors = np.exp(_factor_logs(k, ps))
-    return 2.0 * float(np.max(np.abs(factors - 1.0) * ps.astype(np.float64) ** 2) / k**4)
+    x = 1.0 / ps.astype(np.float64)
+    return (k - 1) ** 2 * np.log1p(-x) + np.log1p(_s_minus_one(k, x))
+
+
+def _r_bound(k: int, prime_limit: int) -> float:
+    """R = sum_{j>=2} C(k-1, j)^2 P^{2-j}: (S(x) - 1 - (k-1)^2 x) / x^2 <= R for x <= 1/P."""
+    return sum(math.comb(k - 1, j) ** 2 * float(prime_limit) ** (2 - j) for j in range(2, k))
+
+
+def _factor_log_bound(k: int, prime_limit: int) -> float:
+    """C with |log((1 - 1/p)^{(k-1)^2} S(1/p))| <= C / p^2 for every p > P.
+
+    Write n = k - 1, x = 1/p < 1/P, and S(x) = 1 + U with
+    U = n^2 x + x^2 sum_{j>=2} C(n,j)^2 x^{j-2}, so that
+    n^2 x <= U <= n^2 x + R x^2 with R = sum_{j>=2} C(n,j)^2 P^{2-j}.
+    For 0 <= x < 1 and u >= 0,
+
+        x + x^2/2 <= -log(1 - x) <= x + x^2 / (2 (1 - x)),
+        u - u^2/2 <= log(1 + u) <= u.
+
+    Upper: L = n^2 log(1-x) + log(1+U) <= -n^2 x - n^2 x^2/2 + U <= R x^2.
+    Lower: L >= -n^2 x - n^2 x^2/(2(1-x)) + U - U^2/2
+              >= -x^2 (n^2 / (2 (1 - 1/P)) + (n^2 + R/P)^2 / 2),
+    using U >= n^2 x and U <= x (n^2 + R/P).  So |L| <= C x^2 with
+
+        C = max(R, n^2 / (2 (1 - 1/P)) + (n^2 + R/P)^2 / 2).
+    """
+    n2 = (k - 1) ** 2
+    r = _r_bound(k, prime_limit)
+    return max(r, n2 / (2.0 * (1.0 - 1.0 / prime_limit)) + (n2 + r / prime_limit) ** 2 / 2.0)
+
+
+def _tilde_factor_logs(k: int, ps: np.ndarray) -> np.ndarray:
+    """log of the a~_k/a_k factor 1 - x (1 - 1/frak_a_p), x = 1/p, for each prime."""
+    x = 1.0 / ps.astype(np.float64)
+    return np.log1p(-x * (1.0 - 1.0 / _frak_a(k, x)))
+
+
+def _tilde_log_bound(k: int, prime_limit: int) -> float:
+    """D with 0 <= -log(1 - (1/p)(1 - 1/frak_a_p)) <= D / p^2 for every p > P.
+
+    With x = 1/p < 1/P, n = k - 1 and R as in _factor_log_bound,
+    frak_a_p >= 1 and 1 - 1/a <= log a for a >= 1 give
+
+        0 <= 1 - 1/frak_a_p <= log S(x) - (2k-1) log(1-x)
+                            <= U + (2k-1) x / (1 - x) <= B x,
+        B = n^2 + R/P + (2k-1) / (1 - 1/P),
+
+    using log(1+U) <= U <= x (n^2 + R/P) and -log(1-x) <= x/(1-x).  So
+    y = x (1 - 1/frak_a_p) lies in [0, B x^2], and for such y
+    -log(1 - y) <= y / (1 - y) <= B x^2 / (1 - B/P^2) =: D x^2.
+    """
+    n2 = (k - 1) ** 2
+    r = _r_bound(k, prime_limit)
+    b = n2 + r / prime_limit + (2 * k - 1) / (1.0 - 1.0 / prime_limit)
+    return b / (1.0 - b / float(prime_limit) ** 2)
 
 
 def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
-    """Truncated Euler product for a_k with a certified tail bound."""
+    """Truncated Euler product for a_k with a certified tail bound.
+
+    The omitted factors have logs of size at most C / p^2
+    (_factor_log_bound), and sum_{p > P} p^-2 < 1/P, so the true value is
+    value * e^theta with |theta| <= C / P.
+    """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if prime_limit < 100:
         raise ValueError(f"need prime_limit >= 100, got {prime_limit}")
-    ps = primes(prime_limit)
-    logs = _factor_logs(k, ps)
+    logs = _factor_logs(k, primes(prime_limit))
     value = math.exp(math.fsum(logs.tolist()))
-    c_dev = _deviation_constant(k)
-    # assert the measured bound continues to hold on the primes actually used
-    big = ps[ps > _MEASURE_LIMIT]
-    if big.size:
-        dev = np.abs(np.expm1(logs[ps > _MEASURE_LIMIT])) * big.astype(np.float64) ** 2
-        noise = 1e-14 * float(big.max()) ** 2
-        if float(dev.max()) > 1.0001 * c_dev * k**4 + noise:
-            raise AssertionError("per-factor deviation bound violated beyond 10^4")
-    tail = abs(value) * math.expm1(c_dev * k**4 / prime_limit)
-    return EulerConstantResult(value, tail, prime_limit)
+    c = _factor_log_bound(k, prime_limit)
+    return EulerConstantResult(value, abs(value) * math.expm1(c / prime_limit), prime_limit)
 
 
 def a_tilde_k(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
-    """Truncated product for the modulus-averaged constant a~_k."""
+    """Truncated product for the modulus-averaged constant a~_k.
+
+    Relative to the full product the truncation is off by e^theta with
+    |theta| <= (C + D) / P: C / P from a_k's omitted factors and D / P from
+    the omitted a~_k/a_k factors (_tilde_log_bound).
+    """
     base = a_k_const(k, prime_limit)
-    ps = primes(prime_limit)
-    fa = _frak_a_vec(k, ps)
-    pinv = 1.0 / ps.astype(np.float64)
-    logs = np.log1p(-pinv * (1.0 - 1.0 / fa))
+    logs = _tilde_factor_logs(k, primes(prime_limit))
     value = base.value * math.exp(math.fsum(logs.tolist()))
-    # omitted factors are 1 - O(k^2/p^2): 1 - 1/frak_a_p <= k^2/p
-    tail = base.tail_bound + abs(value) * math.expm1(k * k / prime_limit)
-    return EulerConstantResult(value, tail, prime_limit)
+    theta = (_factor_log_bound(k, prime_limit) + _tilde_log_bound(k, prime_limit)) / prime_limit
+    return EulerConstantResult(value, abs(value) * math.expm1(theta), prime_limit)
 
 
 def a_k_of_q(k: int, q: int, base: EulerConstantResult) -> float:
@@ -148,16 +170,8 @@ def a_k_of_q(k: int, q: int, base: EulerConstantResult) -> float:
     if q < 1:
         raise ValueError(f"need q >= 1, got {q}")
     value = base.value
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            value /= frak_a_p(k, p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        value /= frak_a_p(k, m)
+    for p, _ in factorize(q):
+        value /= _frak_a(k, 1.0 / p)
     return value
 
 
@@ -166,28 +180,7 @@ def a_k_of_q_bulk(k: int, q_max: int, base: EulerConstantResult) -> np.ndarray:
     out = np.full(q_max + 1, base.value, dtype=np.float64)
     out[0] = 0.0
     ps = primes(q_max)
-    fa = _frak_a_vec(k, ps)
+    fa = _frak_a(k, 1.0 / ps.astype(np.float64))
     for p, f in zip(ps.tolist(), fa.tolist()):
         out[p::p] /= f
     return out
-
-
-def dirichlet_series_check(k: int, q: int, n_max: int, dk_sq_over_n=None) -> float:
-    """Partial-sum probe of the limit definition of a_k(q).
-
-    Evaluates (s-1)^{k^2} * sum_{n <= n_max, (n,q)=1} d_k(n)^2 / n^s at
-    s = 1 + 1/log(n_max).  Converges to a_k(q) only logarithmically; used as
-    a soft consistency check, never as the computation of record.
-    """
-    from .sieve import sieve_dk
-
-    s = 1.0 + 1.0 / math.log(n_max)
-    table = sieve_dk(k, n_max)
-    n = np.arange(n_max + 1, dtype=np.float64)
-    n[0] = 1.0
-    vals = table.values.astype(np.float64) ** 2 * n ** (-s)
-    vals[0] = 0.0
-    if q > 1:
-        coprime = np.gcd(np.arange(n_max + 1, dtype=np.int64), q) == 1
-        vals = np.where(coprime, vals, 0.0)
-    return (s - 1.0) ** (k * k) * float(vals.sum())

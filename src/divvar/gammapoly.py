@@ -3,8 +3,12 @@
 gamma_k(c) is the degree k^2-1 piecewise polynomial, with knots at the
 integers 0..k, defined by the delta-slice integral of the squared Vandermonde
 density over the unit cube, normalized by k! and the square of a Barnes-G
-value.  Everything in this module is exact rational arithmetic
-(``fractions.Fraction``); floats appear only in the Monte-Carlo oracle.
+value.  It is computed from its Laplace transform, a k x k Hankel
+determinant of moment transforms (Heine/Andreief), expanded exactly in
+integers and inverted termwise.  No bound on k is needed here; the CLI caps
+k at sieve.MAX_K = 8.  Everything in this module is exact rational
+arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
+oracle.
 
 The off-diagonal correction polynomial p_k is computed by two independent
 routes (a formal three-variable Laurent-series residue, and a closed
@@ -13,20 +17,13 @@ multinomial sum) which serve as mutual oracles.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-DEFAULT_K_BOUND = 6
-
-
-class PolynomialBoundError(ValueError):
-    pass
 
 
 # ----------------------------------------------------------------------------
@@ -172,7 +169,7 @@ class PiecewisePolynomial:
 
 
 # ----------------------------------------------------------------------------
-# Barnes G and the Vandermonde square
+# Barnes G, the Laplace-expansion determinant and Laplace inversion
 # ----------------------------------------------------------------------------
 
 def barnes_g(n: int) -> int:
@@ -185,34 +182,83 @@ def barnes_g(n: int) -> int:
     return out
 
 
-def vandermonde_sq(k: int, k_bound: int = DEFAULT_K_BOUND) -> dict[tuple[int, ...], int]:
-    """Expansion of (prod_{i<j} (w_i - w_j))^2 as exponent-vector -> coefficient."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if k > k_bound:
-        raise PolynomialBoundError(f"k={k} exceeds bound {k_bound} ((k!)^2 terms)")
-    # Vandermonde determinant: sum over permutations of signed monomials.
-    terms: list[tuple[tuple[int, ...], int]] = []
-    for perm in itertools.permutations(range(k)):
+def laplace_det(n: int, entry: Callable[[int, int], dict],
+                mul: Callable[[dict, dict], dict]) -> dict:
+    """Determinant of an n x n matrix over a ring of sparse dicts {key: coeff}.
+
+    ``entry(i, j)`` returns entry (i, j) (empty or None when zero) and
+    ``mul`` multiplies two ring elements; sums are taken key by key.  The
+    Laplace expansion runs along the first unused row, so the minor is fixed
+    by its set of remaining columns alone and is memoised on that mask: at
+    most 2^n minors, far fewer for a banded matrix.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    memo: dict[int, dict] = {}
+
+    def det(cols: int) -> dict:
+        row = n - cols.bit_count()
+        if cols & (cols - 1) == 0:
+            return entry(row, cols.bit_length() - 1) or {}
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        total: dict = {}
         sign = 1
-        seen = [False] * k
-        for i in range(k):
-            if seen[i]:
+        for col in range(n):
+            if not cols >> col & 1:
                 continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        terms.append((perm, sign))
-    out: dict[tuple[int, ...], int] = {}
-    for e1, s1 in terms:
-        for e2, s2 in terms:
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + s1 * s2
-    return {key: c for key, c in out.items() if c}
+            e = entry(row, col)
+            if e:
+                sub = det(cols & ~(1 << col))
+                if sub:
+                    for key, c in mul(e, sub).items():
+                        total[key] = total.get(key, 0) + sign * c
+            sign = -sign
+        total = {key: c for key, c in total.items() if c}
+        memo[cols] = total
+        return total
+
+    return det((1 << n) - 1)
+
+
+# Laplace transforms of functions on [0, k] are kept in the ring Z[1/s, e^{-s}]
+# as sparse dicts {(t, m): coeff}, meaning sum coeff * e^{-t s} s^{-m}.
+
+def _transform_mul(a: dict, b: dict) -> dict:
+    out: dict[tuple[int, int], int] = {}
+    for (t1, m1), c1 in a.items():
+        for (t2, m2), c2 in b.items():
+            key = (t1 + t2, m1 + m2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _moment_transform(r: int) -> dict:
+    """m_r(s) = int_0^1 w^r e^{-sw} dw = r!/s^{r+1} - e^{-s} sum_{j<=r} (r!/j!) s^{j-r-1}."""
+    out = {(0, r + 1): math.factorial(r)}
+    for j in range(r + 1):
+        out[(1, r + 1 - j)] = -(math.factorial(r) // math.factorial(j))
+    return out
+
+
+def _invert(k: int, transform: dict, scale: Fraction) -> PiecewisePolynomial:
+    """scale times the inverse Laplace transform, as pieces on [0,1), ..., [k-1,k).
+
+    Termwise, s^{-m} e^{-ts} -> (c - t)_+^{m-1}/(m-1)!; piece j is the sum
+    of the terms with shift t <= j.
+    """
+    by_shift = [RationalPolynomial() for _ in range(k)]
+    for (t, m), coeff in transform.items():
+        if t < k and coeff:
+            by_shift[t] = by_shift[t] + _shifted_monomial(
+                t, m - 1, scale * Fraction(coeff, math.factorial(m - 1)))
+    pieces = []
+    running = RationalPolynomial()
+    for poly in by_shift:
+        running = running + poly
+        pieces.append(running)
+    return PiecewisePolynomial(k, tuple(pieces))
 
 
 # ----------------------------------------------------------------------------
@@ -222,86 +268,32 @@ def vandermonde_sq(k: int, k_bound: int = DEFAULT_K_BOUND) -> dict[tuple[int, ..
 def slice_integral(a: Sequence[int]) -> PiecewisePolynomial:
     """Exact density c -> int_{[0,1]^k} delta(sum w - c) prod w_i^{a_i} dw.
 
-    Via Laplace transforms: each factor int_0^1 w^a e^{-sw} dw equals
-    a!/s^{a+1} - e^{-s} sum_{j<=a} (a!/j!) s^{j-a-1}.  Expanding the product
-    by inclusion-exclusion over which factors take the e^{-s} part gives
-    Laurent polynomials in 1/s attached to shifts e^{-t s}; inverting
-    termwise yields truncated powers (c - t)_+^{m-1}/(m-1)!.
+    Its Laplace transform is the product of the moment transforms
+    m_{a_i}(s) = int_0^1 w^{a_i} e^{-sw} dw, inverted termwise.
     """
     k = len(a)
     if k < 1 or any(ai < 0 for ai in a):
         raise ValueError(f"need nonempty nonnegative exponents, got {a!r}")
-    # Per-coordinate Laurent parts as {m: coeff} meaning coeff * s^{-m}.
-    plain = []
-    shifted = []
-    for ai in a:
-        fact = math.factorial(ai)
-        plain.append({ai + 1: Fraction(fact)})
-        shifted.append(
-            {ai + 1 - j: Fraction(fact, math.factorial(j)) for j in range(ai + 1)}
-        )
-    # by_shift[t] accumulates the Laurent polynomial attached to e^{-t s}.
-    by_shift: list[dict[int, Fraction]] = [dict() for _ in range(k + 1)]
-    for subset in range(1 << k):
-        t = subset.bit_count()
-        prod = {0: Fraction(1)}
-        for i in range(k):
-            part = shifted[i] if subset >> i & 1 else plain[i]
-            nxt: dict[int, Fraction] = {}
-            for m1, c1 in prod.items():
-                for m2, c2 in part.items():
-                    key = m1 + m2
-                    nxt[key] = nxt.get(key, Fraction(0)) + c1 * c2
-            prod = nxt
-        sign = -1 if t % 2 else 1
-        acc = by_shift[t]
-        for m, c in prod.items():
-            acc[m] = acc.get(m, Fraction(0)) + sign * c
-    # Invert: s^{-m} e^{-ts} -> (c - t)_+^{m-1}/(m-1)!; assemble pieces.
-    shift_polys = []
-    for t in range(k + 1):
-        p = RationalPolynomial()
-        for m, c in by_shift[t].items():
-            if c:
-                p = p + _shifted_monomial(t, m - 1, c / math.factorial(m - 1))
-        shift_polys.append(p)
-    pieces = []
-    running = RationalPolynomial()
-    for j in range(k):
-        running = running + shift_polys[j]
-        pieces.append(running)
-    return PiecewisePolynomial(k, tuple(pieces))
+    transform = _moment_transform(a[0])
+    for ai in a[1:]:
+        transform = _transform_mul(transform, _moment_transform(ai))
+    return _invert(k, transform, Fraction(1))
 
 
-def gamma_exact(k: int, k_bound: int = DEFAULT_K_BOUND) -> PiecewisePolynomial:
+def gamma_exact(k: int) -> PiecewisePolynomial:
     """gamma_k as exact rational pieces on [0,1), ..., [k-1,k).
 
-    Sums slice integrals of the squared-Vandermonde monomials and scales by
-    1/(k! * G(k+1)^2).  Monomials are merged by exponent multiset first,
-    since the slice integral is symmetric in the exponents.
+    By the Heine/Andreief identity the Laplace transform of gamma_k is the
+    Hankel determinant det[m_{i+j}(s)]_{i,j<k} / G(k+1)^2, with m_r the
+    moment transforms of slice_integral.  Its entries have integer
+    coefficients, so the determinant is exact in integers before the single
+    rational inversion.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > k_bound:
-        raise PolynomialBoundError(f"k={k} exceeds bound {k_bound}")
-    merged: dict[tuple[int, ...], int] = {}
-    for expo, coeff in vandermonde_sq(k, k_bound).items():
-        key = tuple(sorted(expo))
-        merged[key] = merged.get(key, 0) + coeff
-    total = [RationalPolynomial() for _ in range(k)]
-    for expo, coeff in merged.items():
-        if coeff == 0:
-            continue
-        dens = slice_integral(expo)
-        for j in range(k):
-            total[j] = total[j] + dens.pieces[j].scale(coeff)
-    norm = Fraction(1, math.factorial(k) * barnes_g(k + 1) ** 2)
-    return PiecewisePolynomial(k, tuple(p.scale(norm) for p in total))
-
-
-def gamma_eval(g: PiecewisePolynomial, c) -> Fraction:
-    """Exact evaluation of a piecewise polynomial at rational c in [0, k]."""
-    return g.eval(c)
+    moments = [_moment_transform(r) for r in range(2 * k - 1)]
+    transform = laplace_det(k, lambda i, j: moments[i + j], _transform_mul)
+    return _invert(k, transform, Fraction(1, barnes_g(k + 1) ** 2))
 
 
 # ----------------------------------------------------------------------------
@@ -418,7 +410,7 @@ def _p_k_multinomial(k: int) -> RationalPolynomial:
     return total
 
 
-def p_k(k: int, method: str = "residue", k_bound: int = DEFAULT_K_BOUND) -> RationalPolynomial:
+def p_k(k: int, method: str = "residue") -> RationalPolynomial:
     """The correction polynomial on [1,2): gamma_k - c^{k^2-1}/(k^2-1)! there.
 
     method is "residue" (formal Laurent-series coefficient extraction) or
@@ -427,8 +419,6 @@ def p_k(k: int, method: str = "residue", k_bound: int = DEFAULT_K_BOUND) -> Rati
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if k > k_bound:
-        raise PolynomialBoundError(f"k={k} exceeds bound {k_bound}")
     method = method.lower()
     if method == "residue":
         return _p_k_residue(k)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammapoly import PiecewisePolynomial
+from .gammapoly import PiecewisePolynomial, laplace_det
 
 DEFAULT_KN_BOUND = 120
 _SINGULAR_TOL = 1e-12
@@ -158,54 +158,22 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     for i, ca in a.items():
         for j, cb in b.items():
             out[i + j] = out.get(i + j, 0) + ca * cb
-    return {d: c for d, c in out.items() if c}
+    return out
 
 
 def secular_coefficients(k: int, N: int, kn_bound: int = DEFAULT_KN_BOUND) -> SecularTable:
     """Exact I_k(m; N) via a banded Toeplitz determinant in polynomial arithmetic.
 
     The symbol's band structure (entries vanish beyond |i - j| > k) keeps the
-    memoized Laplace expansion to O(N * 4^k) distinct column states.
+    memoized Laplace expansion (gammapoly.laplace_det) to O(N * 4^k)
+    distinct column states.
     """
     if k < 1 or N < 1:
         raise ValueError(f"need k, N >= 1, got k={k}, N={N}")
     if k * N > kn_bound:
         raise ValueError(f"kN = {k * N} exceeds bound {kn_bound}")
     sym = _symbol_poly_coeffs(k)
-    entries = {}
-    for i in range(N):
-        for j in range(N):
-            if i - j in sym:
-                entries[(i, j)] = sym[i - j]
-
-    full = (1 << N) - 1
-    memo: dict[tuple[int, int], dict[int, int]] = {}
-
-    def det(row: int, colmask: int) -> dict[int, int]:
-        if colmask == 0:
-            return {0: 1}
-        key = (row, colmask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total: dict[int, int] = {}
-        idx = 0
-        for col in range(N):
-            if not colmask >> col & 1:
-                continue
-            e = entries.get((row, col))
-            if e:
-                sub = det(row + 1, colmask & ~(1 << col))
-                sign = 1 if idx % 2 == 0 else -1
-                for d1, c1 in e.items():
-                    for d2, c2 in sub.items():
-                        total[d1 + d2] = total.get(d1 + d2, 0) + sign * c1 * c2
-            idx += 1
-        total = {d: c for d, c in total.items() if c}
-        memo[key] = total
-        return total
-
-    d = det(0, full)
+    d = laplace_det(N, lambda i, j: sym.get(i - j), _poly_mul)
     coeffs = tuple(d.get(m, 0) for m in range(k * N + 1))
     return SecularTable(k, N, coeffs)
 

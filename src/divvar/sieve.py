@@ -68,16 +68,15 @@ def sieve_dk(k: int, x_max: int, memory_budget_bytes: int = 2**34) -> DivisorTab
     return DivisorTable(k, x_max, cur)
 
 
-def dk_single(k: int, n: int) -> int:
-    """Exact d_k(n) by trial-division factorization and per-prime binomials.
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs.
 
-    Uses d_k(p^l) = C(l + k - 1, k - 1) and multiplicativity.
+    Primes come in increasing order; factorize(1) is empty, and n is prime
+    exactly when factorize(n) == [(n, 1)].
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    result = 1
+    out = []
     m = n
     p = 2
     while p * p <= m:
@@ -86,11 +85,21 @@ def dk_single(k: int, n: int) -> int:
             while m % p == 0:
                 m //= p
                 e += 1
-            result *= math.comb(e + k - 1, k - 1)
+            out.append((p, e))
         p += 1 if p == 2 else 2
     if m > 1:
-        result *= k
-    return result
+        out.append((m, 1))
+    return out
+
+
+def dk_single(k: int, n: int) -> int:
+    """Exact d_k(n) by factorization and per-prime binomials.
+
+    Uses d_k(p^l) = C(l + k - 1, k - 1) and multiplicativity.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return math.prod(math.comb(e + k - 1, k - 1) for _, e in factorize(n))
 
 
 def dump_table(table: DivisorTable, path: str) -> None:

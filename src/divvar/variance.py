@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import EulerConstantResult, a_k_of_q, a_k_of_q_bulk
 from .gammapoly import PiecewisePolynomial, RationalPolynomial
-from .sieve import DivisorTable
+from .sieve import DivisorTable, factorize
 from .weights import Normalization, SmoothWeight
 
 
@@ -29,7 +29,24 @@ class CoverageError(ValueError):
 class Regime(enum.Enum):
     SMALL_C = "SmallC"
     THEOREM1_RANGE = "Theorem1Range"
+    GRH_RANGE = "GRHRange"
     CONJECTURAL_ONLY = "ConjecturalOnly"
+
+
+def classify_regime(k: int, c: float, delta: float) -> Regime:
+    """The range of c = log X / log Q that a prediction at (k, c) falls in.
+
+    Theorem-1 range is [delta, (k+2)/k - delta], the GRH-conditional range
+    continues up to 2 - delta, c < delta is SmallC, and anything else is
+    conjectural only.
+    """
+    if delta <= c <= (k + 2) / k - delta:
+        return Regime.THEOREM1_RANGE
+    if delta <= c <= 2 - delta:
+        return Regime.GRH_RANGE
+    if c < delta:
+        return Regime.SMALL_C
+    return Regime.CONJECTURAL_ONLY
 
 
 @dataclass(frozen=True)
@@ -67,15 +84,9 @@ class Prediction:
 
 
 def _totient(q: int) -> int:
-    out, m, p = q, q, 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out -= out // m
+    out = q
+    for p, _ in factorize(q):
+        out -= out // p
     return out
 
 
@@ -266,13 +277,6 @@ def conjectured_values(
         raise ValueError(f"c = log X/log Q = {c:.6f} outside (0, {k})")
     kk = k * k
     fact = math.factorial(kk - 1)
-    if delta <= c <= (k + 2) / k - delta:
-        regime = Regime.THEOREM1_RANGE
-    elif c < delta:
-        regime = Regime.SMALL_C
-    else:
-        regime = Regime.CONJECTURAL_ONLY
-
     scale = Q * X * math.log(Q) ** (kk - 1)
     gamma_c = _gamma_or_zero(gamma, c)
     sharp = a_k_of_q(k, Q, base) * gamma_c * X * math.log(Q) ** (kk - 1)
@@ -309,7 +313,7 @@ def conjectured_values(
         Q=Q,
         X=X,
         c=c,
-        regime=regime,
+        regime=classify_regime(k, c, delta),
         sharp_prediction=sharp,
         smooth_prediction_exact_q=exact_q,
         smooth_prediction_leading=leading,

@@ -96,17 +96,6 @@ class SmoothWeight:
         return out
 
 
-def raw_bump(lo: float, hi: float) -> Callable[[float], float]:
-    """The un-normalized bump on (lo, hi)."""
-
-    def f(x: float) -> float:
-        if x <= lo or x >= hi:
-            return 0.0
-        return math.exp(-1.0 / ((x - lo) * (hi - x)))
-
-    return f
-
-
 def make_bump(lo: float, hi: float, normalization: Normalization,
               tol: float = 1e-12) -> SmoothWeight:
     """Construct a normalized standard bump supported on (lo, hi).
@@ -116,7 +105,7 @@ def make_bump(lo: float, hi: float, normalization: Normalization,
     """
     if lo <= 0 or hi <= lo:
         raise ValueError(f"invalid support: need 0 < lo < hi, got lo={lo}, hi={hi}")
-    f = raw_bump(lo, hi)
+    f = SmoothWeight(lo, hi, normalization, 1.0)
     if normalization is Normalization.INTEGRAL_ONE:
         mass = integrate_adaptive(f, lo, hi, tol)
         c = 1.0 / mass
@@ -127,7 +116,3 @@ def make_bump(lo: float, hi: float, normalization: Normalization,
         raise ValueError(f"unknown normalization {normalization!r}")
     return SmoothWeight(lo, hi, normalization, c)
 
-
-def weight_eval(w: SmoothWeight, x: float) -> float:
-    """Value of the normalized weight at x (exactly 0 outside support)."""
-    return w(x)

@@ -10,7 +10,6 @@ from divvar.cli import (
     build_config,
     emit_report,
     main,
-    regime_tag,
 )
 
 
@@ -105,6 +104,28 @@ def test_invalid_config_exit_code():
     assert main(["variance", "--k", "2", "--q", "5", "--delta", "2"]) == 1
 
 
+def test_unknown_config_key_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k = 2\nprime_limt = 100\n")
+    assert main(["constants", "--config", str(cfg)]) == 1
+    assert "prime_limt" in capsys.readouterr().err
+
+
+def test_report_with_error_rows_exit_code(tmp_path):
+    # c = log 1000 / log 10 = 3 lies outside (0, k): the only row is an error
+    code, text = run_cli(["variance", "--k", "2", "--q", "10", "--x", "1000"],
+                         tmp_path)
+    assert code == 2
+    assert text.splitlines()[1].startswith("#ERROR")
+
+
+def test_gamma_k8(tmp_path):
+    code, text = run_cli(["gamma", "--k", "8"], tmp_path)
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert sum(r["kind"] == "gamma_piece" for r in rows) == 8
+
+
 def test_unwritable_out_exit_code(tmp_path):
     code = main(["gamma", "--k", "2", "--out",
                  str(tmp_path / "no" / "such" / "dir" / "x.csv")])
@@ -126,13 +147,6 @@ def test_empty_report_header_only():
     emit_report({"config": {}, "columns": ["a", "b"], "rows": [], "errors": []},
                 "csv", buf)
     assert buf.getvalue() == "a,b\n"
-
-
-def test_regime_tag_boundaries():
-    assert regime_tag(3, 1.0, 0.05) == "Theorem1Range"
-    assert regime_tag(3, 1.7, 0.05) == "GRHRange"  # above (k+2)/k but below 2-d
-    assert regime_tag(3, 0.01, 0.05) == "SmallC"
-    assert regime_tag(3, 1.99, 0.05) == "ConjecturalOnly"
 
 
 def test_build_config_defaults():

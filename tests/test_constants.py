@@ -5,30 +5,61 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divvar.constants import (
+    _factor_log_bound,
+    _factor_logs,
+    _tilde_factor_logs,
+    _tilde_log_bound,
     a_k_const,
     a_k_of_q,
     a_k_of_q_bulk,
     a_tilde_k,
     frak_a_p,
-    is_prime,
     primes,
 )
+from divvar.sieve import factorize
 
 
 def test_primes_small():
     assert list(primes(30)) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-@given(st.integers(min_value=-5, max_value=500))
+@given(st.integers(min_value=1, max_value=500))
 def test_is_prime_agrees_with_sieve(n):
     table = set(primes(500).tolist())
-    assert is_prime(n) == (n in table)
+    factors = factorize(n)
+    assert (factors == [(n, 1)]) == (n in table)
+    assert all(p in table for p, _ in factors)
+    assert math.prod(p**e for p, e in factors) == n
 
 
 def test_frak_a_p_k1():
     # k=1: sum of p^-l = geometric series
     for p in (2, 3, 11):
         assert frak_a_p(1, p) == pytest.approx(1 / (1 - 1 / p), rel=1e-14)
+
+
+def test_frak_a_p_matches_series():
+    # the defining series, summed far past double precision
+    for k in (2, 3, 5, 8):
+        for p in (2, 3, 101):
+            series = math.fsum(math.comb(k + l - 1, k - 1) ** 2 * float(p) ** -l
+                               for l in range(400))
+            assert frak_a_p(k, p) == pytest.approx(series, rel=1e-13)
+    for n in (0, 1, 4, 91):
+        with pytest.raises(ValueError):
+            frak_a_p(2, n)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_factor_log_bounds_hold(k):
+    # every omitted factor beyond P obeys the proved C/p^2 and D/p^2 bounds
+    P = 100
+    ps = primes(10**6)
+    ps = ps[ps > P]
+    p2 = ps.astype(np.float64) ** 2
+    assert np.all(np.abs(_factor_logs(k, ps)) * p2 <= _factor_log_bound(k, P))
+    tilde = -_tilde_factor_logs(k, ps) * p2
+    assert np.all(tilde >= 0) and np.all(tilde <= _tilde_log_bound(k, P))
 
 
 def test_a1_is_one():

@@ -8,12 +8,10 @@ from divvar.gammapoly import (
     PiecewisePolynomial,
     RationalPolynomial,
     barnes_g,
-    gamma_eval,
     gamma_exact,
     gamma_mc_oracle,
     p_k,
     slice_integral,
-    vandermonde_sq,
 )
 
 
@@ -54,11 +52,11 @@ def test_gamma_integral_is_barnes_ratio():
 
 def test_gamma_eval_edges():
     g = gamma_exact(2)
-    assert gamma_eval(g, 0) == 0
-    assert gamma_eval(g, 2) == 0
-    assert gamma_eval(g, Fraction(3, 2)) == Fraction(1, 48)
+    assert g.eval(0) == 0
+    assert g.eval(2) == 0
+    assert g.eval(Fraction(3, 2)) == Fraction(1, 48)
     with pytest.raises(ValueError):
-        gamma_eval(g, 3)
+        g.eval(3)
     with pytest.raises(ValueError):
         g.eval_float(-0.1)
 
@@ -86,10 +84,21 @@ def test_slice_integral_is_irwin_hall_density():
     assert den.integral() == 1
 
 
-def test_vandermonde_sq_k2():
-    # (w1 - w2)^2 = w1^2 - 2 w1 w2 + w2^2
-    got = vandermonde_sq(2)
-    assert got == {(2, 0): 1, (1, 1): -2, (0, 2): 1}
+@pytest.mark.parametrize("k", [6, 7, 8])
+def test_large_k_mass_and_mirror_symmetry(k):
+    g = gamma_exact(k)
+    assert g.integral() == Fraction(barnes_g(k + 1) ** 2, barnes_g(2 * k + 1))
+    for j in range(k):
+        assert g.pieces[j] == g.pieces[k - 1 - j].compose_linear(k, -1)
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_large_k_bridge_both_methods(k):
+    n = k * k - 1
+    lead = RationalPolynomial([0] * n + [Fraction(1, math.factorial(n))])
+    bridge = gamma_exact(k).pieces[1] - lead
+    assert p_k(k, method="residue") == bridge
+    assert p_k(k, method="multinomial") == bridge
 
 
 def test_json_roundtrip():
@@ -110,10 +119,10 @@ def test_mc_oracle_seeded_and_close():
 @given(st.fractions(min_value=0, max_value=2))
 def test_gamma2_symmetry_pointwise(c):
     g = gamma_exact(2)
-    assert gamma_eval(g, c) == gamma_eval(g, 2 - c)
+    assert g.eval(c) == g.eval(2 - c)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.fractions(min_value=0, max_value=3))
 def test_gamma3_nonnegative(c):
-    assert gamma_eval(gamma_exact(3), c) >= 0
+    assert gamma_exact(3).eval(c) >= 0

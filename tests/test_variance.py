@@ -11,6 +11,7 @@ from divvar.sieve import sieve_dk
 from divvar.variance import (
     CoverageError,
     Regime,
+    classify_regime,
     conjectured_values,
     delta_k,
     mean_over_coprime,
@@ -169,6 +170,17 @@ def test_prediction_regimes():
     assert conjectured_values(2, 10**8, 2, *args).regime is Regime.SMALL_C
     big_x = int(100 ** 1.98)
     assert conjectured_values(2, 100, big_x, *args).regime is Regime.CONJECTURAL_ONLY
+
+
+def test_regime_boundaries():
+    assert classify_regime(3, 1.0, 0.05) is Regime.THEOREM1_RANGE
+    assert classify_regime(3, 1.7, 0.05) is Regime.GRH_RANGE  # above (k+2)/k, below 2-d
+    assert classify_regime(3, 0.01, 0.05) is Regime.SMALL_C
+    assert classify_regime(3, 1.99, 0.05) is Regime.CONJECTURAL_ONLY
+    # the prediction carries the same tag: k=3 at c = 1.7
+    args = (a_k_const(3, 10**5), a_tilde_k(3, 10**5), gamma_exact(3), p_k(3))
+    pred = conjectured_values(3, 100, int(round(100**1.7)), *args)
+    assert pred.regime is Regime.GRH_RANGE
 
 
 def test_prediction_small_c_is_diagonal_only():

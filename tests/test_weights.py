@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from divvar.weights import (
     Normalization,
+    SmoothWeight,
     integrate_adaptive,
     make_bump,
-    raw_bump,
-    weight_eval,
 )
 
 
@@ -44,12 +43,13 @@ def test_eval_array_matches_scalar(psi):
         assert v == pytest.approx(psi(float(x)), rel=1e-12, abs=1e-300)
 
 
-def test_weight_eval_helper(phi):
-    assert weight_eval(phi, 1.5) == phi(1.5)
+def test_weight_value_at_centre(phi):
+    # C * exp(-1 / ((1.5 - 1) * (2 - 1.5)))
+    assert phi(1.5) == phi.norm_constant * math.exp(-4.0)
 
 
 def test_raw_bump_is_small_near_edges():
-    f = raw_bump(1, 2)
+    f = SmoothWeight(1, 2, Normalization.INTEGRAL_ONE, 1.0)
     assert f(1.5) > f(1.01) > 0
     assert f(1.5) > f(1.99) > 0
 
