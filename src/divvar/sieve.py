@@ -8,6 +8,7 @@ strides), for O(k * x_max * log x_max) total work.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -102,17 +103,18 @@ def dk_single(k: int, n: int) -> int:
     return math.prod(math.comb(e + k - 1, k - 1) for _, e in factorize(n))
 
 
-def dump_table(table: DivisorTable, path: str) -> None:
-    """Binary dump: little-endian (k, x_max) header then raw uint64 values.
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb"):
+    """Open a temp file beside `path`, renamed onto it when the block ends.
 
-    The write is atomic (temp file + rename) so a cache is never left torn.
+    If the block or the rename fails, the temp file is removed and `path`
+    is left as it was, so a reader never sees a torn file.
     """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(_HEADER.pack(table.k, table.x_max))
-            fh.write(table.values[1:].astype("<u8").tobytes())
+        with os.fdopen(fd, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,9 +122,23 @@ def dump_table(table: DivisorTable, path: str) -> None:
         raise
 
 
+def dump_table(table: DivisorTable, path: str) -> None:
+    """Binary dump: little-endian (k, x_max) header then raw uint64 values.
+
+    The write is atomic (temp file + rename) so a cache is never left torn.
+    """
+    with atomic_open(path) as fh:
+        fh.write(_HEADER.pack(table.k, table.x_max))
+        fh.write(table.values[1:].astype("<u8").tobytes())
+
+
 def load_table(path: str) -> DivisorTable:
+    """Read a dump_table file; ValueError if it is torn or malformed."""
     with open(path, "rb") as fh:
-        k, x_max = _HEADER.unpack(fh.read(_HEADER.size))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValueError(f"{path}: truncated header")
+        k, x_max = _HEADER.unpack(header)
         raw = np.frombuffer(fh.read(), dtype="<u8")
     if raw.size != x_max:
         raise ValueError(f"{path}: expected {x_max} values, found {raw.size}")

@@ -61,13 +61,10 @@ def test_variance_rows_and_regime(tmp_path):
         assert float(row[key]) > 0
 
 
-def test_variance_threads_do_not_change_rows(tmp_path):
-    _, t1 = run_cli(
-        ["variance", "--k", "2", "--q", "60", "--x", "500", "--threads", "1",
-         "--format", "json"], tmp_path, "a")
-    _, t2 = run_cli(
-        ["variance", "--k", "2", "--q", "60", "--x", "500", "--threads", "8",
-         "--format", "json"], tmp_path, "b")
+def test_variance_repeat_gives_identical_rows(tmp_path):
+    args = ["variance", "--k", "2", "--q", "60", "--x", "500", "--format", "json"]
+    _, t1 = run_cli(args, tmp_path, "a")
+    _, t2 = run_cli(args, tmp_path, "b")
     assert json.loads(t1)["rows"] == json.loads(t2)["rows"]
 
 
@@ -99,9 +96,28 @@ def test_cache_dir_reused(tmp_path):
     assert os.path.getmtime(os.path.join(cache, files[0])) == mtime
 
 
+@pytest.mark.parametrize("size", (100, 8))
+def test_corrupt_cache_is_rebuilt(tmp_path, size):
+    args = ["variance", "--k", "2", "--q", "60", "--x", "500"]
+    code, cold = run_cli(args, tmp_path, "cold")
+    assert code == 0
+    cache = tmp_path / "cache"
+    run_cli(args + ["--cache-dir", str(cache)], tmp_path, "fill")
+    path = cache / "dk_2_1000.bin"
+    full = path.stat().st_size
+    with open(path, "r+b") as fh:
+        fh.truncate(size)
+    code, text = run_cli(args + ["--cache-dir", str(cache)], tmp_path, "again")
+    assert code == 0
+    assert text == cold
+    assert os.listdir(cache) == ["dk_2_1000.bin"]
+    assert path.stat().st_size == full
+
+
 def test_invalid_config_exit_code():
     assert main(["variance", "--k", "99", "--q", "5"]) == 1
     assert main(["variance", "--k", "2", "--q", "5", "--delta", "2"]) == 1
+    assert main(["variance", "--k", "2", "--q", "5", "--threads", "2"]) == 1
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -109,6 +125,9 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg.write_text("k = 2\nprime_limt = 100\n")
     assert main(["constants", "--config", str(cfg)]) == 1
     assert "prime_limt" in capsys.readouterr().err
+    cfg.write_text("k = 2\nthreads = 1\n")
+    assert main(["constants", "--config", str(cfg)]) == 1
+    assert "threads" in capsys.readouterr().err
 
 
 def test_report_with_error_rows_exit_code(tmp_path):
@@ -132,6 +151,14 @@ def test_unwritable_out_exit_code(tmp_path):
     assert code == 3
 
 
+def test_out_onto_directory_leaves_nothing(tmp_path):
+    target = tmp_path / "D"
+    target.mkdir()
+    assert main(["gamma", "--k", "2", "--out", str(target)]) == 3
+    assert os.listdir(tmp_path) == ["D"]
+    assert os.listdir(target) == []
+
+
 def test_rmt_subcommand(tmp_path):
     code, text = run_cli(["rmt", "--k", "2", "--n", "8"], tmp_path)
     assert code == 0
@@ -153,8 +180,8 @@ def test_build_config_defaults():
     import argparse
     ns = argparse.Namespace(command="gamma", config=None, k=None, x=None,
                             q=None, h=None, c_grid=None, prime_limit=None,
-                            n=None, samples=None, seed=None, threads=None,
-                            format=None, out=None, cache_dir=None, delta=None)
+                            n=None, samples=None, seed=None, format=None,
+                            out=None, cache_dir=None, delta=None)
     cfg = build_config(ns)
     assert cfg["k"] == 2 and cfg["format"] == "csv" and cfg["delta"] == 0.05
     with pytest.raises(ConfigError):

@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binning_oracle import assert_within_budget, delta_binned
+
 from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact, p_k
 from divvar.sieve import sieve_dk
 from divvar.variance import (
     CoverageError,
+    _autocorrelation,
+    _fft_size,
     Regime,
     classify_regime,
     conjectured_values,
@@ -127,6 +131,50 @@ def test_delta_matches_direct_vk_sum(table_k2, psi, phi):
         if phi(q / Q) > 0
     )
     assert bd.delta == pytest.approx(direct, rel=1e-9)
+
+
+# (Q, c) pairs of the oracle grid; c = 2.5, 2.8 at Q = 100 are cache-k3's
+# benchmark points.  Q = 200, c = 2.8 would need a 5.6e6 table.
+_ORACLE_GRID = [(Q, c) for Q in (50, 200) for c in (0.5, 1.0, 1.5, 2.0, 2.5, 2.8)
+                if (Q, c) != (200, 2.8)] + [(100, 2.5), (100, 2.8)]
+
+
+@pytest.fixture(scope="module")
+def oracle_tables():
+    x_max = max(2 * round(Q**c) for Q, c in _ORACLE_GRID)
+    return {k: sieve_dk(k, x_max) for k in (2, 3)}
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_delta_matches_binning_oracle(oracle_tables, psi, phi, k):
+    for Q, c in _ORACLE_GRID:
+        X = round(Q**c)
+        table = oracle_tables[k]
+        assert_within_budget(delta_k(table, Q, X, psi, phi),
+                             delta_binned(table, Q, X, psi, phi))
+
+
+@pytest.mark.parametrize("n", (0, 1, 2, 2**14 - 1, 2**14, 2**14 + 1,
+                               8 * 2**14 + 3))
+def test_autocorrelation_matches_correlate(n):
+    # signed values, so most lags are far smaller than R[0]
+    u = np.random.default_rng(n).standard_normal(n)
+    got = _autocorrelation(u)
+    want = np.correlate(u, u, "full")[n - 1:] if n else np.zeros(0)
+    assert got.shape == want.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
+
+
+def test_fft_size_is_short_and_smooth():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5000):
+        size = _fft_size(n)
+        assert n <= size <= max(1.25 * n, 2) and smooth(size)
 
 
 def test_offdiagonal_vanishes_when_q_exceeds_span(table_k2, psi, phi):
