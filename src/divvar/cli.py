@@ -95,7 +95,8 @@ def _get_table(k: int, x_max: int, cache_dir: Optional[str]) -> sieve.DivisorTab
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"dk_{k}_{x_max}.bin")
     if os.path.exists(path):
-        # a torn or foreign file is a miss: sieve again and overwrite it
+        # a torn, corrupt, old-format or foreign file is a miss: sieve again
+        # and overwrite it
         try:
             table = sieve.load_table(path)
         except (OSError, ValueError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import factorize
+from .sieve import factorize, primes
 
 DEFAULT_PRIME_LIMIT = 10**6
 
@@ -34,18 +34,6 @@ class EulerConstantResult:
     value: float
     tail_bound: float  # certified absolute error of the truncation
     prime_limit: int
-
-
-def primes(limit: int) -> np.ndarray:
-    """All primes <= limit, by a vectorized Eratosthenes sieve."""
-    if limit < 2:
-        return np.array([], dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
 
 
 def _s_minus_one(k: int, x):

@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import EulerConstantResult, a_k_of_q, a_k_of_q_bulk, primes
+from .constants import EulerConstantResult, a_k_of_q, a_k_of_q_bulk
 from .gammapoly import PiecewisePolynomial, RationalPolynomial
-from .sieve import DivisorTable, factorize
+from .sieve import DivisorTable, factorize, primes
 from .weights import Normalization, SmoothWeight
 
 
@@ -322,8 +322,8 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
 
     For integer H the window sum is constant on each open interval
     (m, m+1), equal to T(m+H) - T(m) with T the partial-sum function of
-    d_k; the x-integral is therefore evaluated exactly, piece by piece,
-    in integer arithmetic.
+    d_k; the x-integral is therefore a rational evaluated exactly, piece
+    by piece, in integer arithmetic, and rounded to float once at the end.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
@@ -331,15 +331,33 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
         raise CoverageError(
             f"table covers x <= {table.x_max}, need {2 * X + H}"
         )
-    prefix = np.concatenate(
-        ([0], np.cumsum(table.values[1 : 2 * X + H + 1], dtype=np.uint64))
-    )
-    ms = np.arange(X, 2 * X, dtype=np.int64)
-    window = prefix[ms + H] - prefix[ms]
-    total = int(np.sum(window, dtype=np.uint64))
-    total_sq = int(np.sum(window.astype(object) * window.astype(object)))
+    prefix = np.zeros(2 * X + H + 1, dtype=np.uint64)
+    np.cumsum(table.values[1 : 2 * X + H + 1], out=prefix[1:])
+    window = prefix[X + H : 2 * X + H] - prefix[X : 2 * X]
+    total, total_sq = _exact_sums(window)
     # exact: (1/X) sum S_m^2 - ((1/X) sum S_m)^2 over the X unit pieces
-    return (X * total_sq - total * total) / float(X) ** 2
+    return (X * total_sq - total * total) / (X * X)
+
+
+def _exact_sums(w: np.ndarray) -> tuple[int, int]:
+    """(sum w_i, sum w_i^2) of a uint64 array, exactly, as Python ints.
+
+    Both are summed in int64 chunks short enough that no chunk sum can
+    exceed 2^63 - 1, given the largest entry.
+    """
+    top = int(w.max(initial=0))
+    limit = int(np.iinfo(np.int64).max)
+    if top * top > limit:
+        ints = w.tolist()
+        return sum(ints), sum(v * v for v in ints)
+    step = limit // max(top * top, 1)
+    w = w.astype(np.int64)
+    total = total_sq = 0
+    for i in range(0, w.size, step):
+        chunk = w[i : i + step]
+        total += int(chunk.sum())
+        total_sq += int(np.dot(chunk, chunk))
+    return total, total_sq
 
 
 def _gamma_or_zero(gamma: PiecewisePolynomial, c: float) -> float:

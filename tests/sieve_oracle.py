@@ -1,0 +1,23 @@
+"""d_k(n) by iterated Dirichlet convolution: the reference `sieve_dk` is checked against.
+
+d_k = 1 * d_{k-1}, and each fold is the harmonic double loop
+d_k(a b) += d_{k-1}(b), vectorised over b for each a <= x_max.  This costs
+O(k x_max log x_max) with x_max Python iterations per fold, and shares no
+arithmetic with `divvar.sieve.sieve_dk` (no primes, no binomials).
+"""
+
+import numpy as np
+
+
+def harmonic_tables(k_max, x_max):
+    """[d_1, ..., d_{k_max}] on 0..x_max as uint64 arrays, entry 0 being 0."""
+    cur = np.ones(x_max + 1, dtype=np.uint64)
+    cur[0] = 0
+    tables = [cur]
+    for _ in range(k_max - 1):
+        nxt = np.zeros(x_max + 1, dtype=np.uint64)
+        for a in range(1, x_max + 1):
+            nxt[a::a] += cur[1 : x_max // a + 1]
+        cur = nxt
+        tables.append(cur)
+    return tables

@@ -96,22 +96,27 @@ def test_cache_dir_reused(tmp_path):
     assert os.path.getmtime(os.path.join(cache, files[0])) == mtime
 
 
-@pytest.mark.parametrize("size", (100, 8))
-def test_corrupt_cache_is_rebuilt(tmp_path, size):
+# an int damage truncates the cache file to that many bytes
+@pytest.mark.parametrize("damage", (100, 8, "flip"))
+def test_corrupt_cache_is_rebuilt(tmp_path, damage):
     args = ["variance", "--k", "2", "--q", "60", "--x", "500"]
     code, cold = run_cli(args, tmp_path, "cold")
     assert code == 0
     cache = tmp_path / "cache"
     run_cli(args + ["--cache-dir", str(cache)], tmp_path, "fill")
     path = cache / "dk_2_1000.bin"
-    full = path.stat().st_size
-    with open(path, "r+b") as fh:
-        fh.truncate(size)
+    good = path.read_bytes()
+    if damage == "flip":
+        # the low bit of one d_2(n): the file still parses, with one value off
+        path.write_bytes(good[:-80] + bytes([good[-80] ^ 1]) + good[-79:])
+    else:
+        with open(path, "r+b") as fh:
+            fh.truncate(damage)
     code, text = run_cli(args + ["--cache-dir", str(cache)], tmp_path, "again")
     assert code == 0
     assert text == cold
     assert os.listdir(cache) == ["dk_2_1000.bin"]
-    assert path.stat().st_size == full
+    assert path.read_bytes() == good
 
 
 def test_invalid_config_exit_code():

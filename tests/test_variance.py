@@ -1,5 +1,6 @@
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from divvar.sieve import sieve_dk
 from divvar.variance import (
     CoverageError,
     _autocorrelation,
+    _exact_sums,
     _fft_size,
     Regime,
     classify_regime,
@@ -181,6 +183,25 @@ def test_offdiagonal_vanishes_when_q_exceeds_span(table_k2, psi, phi):
     # m = n (mod q), m != n impossible once q > span of the weighted support
     bd = delta_k(table_k2, 5000, 100, psi, phi)
     assert bd.g_term == 0.0
+
+
+def test_short_interval_variance_is_exact(table_k3):
+    # at (16000, 18000) sum S_m^2 exceeds 2^53, where float sums lose digits
+    for X, H in ((16000, 18000), (20000, 9000), (2000, 300), (20000, 1)):
+        vals = [int(v) for v in table_k3.values[: 2 * X + H + 1]]
+        prefix = [0]
+        for v in vals[1:]:
+            prefix.append(prefix[-1] + v)
+        sums = [prefix[m + H] - prefix[m] for m in range(X, 2 * X)]
+        exact = Fraction(sum(s * s for s in sums), X) - Fraction(sum(sums), X) ** 2
+        assert short_interval_variance(table_k3, X, H) == float(exact), (X, H)
+
+
+def test_exact_sums_chunk_and_overflow():
+    # 20 squares near 2^60 overflow one int64 sum; 2^40 squared overflows int64
+    for ints in ([2**30 - i for i in range(20)], [2**40, 3, 2**32], [], [0, 0]):
+        w = np.array(ints, dtype=np.uint64)
+        assert _exact_sums(w) == (sum(ints), sum(v * v for v in ints))
 
 
 def test_short_interval_riemann_oracle(table_k2):
