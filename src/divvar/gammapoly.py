@@ -10,9 +10,8 @@ k at sieve.MAX_K = 8.  Everything in this module is exact rational
 arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
 oracle.
 
-The off-diagonal correction polynomial p_k is computed by two independent
-routes (a formal three-variable Laurent-series residue, and a closed
-multinomial sum) which serve as mutual oracles.
+The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
+diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
 """
 
 from __future__ import annotations
@@ -296,135 +295,20 @@ def gamma_exact(k: int) -> PiecewisePolynomial:
     return _invert(k, transform, Fraction(1, barnes_g(k + 1) ** 2))
 
 
-# ----------------------------------------------------------------------------
-# The correction polynomial p_k, by two independent methods
-# ----------------------------------------------------------------------------
+def p_k(k: int) -> RationalPolynomial:
+    """The off-diagonal polynomial P_k on [1,2), read off gamma_k.
 
-class MultiSeries:
-    """Truncated Laurent series in three formal variables (s1, s2, z).
-
-    Terms map exponent triples to Fraction coefficients; multiplication
-    discards terms whose exponents exceed the declared truncation orders.
-    """
-
-    __slots__ = ("terms", "orders")
-
-    def __init__(self, terms: dict[tuple[int, int, int], Fraction],
-                 orders: tuple[int, int, int]):
-        self.orders = orders
-        self.terms = {
-            e: c
-            for e, c in terms.items()
-            if c and all(ei <= oi for ei, oi in zip(e, orders))
-        }
-
-    def __mul__(self, other: "MultiSeries") -> "MultiSeries":
-        o1, o2, o3 = self.orders
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (a1, a2, a3), ca in self.terms.items():
-            for (b1, b2, b3), cb in other.terms.items():
-                e = (a1 + b1, a2 + b2, a3 + b3)
-                if e[0] > o1 or e[1] > o2 or e[2] > o3:
-                    continue
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MultiSeries(out, self.orders)
-
-    def coefficient(self, e: tuple[int, int, int]) -> Fraction:
-        return self.terms.get(e, Fraction(0))
-
-
-def _p_k_residue(k: int) -> RationalPolynomial:
-    """Coefficient extraction from the rewritten two-sided residue form.
-
-    Builds F = e^{s1+s2-z} (s1-z)^k (s2-z)^k / (z^{k^2} s1^k s2^k (s1+s2-z)^2)
-    as a truncated Laurent series and reads off the polynomial from
-    p_k(c) = -sum_w c^w/w! * [s1^-1 s2^-1 z^{-1-w}] F.
-    """
-    zord = k * k + 2 * k
-    orders = (k, k, zord)
-
-    def series(terms):
-        return MultiSeries(terms, orders)
-
-    one = Fraction(1)
-    e1 = series({(u, 0, 0): Fraction(1, math.factorial(u)) for u in range(k + 1)})
-    e2 = series({(0, u, 0): Fraction(1, math.factorial(u)) for u in range(k + 1)})
-    ez = series(
-        {(0, 0, w): Fraction((-1) ** w, math.factorial(w)) for w in range(zord + 1)}
-    )
-    b1 = series(
-        {(a, 0, k - a): Fraction(math.comb(k, a) * (-1) ** (k - a)) for a in range(k + 1)}
-    )
-    b2 = series(
-        {(0, a, k - a): Fraction(math.comb(k, a) * (-1) ** (k - a)) for a in range(k + 1)}
-    )
-    # 1/(s1+s2-z)^2 = z^-2 sum_j (j+1) ((s1+s2)/z)^j; j > 2k-2 cannot reach
-    # the target s-exponents.
-    geo_terms: dict[tuple[int, int, int], Fraction] = {}
-    for j in range(2 * k - 1):
-        for t in range(j + 1):
-            e = (t, j - t, -j - 2)
-            geo_terms[e] = geo_terms.get(e, Fraction(0)) + (j + 1) * math.comb(j, t) * one
-    geo = series(geo_terms)
-    shift = series({(-k, -k, -k * k): one})
-
-    f = e1 * e2 * ez * b1 * b2 * geo * shift
-    coeffs = []
-    for w in range(k * k):
-        cw = f.coefficient((-1, -1, -1 - w))
-        coeffs.append(-cw / math.factorial(w))
-    return RationalPolynomial(coeffs)
-
-
-def _p_k_multinomial(k: int) -> RationalPolynomial:
-    """Direct evaluation of the closed multinomial-sum expansion of p_k."""
-    n = k * k - 1
-    total = RationalPolynomial()
-    lead = Fraction((-1) ** k, math.factorial(n))
-    for a in range(k):
-        for b in range(k):
-            if a + b > n:
-                continue
-            m1 = Fraction(
-                math.factorial(n),
-                math.factorial(a) * math.factorial(b) * math.factorial(n - a - b),
-            )
-            for alpha in range(k - a):
-                for beta in range(k - b):
-                    m2 = Fraction(
-                        math.factorial(n + alpha + beta),
-                        math.factorial(alpha) * math.factorial(beta) * math.factorial(n),
-                    )
-                    coeff = (
-                        lead
-                        * (-1) ** (a + b + alpha + beta)
-                        * m1
-                        * m2
-                        * math.comb(k, a + alpha + 1)
-                        * math.comb(k, b + beta + 1)
-                    )
-                    # c^{a+b} (1-c)^{n-a-b}
-                    term = _shifted_monomial(1, n - a - b, Fraction((-1) ** (n - a - b)))
-                    term = term * _shifted_monomial(0, a + b, coeff)
-                    total = total + term
-    return total
-
-
-def p_k(k: int, method: str = "residue") -> RationalPolynomial:
-    """The correction polynomial on [1,2): gamma_k - c^{k^2-1}/(k^2-1)! there.
-
-    method is "residue" (formal Laurent-series coefficient extraction) or
-    "multinomial" (closed finite sum); the two agree coefficient-by-coefficient
-    and serve as mutual oracles.
+    Piece 0 of gamma_exact(k) is the diagonal term c^{k^2-1}/(k^2-1)!, and
+    on [1,2) gamma_k is that term plus P_k, so P_k = pieces[1] - pieces[0].
+    gamma_1 vanishes on [1,2), so P_1 = -1.  Two routes that share no
+    arithmetic with the Hankel determinant (a Laurent-series residue and a
+    closed multinomial sum) check this in tests/pk_oracle.py.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    method = method.lower()
-    if method == "residue":
-        return _p_k_residue(k)
-    if method == "multinomial":
-        return _p_k_multinomial(k)
-    raise ValueError(f"unknown method {method!r}")
+    pieces = gamma_exact(k).pieces
+    on_1_2 = pieces[1] if k > 1 else RationalPolynomial()
+    return on_1_2 - pieces[0]
 
 
 # ----------------------------------------------------------------------------

@@ -27,7 +27,9 @@ import numpy as np
 
 from .gammapoly import PiecewisePolynomial, laplace_det
 
-DEFAULT_KN_BOUND = 120
+# k and N come from the command line; at k = 8, kN = 120 already takes
+# about 8 s on a 2-vCPU machine.
+KN_BOUND = 120
 _SINGULAR_TOL = 1e-12
 
 
@@ -161,7 +163,7 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return out
 
 
-def secular_coefficients(k: int, N: int, kn_bound: int = DEFAULT_KN_BOUND) -> SecularTable:
+def secular_coefficients(k: int, N: int) -> SecularTable:
     """Exact I_k(m; N) via a banded Toeplitz determinant in polynomial arithmetic.
 
     The symbol's band structure (entries vanish beyond |i - j| > k) keeps the
@@ -170,23 +172,21 @@ def secular_coefficients(k: int, N: int, kn_bound: int = DEFAULT_KN_BOUND) -> Se
     """
     if k < 1 or N < 1:
         raise ValueError(f"need k, N >= 1, got k={k}, N={N}")
-    if k * N > kn_bound:
-        raise ValueError(f"kN = {k * N} exceeds bound {kn_bound}")
+    if k * N > KN_BOUND:
+        raise ValueError(f"kN = {k * N} exceeds bound {KN_BOUND}")
     sym = _symbol_poly_coeffs(k)
     d = laplace_det(N, lambda i, j: sym.get(i - j), _poly_mul)
     coeffs = tuple(d.get(m, 0) for m in range(k * N + 1))
     return SecularTable(k, N, coeffs)
 
 
-def rmt_gamma_deviation(
-    k: int, N: int, gamma: PiecewisePolynomial, kn_bound: int = DEFAULT_KN_BOUND
-) -> tuple[float, int]:
+def rmt_gamma_deviation(k: int, N: int, gamma: PiecewisePolynomial) -> tuple[float, int]:
     """max_m |I_k(m;N)/N^{k^2-1} - gamma_k(m/N)| and the argmax m.
 
     The deviation per m is computed in exact rational arithmetic before the
     single final float conversion.
     """
-    table = secular_coefficients(k, N, kn_bound)
+    table = secular_coefficients(k, N)
     power = N ** (k * k - 1)
     best = Fraction(-1)
     best_m = 0

@@ -6,13 +6,13 @@ into same-residue (A), mean-square (B), diagonal (D) and off-diagonal (G)
 pieces, the short-interval variance, and the predicted values for each of
 these quantities in the different ranges of c = log X / log Q.
 
-v_k and V_k bin one modulus by residue class (`_coprime_class_variance`).
-Delta_k does not: pairs m = n (mod q) are shifts m - n = tq, so every
-modulus is served by the autocorrelations of d_k(n) psi(n/X) along the
-multiples of each squarefree d <= 2Q (Möbius inversion removes the
-condition (n, q) = 1).  Those come from blocked real FFTs, for
-O(X log X log Q) work instead of O(QX); `delta_k` states the derivation
-and the error budget against residue binning.
+v_k, V_k and the mean over coprime n bin one modulus by residue class
+(`_coprime_class_sums`).  Delta_k does not: pairs m = n (mod q) are
+shifts m - n = tq, so every modulus is served by the autocorrelations of
+d_k(n) psi(n/X) along the multiples of each squarefree d <= 2Q (Möbius
+inversion removes the condition (n, q) = 1).  Those come from blocked
+real FFTs, for O(X log X log Q) work instead of O(QX); `delta_k` states
+the derivation and the error budget against residue binning.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .constants import EulerConstantResult, a_k_of_q, a_k_of_q_bulk
 from .gammapoly import PiecewisePolynomial, RationalPolynomial
-from .sieve import DivisorTable, factorize, primes
+from .sieve import DivisorTable, primes
 from .weights import Normalization, SmoothWeight
 
 
@@ -91,11 +91,12 @@ class Prediction:
     offdiagonal_prediction: float
 
 
-def _totient(q: int) -> int:
-    out = q
-    for p, _ in factorize(q):
-        out -= out // p
-    return out
+def _sharp_window(table: DivisorTable, X: int):
+    """The integers 1..X with their values d_k(n), as (ns, w)."""
+    if not table.covers(X):
+        raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
+    ns = np.arange(1, X + 1, dtype=np.int64)
+    return ns, table.values[ns].astype(np.float64)
 
 
 def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
@@ -126,20 +127,21 @@ def mean_over_coprime(
     if q < 1:
         raise ValueError("q must be >= 1")
     if weight is None:
-        if not table.covers(X):
-            raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
-        ns = np.arange(1, X + 1, dtype=np.int64)
-        w = table.values[ns].astype(np.float64)
+        ns, w = _sharp_window(table, X)
     else:
         ns, w = _smooth_window(table, X, weight)
-    mask = np.gcd(ns, q) == 1
-    return float(np.sum(w[mask])) / _totient(q)
+    return float(_coprime_class_sums(ns, w, q).mean())
+
+
+def _coprime_class_sums(ns: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
+    """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q."""
+    class_sums = np.bincount(ns % q, weights=w, minlength=q)
+    return class_sums[np.gcd(np.arange(q, dtype=np.int64), q) == 1]
 
 
 def _coprime_class_variance(ns: np.ndarray, w: np.ndarray, q: int) -> float:
-    """sum_a (S_a - mean)^2 over the classes a coprime to q, S_a = sum_{n=a (q)} w_n."""
-    class_sums = np.bincount(ns % q, weights=w, minlength=q)
-    s = class_sums[np.gcd(np.arange(q, dtype=np.int64), q) == 1]
+    """sum_a (S_a - mean)^2 over the classes a coprime to q."""
+    s = _coprime_class_sums(ns, w, q)
     return float(np.sum((s - s.mean()) ** 2))
 
 
@@ -147,10 +149,8 @@ def sharp_variance(table: DivisorTable, q: int, X: int) -> float:
     """Variance over coprime residue classes of sum_{n<=X, n=a (q)} d_k(n)."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if not table.covers(X):
-        raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
-    ns = np.arange(1, X + 1, dtype=np.int64)
-    return _coprime_class_variance(ns, table.values[ns].astype(np.float64), q)
+    ns, w = _sharp_window(table, X)
+    return _coprime_class_variance(ns, w, q)
 
 
 def smooth_variance_Vk(

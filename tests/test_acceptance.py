@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from binning_oracle import assert_within_budget, delta_binned
+from pk_oracle import p_k_multinomial, p_k_residue
 from divvar.constants import a_k_const, a_k_of_q_bulk, a_tilde_k
 from divvar.gammapoly import (
     RationalPolynomial,
@@ -64,10 +65,11 @@ def test_criterion_2_offdiagonal_identity():
             kk = k * k
             lead = _monomial(Fraction(1, math.factorial(kk - 1)), kk - 1)
             difference = g.pieces[1] - lead
-            res = p_k(k, method="residue")
-            mul = p_k(k, method="multinomial")
+            res = p_k_residue(k)
+            mul = p_k_multinomial(k)
             assert res.coeffs == mul.coeffs
             assert difference.coeffs == res.coeffs
+            assert p_k(k) == res
 
 
 def test_criterion_3_symmetry_and_normalization():

@@ -13,6 +13,7 @@ from divvar.gammapoly import (
     p_k,
     slice_integral,
 )
+from pk_oracle import p_k_multinomial, p_k_residue
 
 
 def test_barnes_g_values():
@@ -63,14 +64,23 @@ def test_gamma_eval_edges():
 
 def test_p2_both_methods():
     expect = (Fraction(4, 3), Fraction(-2), Fraction(1), Fraction(-1, 3))
-    assert p_k(2, method="residue").coeffs == expect
-    assert p_k(2, method="multinomial").coeffs == expect
+    assert p_k_residue(2).coeffs == expect
+    assert p_k_multinomial(2).coeffs == expect
+    assert p_k(2).coeffs == expect
+
+
+def test_p1_is_minus_one():
+    # gamma_1 is 1 on [0,1) and vanishes on [1,2)
+    expect = RationalPolynomial([-1])
+    assert p_k_residue(1) == expect
+    assert p_k_multinomial(1) == expect
+    assert p_k(1) == expect
 
 
 def test_bridge_identity_k3():
     # piece on [1,2) equals c^8/8! plus the off-diagonal polynomial
     g = gamma_exact(3)
-    p = p_k(3)
+    p = p_k_residue(3)
     for c in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(9, 5)):
         assert g.eval(c) == c**8 / math.factorial(8) + p.eval(c)
 
@@ -92,13 +102,14 @@ def test_large_k_mass_and_mirror_symmetry(k):
         assert g.pieces[j] == g.pieces[k - 1 - j].compose_linear(k, -1)
 
 
-@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
 def test_large_k_bridge_both_methods(k):
     n = k * k - 1
     lead = RationalPolynomial([0] * n + [Fraction(1, math.factorial(n))])
     bridge = gamma_exact(k).pieces[1] - lead
-    assert p_k(k, method="residue") == bridge
-    assert p_k(k, method="multinomial") == bridge
+    assert p_k_residue(k) == bridge
+    assert p_k_multinomial(k) == bridge
+    assert p_k(k) == bridge
 
 
 def test_json_roundtrip():

@@ -53,6 +53,12 @@ def test_secular_k2_total_mass():
     assert len(table.coefficients) == 2 * 4 + 1
 
 
+def test_secular_kn_bound_enforced():
+    # k and N come from the command line; kN = 128 is refused before any work
+    with pytest.raises(ValueError, match="exceeds bound"):
+        secular_coefficients(8, 16)
+
+
 def test_secular_nonnegative_and_symmetric():
     table = secular_coefficients(2, 6)
     coeffs = table.coefficients
