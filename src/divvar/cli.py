@@ -9,6 +9,7 @@ Subcommands:
              the predicted values, with ratio columns
   rmt        exact secular coefficients I_k(m;N) and their scaled
              deviation from gamma_k, plus a shift-average consistency probe
+             (k <= 6 shifts)
   selftest   fast end-to-end invariant suite
 
 Configuration comes from flags, optionally seeded by a flat key=value
@@ -235,6 +236,8 @@ def cmd_rmt(cfg: dict) -> dict:
         dev, arg = rmt.rmt_gamma_deviation(k, nn, g)
         report["rows"].append({"kind": "gamma_deviation", "k": k, "N": nn,
                                "deviation": dev, "argmax_m": arg})
+    if k > rmt.MAX_SHIFTS:
+        return report
     rng = np.random.default_rng(cfg["seed"])
     for trial in range(3):
         A = tuple(np.exp(rng.uniform(-0.3, 0.3, size=k)))
@@ -282,6 +285,11 @@ def cmd_selftest(cfg: dict) -> dict:
         assert abs(rmt.haar_average_heine(A, B, 5)
                    - rmt.cfkrs_rhs(A, B, 5)) < 1e-9
 
+    def secular_check():
+        # Keating-Snaith: prod_{j<4} j! (j+4)! / ((j+2)!)^2 = 105, the
+        # average of |det(1 - g)|^4 over U(4), is I_2(.; 4) at x = 1
+        assert sum(rmt.secular_coefficients(2, 4).coefficients) == 105
+
     def variance_check():
         t = sieve.sieve_dk(2, 500)
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
@@ -295,6 +303,7 @@ def cmd_selftest(cfg: dict) -> dict:
     record("gamma_exact_identities", gamma_check)
     record("euler_product_value", constants_check)
     record("shift_average_identity", rmt_check)
+    record("secular_total_mass", secular_check)
     record("variance_decomposition", variance_check)
     return report
 

@@ -16,6 +16,7 @@ diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -279,6 +280,7 @@ def slice_integral(a: Sequence[int]) -> PiecewisePolynomial:
     return _invert(k, transform, Fraction(1))
 
 
+@functools.cache
 def gamma_exact(k: int) -> PiecewisePolynomial:
     """gamma_k as exact rational pieces on [0,1), ..., [k-1,k).
 
@@ -286,7 +288,8 @@ def gamma_exact(k: int) -> PiecewisePolynomial:
     Hankel determinant det[m_{i+j}(s)]_{i,j<k} / G(k+1)^2, with m_r the
     moment transforms of slice_integral.  Its entries have integer
     coefficients, so the determinant is exact in integers before the single
-    rational inversion.
+    rational inversion.  The result is immutable (tuples of Fraction), so it
+    is computed once per k and process and shared by p_k and every caller.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")

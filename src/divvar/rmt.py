@@ -10,26 +10,30 @@ Two independent routes to the same Haar averages:
 
 The secular coefficients I_k(m; N) -- the coefficients of the degree-kN
 polynomial given by the Haar average of det(1 - x g)^k det(1 - g^{-1})^k --
-are computed exactly as integers via a banded Toeplitz determinant with
-integer-polynomial entries, and compared against the gamma_k limit.
+are computed exactly as integers from a k x k Hankel determinant of integer
+polynomials (dual Cauchy, Schur orthogonality, the Weyl dimension formula
+and Andreief; see secular_coefficients), the discrete twin of the one
+behind gammapoly.gamma_exact, and compared against the gamma_k limit.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .gammapoly import PiecewisePolynomial, laplace_det
+from .gammapoly import PiecewisePolynomial, barnes_g, laplace_det
 
-# k and N come from the command line; at k = 8, kN = 120 already takes
-# about 8 s on a 2-vCPU machine.
-KN_BOUND = 120
+# k and N come from the command line.  On a 2-vCPU machine
+# secular_coefficients(8, 30) took 1.1 s and (8, 60), kN = 480, took
+# 4.3 s; the cost grows like N^2 at fixed k.
+KN_BOUND = 480
+# cfkrs_rhs sums C(|A|+|B|, |A|) terms; it accepts at most this many shifts
+# on each side
+MAX_SHIFTS = 6
 _SINGULAR_TOL = 1e-12
 
 
@@ -93,8 +97,8 @@ def cfkrs_rhs(A: Sequence[complex], B: Sequence[complex], N: int) -> complex:
     *inverses* of the swapped ones.  Shift configurations producing a
     singular pairing are rejected rather than regularized.
     """
-    if len(A) > 6 or len(B) > 6:
-        raise ValueError("shift collections limited to size 6")
+    if len(A) > MAX_SHIFTS or len(B) > MAX_SHIFTS:
+        raise ValueError(f"shift collections limited to size {MAX_SHIFTS}")
     A = list(A)
     B = list(B)
     total = 0.0 + 0.0j
@@ -128,32 +132,6 @@ class SecularTable:
     N: int
     coefficients: tuple[int, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"k": self.k, "N": self.N, "coefficients": [str(c) for c in self.coefficients]},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SecularTable":
-        obj = json.loads(text)
-        return SecularTable(obj["k"], obj["N"], tuple(int(c) for c in obj["coefficients"]))
-
-
-def _symbol_poly_coeffs(k: int) -> dict[int, dict[int, int]]:
-    """Fourier coefficients of (1 - x z)^k (1 - 1/z)^k as integer polys in x.
-
-    Returns index j -> {x-degree: coefficient}; nonzero only for |j| <= k.
-    """
-    out: dict[int, dict[int, int]] = {}
-    for i in range(k + 1):  # from (1 - x z)^k: (-x)^i z^i
-        for l in range(k + 1):  # from (1 - 1/z)^k: (-1)^l z^-l
-            j = i - l
-            coeff = (-1) ** (i + l) * math.comb(k, i) * math.comb(k, l)
-            out.setdefault(j, {})
-            out[j][i] = out[j].get(i, 0) + coeff
-    return {j: {d: c for d, c in poly.items() if c} for j, poly in out.items()}
-
 
 def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
@@ -164,20 +142,47 @@ def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 
 
 def secular_coefficients(k: int, N: int) -> SecularTable:
-    """Exact I_k(m; N) via a banded Toeplitz determinant in polynomial arithmetic.
+    """Exact I_k(m; N) from a k x k Hankel determinant of integer polynomials.
 
-    The symbol's band structure (entries vanish beyond |i - j| > k) keeps the
-    memoized Laplace expansion (gammapoly.laplace_det) to O(N * 4^k)
-    distinct column states.
+    Dual Cauchy: det(1 - x g)^k = sum_lambda s_lambda(-x, ..., -x) s_lambda'(g)
+    over partitions lambda in the k x N box, and likewise for
+    det(1 - g^{-1})^k at x = 1.  Schur orthogonality on U(N) keeps the
+    diagonal pairs, so the average is sum_lambda x^|lambda| s_lambda(1^k)^2.
+    Weyl dimension: s_lambda(1^k) = prod_{i<j} (l_i - l_j) / G(k+1) with
+    l_i = lambda_i + k - i, a k-subset of {0, ..., N+k-1} with
+    sum l = |lambda| + k(k-1)/2.  Andreief: the sum of prod_{i<j} (l_i - l_j)^2
+    x^{sum l} over those subsets is det[M_{i+j}(x)]_{i,j<k} with
+    M_r(x) = sum_{l=0}^{N+k-1} l^r x^l.  Hence
+
+        sum_m I_k(m; N) x^m = x^{-k(k-1)/2} det[M_{i+j}(x)] / G(k+1)^2.
+
+    laplace_det expands the determinant over its 2^k column subsets, each
+    step a product of polynomials with at most k(N+k) terms: O(k^2 2^k N^2)
+    integer products.  (8, 15) takes about 0.4 s on a 2-vCPU machine; the
+    N x N banded Toeplitz determinant in tests/secular_oracle.py takes about
+    8 s there.  The division by G(k+1)^2 and the degree range are checked,
+    not assumed.
     """
     if k < 1 or N < 1:
         raise ValueError(f"need k, N >= 1, got k={k}, N={N}")
     if k * N > KN_BOUND:
         raise ValueError(f"kN = {k * N} exceeds bound {KN_BOUND}")
-    sym = _symbol_poly_coeffs(k)
-    d = laplace_det(N, lambda i, j: sym.get(i - j), _poly_mul)
-    coeffs = tuple(d.get(m, 0) for m in range(k * N + 1))
-    return SecularTable(k, N, coeffs)
+    moments = [{l: l**r for l in range(N + k)} for r in range(2 * k - 1)]
+    det = laplace_det(k, lambda i, j: moments[i + j], _poly_mul)
+    low = k * (k - 1) // 2
+    if any(not low <= d <= low + k * N for d in det):
+        raise ArithmeticError(
+            f"Hankel determinant for k={k}, N={N} has degrees outside "
+            f"[{low}, {low + k * N}]")
+    norm = barnes_g(k + 1) ** 2
+    coeffs = []
+    for m in range(k * N + 1):
+        q, r = divmod(det.get(low + m, 0), norm)
+        if r:
+            raise ArithmeticError(
+                f"coefficient {m} for k={k}, N={N} is not divisible by G(k+1)^2")
+        coeffs.append(q)
+    return SecularTable(k, N, tuple(coeffs))
 
 
 def rmt_gamma_deviation(k: int, N: int, gamma: PiecewisePolynomial) -> tuple[float, int]:

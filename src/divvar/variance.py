@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import EulerConstantResult, a_k_of_q, a_k_of_q_bulk
+from .constants import EulerConstantResult, a_k_of_q_bulk
 from .gammapoly import PiecewisePolynomial, RationalPolynomial
 from .sieve import DivisorTable, primes
 from .weights import Normalization, SmoothWeight
@@ -84,7 +84,6 @@ class Prediction:
     X: int
     c: float
     regime: Regime
-    sharp_prediction: float
     smooth_prediction_exact_q: float
     smooth_prediction_leading: float
     diagonal_prediction: float
@@ -392,7 +391,6 @@ def conjectured_values(
     fact = math.factorial(kk - 1)
     scale = Q * X * math.log(Q) ** (kk - 1)
     gamma_c = _gamma_or_zero(gamma, c)
-    sharp = a_k_of_q(k, Q, base) * gamma_c * X * math.log(Q) ** (kk - 1)
     leading = a_tilde.value * gamma_c * scale
     diagonal = a_tilde.value * c ** (kk - 1) / fact * scale
 
@@ -427,7 +425,6 @@ def conjectured_values(
         X=X,
         c=c,
         regime=classify_regime(k, c, delta),
-        sharp_prediction=sharp,
         smooth_prediction_exact_q=exact_q,
         smooth_prediction_leading=leading,
         diagonal_prediction=diagonal,

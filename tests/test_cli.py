@@ -24,6 +24,7 @@ def test_selftest_passes(tmp_path):
     code, text = run_cli(["selftest"], tmp_path)
     assert code == 0
     assert "FAIL" not in text
+    assert "secular_total_mass,ok" in text
 
 
 def test_gamma_csv(tmp_path):
@@ -172,6 +173,15 @@ def test_rmt_subcommand(tmp_path):
     assert checks and all(float(r["value"]) < 1e-9 for r in checks)
     devs = [float(r["deviation"]) for r in rows if r["kind"] == "gamma_deviation"]
     assert devs[1] < devs[0]  # deviation shrinks with N
+
+
+def test_rmt_beyond_shift_limit(tmp_path):
+    # k = 8 draws more shifts than cfkrs_rhs takes: the secular table and the
+    # deviations are still reported, without the shift-average probe
+    code, text = run_cli(["rmt", "--k", "8", "--n", "4"], tmp_path)
+    assert code == 0
+    kinds = [r["kind"] for r in csv.DictReader(io.StringIO(text))]
+    assert kinds == ["secular"] * 33 + ["gamma_deviation"] * 2
 
 
 def test_empty_report_header_only():

@@ -6,7 +6,6 @@ import pytest
 
 from divvar.gammapoly import gamma_exact
 from divvar.rmt import (
-    SecularTable,
     SingularShiftError,
     cfkrs_rhs,
     haar_average_heine,
@@ -14,6 +13,7 @@ from divvar.rmt import (
     secular_coefficients,
     symbol_coeffs,
 )
+from secular_oracle import subset_sum_secular, toeplitz_secular
 
 
 def test_symbol_coeffs_single_pair():
@@ -54,9 +54,17 @@ def test_secular_k2_total_mass():
 
 
 def test_secular_kn_bound_enforced():
-    # k and N come from the command line; kN = 128 is refused before any work
+    # k and N come from the command line; kN = 481 is refused before any work
     with pytest.raises(ValueError, match="exceeds bound"):
-        secular_coefficients(8, 16)
+        secular_coefficients(1, 481)
+
+
+def test_secular_matches_oracles():
+    for k, N in ((1, 5), (2, 40), (3, 30), (4, 20), (5, 12)):
+        assert secular_coefficients(k, N).coefficients == toeplitz_secular(k, N), (k, N)
+    for k in range(1, 9):
+        for N in range(1, 5):
+            assert secular_coefficients(k, N).coefficients == subset_sum_secular(k, N), (k, N)
 
 
 def test_secular_nonnegative_and_symmetric():
@@ -66,10 +74,18 @@ def test_secular_nonnegative_and_symmetric():
     assert coeffs == tuple(reversed(coeffs))  # functional equation m <-> kN - m
 
 
-def test_secular_json_roundtrip():
-    t = secular_coefficients(2, 5)
-    back = SecularTable.from_json(t.to_json())
-    assert back == t
+def test_secular_inexact_results_raise(monkeypatch):
+    import divvar.rmt as rmt
+
+    # a normaliser that leaves a remainder
+    monkeypatch.setattr(rmt, "barnes_g", lambda n: 7)
+    with pytest.raises(ArithmeticError, match="not divisible"):
+        secular_coefficients(2, 3)
+    monkeypatch.undo()
+    # a determinant with a term below degree k(k-1)/2 = 1
+    monkeypatch.setattr(rmt, "laplace_det", lambda n, entry, mul: {0: 1, 1: 1})
+    with pytest.raises(ArithmeticError, match="degrees outside"):
+        secular_coefficients(2, 3)
 
 
 def test_deviation_decays():
@@ -78,6 +94,23 @@ def test_deviation_decays():
     d20, _ = rmt_gamma_deviation(2, 20, g)
     assert d20 < d10
     assert d10 / d20 < 4  # roughly O(1/N)
+
+
+def test_deviation_times_n_falls_and_settles():
+    # measured N * deviation at N = 20, 40, 80, 160: k = 2 gives 1.094,
+    # 1.046, 1.023, 1.012 with argmax m = N (c = 1); k = 3 gives 0.00735,
+    # 0.00561, 0.00492, 0.00460 with argmax m = 3N/2 (c = 3/2)
+    ns = (20, 40, 80, 160)
+    for k, argmax_c in ((2, 1), (3, Fraction(3, 2))):
+        g = gamma_exact(k)
+        scaled = []
+        for N in ns:
+            dev, arg = rmt_gamma_deviation(k, N, g)
+            assert arg == argmax_c * N
+            scaled.append(N * dev)
+        steps = [a - b for a, b in zip(scaled, scaled[1:])]
+        assert all(s > 0 for s in steps), scaled  # N * deviation falls ...
+        assert all(b < a for a, b in zip(steps, steps[1:])), scaled  # ... and settles
 
 
 def test_scaled_coefficients_near_gamma():
