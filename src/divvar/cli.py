@@ -13,13 +13,16 @@ Subcommands:
   selftest   fast end-to-end invariant suite
 
 Configuration comes from flags, optionally seeded by a flat key=value
-config file (flags override the file).  Reports are emitted as CSV with a
-fixed column order or as JSON with stable key order; floats are printed
-with 17 significant digits, exact rationals as "num/den" strings.
+config file (flags override the file).  Each file line is read as the
+flag --key=value, by the same parser as the command line.  Reports are
+emitted as CSV with a fixed column order or as JSON with stable key
+order; floats are printed with 17 significant digits, exact rationals as
+"num/den" strings.
 
-Exit codes: 0 success, 1 invalid config (including an unknown config-file
-key), 2 computation error (including a report with any error row), 3 I/O
-error.
+Exit codes: 0 success, 1 invalid config (an unknown flag or config-file
+key, a value its flag refuses, or an unreadable config file; one
+"invalid config:" line on stderr), 2 computation error (including a
+report with any error row), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import numpy as np
 from . import constants as consts
 from . import gammapoly, rmt, sieve, variance
 from .weights import Normalization, make_bump
-
-DEFAULT_DELTA = 1.0 / 20
 
 
 class ConfigError(ValueError):
@@ -181,14 +182,12 @@ def cmd_variance(cfg: dict) -> dict:
     if cfg.get("x"):
         xs = [cfg["x"]]
     else:
-        grid = cfg["c_grid"] or [0.5, 0.8, 1.0, 1.2, 1.5, (k + 2) / k - 0.1]
+        grid = cfg["c_grid"] or _default_c_grid(k)
         xs = sorted({max(2, int(round(Q ** c))) for c in grid})
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
     base = consts.a_k_const(k, cfg["prime_limit"])
     tilde = consts.a_tilde_k(k, cfg["prime_limit"])
-    g = gammapoly.gamma_exact(k)
-    p = gammapoly.p_k(k)
     h = cfg.get("h")
     for X in xs:
         try:
@@ -196,7 +195,7 @@ def cmd_variance(cfg: dict) -> dict:
             table = _get_table(k, x_max, cfg.get("cache_dir"))
             bd = variance.delta_k(table, Q, X, psi, phi)
             pred = variance.conjectured_values(
-                k, Q, X, base, tilde, g, p, phi=phi, delta=cfg["delta"])
+                k, Q, X, base, tilde, phi=phi, delta=cfg["delta"])
             row = {
                 "k": k, "Q": Q, "X": X, "c": pred.c,
                 "regime": pred.regime.value,
@@ -231,10 +230,9 @@ def cmd_rmt(cfg: dict) -> dict:
     for m, coeff in enumerate(table.coefficients):
         report["rows"].append({"kind": "secular", "k": k, "N": N, "m": m,
                                "value": coeff})
-    g = gammapoly.gamma_exact(k)
-    for nn in (max(2, N // 2), N):
-        dev, arg = rmt.rmt_gamma_deviation(k, nn, g)
-        report["rows"].append({"kind": "gamma_deviation", "k": k, "N": nn,
+    for t in (rmt.secular_coefficients(k, max(2, N // 2)), table):
+        dev, arg = rmt.rmt_gamma_deviation(t)
+        report["rows"].append({"kind": "gamma_deviation", "k": k, "N": t.N,
                                "deviation": dev, "argmax_m": arg})
     if k > rmt.MAX_SHIFTS:
         return report
@@ -312,12 +310,9 @@ def cmd_selftest(cfg: dict) -> dict:
 # Configuration plumbing
 # ----------------------------------------------------------------------------
 
-_INT_KEYS = {"k", "x", "q", "h", "prime_limit", "n", "samples", "seed"}
-_FLOAT_KEYS = {"delta"}
-
-
-def _load_config_file(path: str) -> dict:
-    out = {}
+def _config_file_args(path: str) -> list:
+    """The key = value lines of a config file as --key=value arguments."""
+    out = []
     with open(path) as fh:
         for raw in fh:
             line = raw.strip()
@@ -327,22 +322,21 @@ def _load_config_file(path: str) -> dict:
                 raise ConfigError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            val = val.strip()
-            if key in _INT_KEYS:
-                out[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(val)
-            elif key == "c_grid":
-                out[key] = [float(t) for t in val.split(",")]
-            elif key in _DEFAULTS:
-                out[key] = val
-            else:
+            if key not in _DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
+            out.append(f"--{key.replace('_', '-')}={val.strip()}")
     return out
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divvar",
         description="Variance of k-fold divisor sums in progressions.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -370,23 +364,34 @@ _DEFAULTS = {
     "k": 2, "x": None, "q": None, "h": None, "c_grid": None,
     "prime_limit": 10**6, "n": 20, "samples": None, "seed": 0,
     "format": "csv", "out": None, "cache_dir": None,
-    "delta": DEFAULT_DELTA,
+    "delta": variance.DEFAULT_DELTA,
 }
 
 
+def _default_c_grid(k: int) -> list:
+    return [0.5, 0.8, 1.0, 1.2, 1.5, (k + 2) / k - 0.1]
+
+
 def build_config(args: argparse.Namespace) -> dict:
+    """Defaults, overridden by the config file, overridden by the flags."""
     cfg = dict(_DEFAULTS)
+    layers = [args]
     if args.config:
-        cfg.update(_load_config_file(args.config))
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        argv = [args.command, *_config_file_args(args.config)]
+        try:
+            layers.insert(0, _build_parser().parse_args(argv))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} in {args.config}") from None
+    for layer in layers:
+        for key in _DEFAULTS:
+            val = getattr(layer, key, None)
+            if val is not None:
+                cfg[key] = val
     cfg["command"] = args.command
     if cfg["k"] < 1 or cfg["k"] > sieve.MAX_K:
         raise ConfigError(f"k must be in [1, {sieve.MAX_K}]")
     if cfg["c_grid"] is None and args.command == "gamma":
-        cfg["c_grid"] = [0.5, 0.8, 1.0, 1.2, 1.5, (cfg["k"] + 2) / cfg["k"] - 0.1]
+        cfg["c_grid"] = _default_c_grid(cfg["k"])
     for key in ("x", "q", "h", "n", "samples", "prime_limit"):
         if cfg.get(key) is not None and cfg[key] < 1:
             raise ConfigError(f"{key} must be positive")
@@ -404,24 +409,17 @@ _COMMANDS = {
 }
 
 
-def run_experiment(cfg: dict) -> dict:
-    return _COMMANDS[cfg["command"]](cfg)
-
-
 def main(argv: Optional[list] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        cfg = build_config(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 1
-    try:
-        cfg = build_config(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     try:
-        report = run_experiment(cfg)
-    except (ConfigError,) as exc:
+        report = _COMMANDS[cfg["command"]](cfg)
+    except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - map to computation-error code

@@ -19,6 +19,7 @@ certified tail bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,16 +46,8 @@ def _s_minus_one(k: int, x):
 
 
 def _frak_a(k: int, x):
+    """The local series frak_a_p = sum_l C(k+l-1, k-1)^2 x^l at x = 1/p, in closed form."""
     return (1.0 + _s_minus_one(k, x)) / (1.0 - x) ** (2 * k - 1)
-
-
-def frak_a_p(k: int, p: int) -> float:
-    """The local series sum_{l} C(k+l-1,k-1)^2 p^{-l}, in closed form."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if p < 2 or factorize(p) != [(p, 1)]:
-        raise ValueError(f"p={p} is not prime")
-    return _frak_a(k, 1.0 / p)
 
 
 def _factor_logs(k: int, ps: np.ndarray) -> np.ndarray:
@@ -122,12 +115,14 @@ def _tilde_log_bound(k: int, prime_limit: int) -> float:
     return b / (1.0 - b / float(prime_limit) ** 2)
 
 
+@functools.cache
 def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
     """Truncated Euler product for a_k with a certified tail bound.
 
     The omitted factors have logs of size at most C / p^2
     (_factor_log_bound), and sum_{p > P} p^-2 < 1/P, so the true value is
-    value * e^theta with |theta| <= C / P.
+    value * e^theta with |theta| <= C / P.  Memoised (the result is
+    frozen), so a_tilde_k reuses the product its caller already holds.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")

@@ -12,16 +12,19 @@ oracle.
 
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
+
+Only what gamma_k, P_k and the secular coefficients use lives here.
+Polynomial products and composition, and the delta-slice densities of
+single monomials, serve the tests alone and live in tests/.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -31,7 +34,7 @@ import numpy as np
 # ----------------------------------------------------------------------------
 
 class RationalPolynomial:
-    """Dense polynomial over Fraction; the zero polynomial has degree -1."""
+    """Dense polynomial over Fraction, with the arithmetic gamma_k and P_k use."""
 
     __slots__ = ("coeffs",)
 
@@ -40,13 +43,6 @@ class RationalPolynomial:
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
@@ -64,21 +60,7 @@ class RationalPolynomial:
         return RationalPolynomial(out)
 
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self or not other:
-            return RationalPolynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return RationalPolynomial(out)
-
-    def scale(self, s) -> "RationalPolynomial":
-        s = Fraction(s)
-        return RationalPolynomial([s * x for x in self.coeffs])
+        return self + RationalPolynomial([-x for x in other.coeffs])
 
     def eval(self, c) -> Fraction:
         c = Fraction(c)
@@ -93,22 +75,11 @@ class RationalPolynomial:
             acc = acc * c + float(x)
         return acc
 
-    def derivative(self) -> "RationalPolynomial":
-        return RationalPolynomial([i * x for i, x in enumerate(self.coeffs)][1:])
-
     def integral_over(self, a, b) -> Fraction:
         """Exact definite integral over [a, b]."""
         anti = [Fraction(0)] + [x / (i + 1) for i, x in enumerate(self.coeffs)]
         p = RationalPolynomial(anti)
         return p.eval(b) - p.eval(a)
-
-    def compose_linear(self, alpha, beta) -> "RationalPolynomial":
-        """Exact substitution c -> alpha + beta*c."""
-        shift = RationalPolynomial([Fraction(alpha), Fraction(beta)])
-        acc = RationalPolynomial()
-        for x in reversed(self.coeffs):
-            acc = acc * shift + RationalPolynomial([x])
-        return acc
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coeffs)!r})"
@@ -151,21 +122,6 @@ class PiecewisePolynomial:
             (p.integral_over(j, j + 1) for j, p in enumerate(self.pieces)),
             Fraction(0),
         )
-
-    def to_json(self) -> str:
-        obj = {
-            "k": self.k,
-            "pieces": [[str(c) for c in p.coeffs] for p in self.pieces],
-        }
-        return json.dumps(obj, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "PiecewisePolynomial":
-        obj = json.loads(text)
-        pieces = tuple(
-            RationalPolynomial([Fraction(c) for c in piece]) for piece in obj["pieces"]
-        )
-        return PiecewisePolynomial(obj["k"], pieces)
 
 
 # ----------------------------------------------------------------------------
@@ -261,35 +217,17 @@ def _invert(k: int, transform: dict, scale: Fraction) -> PiecewisePolynomial:
     return PiecewisePolynomial(k, tuple(pieces))
 
 
-# ----------------------------------------------------------------------------
-# Exact delta-slice integrals over the unit cube
-# ----------------------------------------------------------------------------
-
-def slice_integral(a: Sequence[int]) -> PiecewisePolynomial:
-    """Exact density c -> int_{[0,1]^k} delta(sum w - c) prod w_i^{a_i} dw.
-
-    Its Laplace transform is the product of the moment transforms
-    m_{a_i}(s) = int_0^1 w^{a_i} e^{-sw} dw, inverted termwise.
-    """
-    k = len(a)
-    if k < 1 or any(ai < 0 for ai in a):
-        raise ValueError(f"need nonempty nonnegative exponents, got {a!r}")
-    transform = _moment_transform(a[0])
-    for ai in a[1:]:
-        transform = _transform_mul(transform, _moment_transform(ai))
-    return _invert(k, transform, Fraction(1))
-
-
 @functools.cache
 def gamma_exact(k: int) -> PiecewisePolynomial:
     """gamma_k as exact rational pieces on [0,1), ..., [k-1,k).
 
     By the Heine/Andreief identity the Laplace transform of gamma_k is the
-    Hankel determinant det[m_{i+j}(s)]_{i,j<k} / G(k+1)^2, with m_r the
-    moment transforms of slice_integral.  Its entries have integer
-    coefficients, so the determinant is exact in integers before the single
-    rational inversion.  The result is immutable (tuples of Fraction), so it
-    is computed once per k and process and shared by p_k and every caller.
+    Hankel determinant det[m_{i+j}(s)]_{i,j<k} / G(k+1)^2, with
+    m_r(s) = int_0^1 w^r e^{-sw} dw the moment transforms
+    (_moment_transform).  Its entries have integer coefficients, so the
+    determinant is exact in integers before the single rational inversion.
+    The result is immutable (tuples of Fraction), so it is computed once
+    per k and process and shared by p_k and every caller.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")

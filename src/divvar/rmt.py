@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gammapoly import PiecewisePolynomial, barnes_g, laplace_det
+from .gammapoly import barnes_g, gamma_exact, laplace_det
 
 # k and N come from the command line.  On a 2-vCPU machine
 # secular_coefficients(8, 30) took 1.1 s and (8, 60), kN = 480, took
@@ -185,13 +185,14 @@ def secular_coefficients(k: int, N: int) -> SecularTable:
     return SecularTable(k, N, tuple(coeffs))
 
 
-def rmt_gamma_deviation(k: int, N: int, gamma: PiecewisePolynomial) -> tuple[float, int]:
+def rmt_gamma_deviation(table: SecularTable) -> tuple[float, int]:
     """max_m |I_k(m;N)/N^{k^2-1} - gamma_k(m/N)| and the argmax m.
 
-    The deviation per m is computed in exact rational arithmetic before the
-    single final float conversion.
+    k and N are the table's.  The deviation per m is computed in exact
+    rational arithmetic before the single final float conversion.
     """
-    table = secular_coefficients(k, N)
+    k, N = table.k, table.N
+    gamma = gamma_exact(k)
     power = N ** (k * k - 1)
     best = Fraction(-1)
     best_m = 0

@@ -1,18 +1,20 @@
 """Empirical variances of divisor sums in progressions and short intervals.
 
-Provides the sharp-cutoff variance v_k(q;X), the smoothed variance V_k(q;X),
-the weighted aggregate Delta_k(Q;X) together with its exact decomposition
-into same-residue (A), mean-square (B), diagonal (D) and off-diagonal (G)
-pieces, the short-interval variance, and the predicted values for each of
-these quantities in the different ranges of c = log X / log Q.
+Provides the sharp-cutoff variance v_k(q;X) (an exact Fraction), the
+smoothed variance V_k(q;X), the weighted aggregate Delta_k(Q;X) together
+with its exact decomposition into same-residue (A), mean-square (B),
+diagonal (D) and off-diagonal (G) pieces, the short-interval variance,
+and the predicted values for each of these quantities in the different
+ranges of c = log X / log Q.
 
-v_k, V_k and the mean over coprime n bin one modulus by residue class
-(`_coprime_class_sums`).  Delta_k does not: pairs m = n (mod q) are
-shifts m - n = tq, so every modulus is served by the autocorrelations of
-d_k(n) psi(n/X) along the multiples of each squarefree d <= 2Q (Möbius
-inversion removes the condition (n, q) = 1).  Those come from blocked
-real FFTs, for O(X log X log Q) work instead of O(QX); `delta_k` states
-the derivation and the error budget against residue binning.
+v_k and V_k bin one modulus by residue class (`_coprime_class_sums`, in
+integers for v_k and in floats for V_k).  Delta_k does not: pairs
+m = n (mod q) are shifts m - n = tq, so every modulus is served by the
+autocorrelations of d_k(n) psi(n/X) along the multiples of each
+squarefree d <= 2Q (Möbius inversion removes the condition (n, q) = 1).
+Those come from blocked real FFTs, for O(X log X log Q) work instead of
+O(QX); `delta_k` states the derivation and the error budget against
+residue binning.
 """
 
 from __future__ import annotations
@@ -20,14 +22,19 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .constants import EulerConstantResult, a_k_of_q_bulk
-from .gammapoly import PiecewisePolynomial, RationalPolynomial
+from .gammapoly import PiecewisePolynomial, gamma_exact, p_k
 from .sieve import DivisorTable, primes
 from .weights import Normalization, SmoothWeight
+
+
+# Default margin of the regime classification, in units of c
+DEFAULT_DELTA = 0.05
 
 
 class CoverageError(ValueError):
@@ -90,14 +97,6 @@ class Prediction:
     offdiagonal_prediction: float
 
 
-def _sharp_window(table: DivisorTable, X: int):
-    """The integers 1..X with their values d_k(n), as (ns, w)."""
-    if not table.covers(X):
-        raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
-    ns = np.arange(1, X + 1, dtype=np.int64)
-    return ns, table.values[ns].astype(np.float64)
-
-
 def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
     """Integers in the support of psi(n/X) with their weighted values.
 
@@ -112,44 +111,32 @@ def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
     return ns, w
 
 
-def mean_over_coprime(
-    table: DivisorTable,
-    q: int,
-    weight: Optional[SmoothWeight],
-    X: int,
-) -> float:
-    """(1/phi(q)) * sum over n coprime to q of d_k(n) * w(n/X).
+def _coprime_class_sums(lo: int, w: np.ndarray, q: int) -> np.ndarray:
+    """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q.
 
-    With weight=None the sharp cutoff n <= X is used instead of a smooth
-    weight.
+    w holds w_n for the consecutive n = lo, lo+1, ...  It is placed in rows
+    of length q, padded with zeros, and the columns are summed in w's own
+    dtype, so integer values give exact integer class sums.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    if weight is None:
-        ns, w = _sharp_window(table, X)
-    else:
-        ns, w = _smooth_window(table, X, weight)
-    return float(_coprime_class_sums(ns, w, q).mean())
+    head = lo % q
+    rows = np.zeros(-(-(head + w.size) // q) * q, dtype=w.dtype)
+    rows[head : head + w.size] = w
+    class_sums = rows.reshape(-1, q).sum(axis=0)
+    return class_sums[np.gcd(np.arange(q), q) == 1]
 
 
-def _coprime_class_sums(ns: np.ndarray, w: np.ndarray, q: int) -> np.ndarray:
-    """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q."""
-    class_sums = np.bincount(ns % q, weights=w, minlength=q)
-    return class_sums[np.gcd(np.arange(q, dtype=np.int64), q) == 1]
+def sharp_variance(table: DivisorTable, q: int, X: int) -> Fraction:
+    """Variance over coprime residue classes of sum_{n<=X, n=a (q)} d_k(n).
 
-
-def _coprime_class_variance(ns: np.ndarray, w: np.ndarray, q: int) -> float:
-    """sum_a (S_a - mean)^2 over the classes a coprime to q."""
-    s = _coprime_class_sums(ns, w, q)
-    return float(np.sum((s - s.mean()) ** 2))
-
-
-def sharp_variance(table: DivisorTable, q: int, X: int) -> float:
-    """Variance over coprime residue classes of sum_{n<=X, n=a (q)} d_k(n)."""
+    Exact: sum_a S_a^2 - (sum_a S_a)^2 / phi(q) from integer class sums.
+    """
     if q < 2:
         raise ValueError("q must be >= 2")
-    ns, w = _sharp_window(table, X)
-    return _coprime_class_variance(ns, w, q)
+    if not table.covers(X):
+        raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
+    s = _coprime_class_sums(1, table.values[1 : X + 1], q)
+    total, total_sq = _exact_sums(s)
+    return Fraction(s.size * total_sq - total * total, s.size)
 
 
 def smooth_variance_Vk(
@@ -161,7 +148,8 @@ def smooth_variance_Vk(
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
     ns, w = _smooth_window(table, X, psi)
-    return _coprime_class_variance(ns, w, q)
+    s = _coprime_class_sums(int(ns[0]) if ns.size else 1, w, q)
+    return float(np.sum((s - s.mean()) ** 2))
 
 
 # Blocks of the autocorrelation are never shorter than this, so short
@@ -371,18 +359,16 @@ def conjectured_values(
     X: int,
     base: EulerConstantResult,
     a_tilde: EulerConstantResult,
-    gamma: PiecewisePolynomial,
-    p_poly: Optional[RationalPolynomial] = None,
     phi: Optional[SmoothWeight] = None,
-    delta: float = 0.05,
+    delta: float = DEFAULT_DELTA,
 ) -> Prediction:
     """Predicted variance sizes at (k, Q, X), classified by range of c.
 
-    `base` is the Euler product constant a_k, `a_tilde` its diagonal
-    variant, `gamma` the exact piecewise density gamma_k and `p_poly` the
-    off-diagonal polynomial P_k (required when 1 <= c < 2).  The exact-q
-    smooth prediction sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1}
-    Phi(q/Q) is filled in only when `phi` is given.
+    `base` is the Euler product constant a_k and `a_tilde` its diagonal
+    variant; gamma_k and the off-diagonal polynomial P_k are the memoised
+    gamma_exact(k) and p_k(k).  The exact-q smooth prediction
+    sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) is filled
+    in only when `phi` is given.
     """
     c = math.log(X) / math.log(Q)
     if not 0.0 < c < k:
@@ -390,6 +376,7 @@ def conjectured_values(
     kk = k * k
     fact = math.factorial(kk - 1)
     scale = Q * X * math.log(Q) ** (kk - 1)
+    gamma = gamma_exact(k)
     gamma_c = _gamma_or_zero(gamma, c)
     leading = a_tilde.value * gamma_c * scale
     diagonal = a_tilde.value * c ** (kk - 1) / fact * scale
@@ -397,9 +384,7 @@ def conjectured_values(
     if c < 1.0:
         offdiag = 0.0
     elif c < 2.0:
-        if p_poly is None:
-            raise ValueError("p_poly is required for 1 <= c < 2")
-        offdiag = a_tilde.value * p_poly.eval_float(c) * scale
+        offdiag = a_tilde.value * p_k(k).eval_float(c) * scale
     else:
         offdiag = float("nan")
 

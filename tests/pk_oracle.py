@@ -7,12 +7,37 @@ uses the Hankel determinant or the Laplace inversion behind
 share only `RationalPolynomial`'s arithmetic.  Both take seconds at
 k = 8, where `gammapoly.p_k` takes a fraction of one, so the tests that
 use them stop at k = 7.
+
+`poly_mul` and `compose_linear`, the polynomial product and the
+substitution c -> alpha + beta c, serve these routes and the symmetry
+checks of gamma_k; nothing under src/ needs them.
 """
 
 import math
 from fractions import Fraction
 
 from divvar.gammapoly import RationalPolynomial
+
+
+def poly_mul(a, b):
+    """The product of two RationalPolynomials."""
+    if not a.coeffs or not b.coeffs:
+        return RationalPolynomial()
+    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        if x:
+            for j, y in enumerate(b.coeffs):
+                out[i + j] += x * y
+    return RationalPolynomial(out)
+
+
+def compose_linear(p, alpha, beta):
+    """p(alpha + beta c), exactly."""
+    shift = RationalPolynomial([Fraction(alpha), Fraction(beta)])
+    acc = RationalPolynomial()
+    for x in reversed(p.coeffs):
+        acc = poly_mul(acc, shift) + RationalPolynomial([x])
+    return acc
 
 
 def _shifted_monomial(t, n, coeff):
@@ -125,6 +150,6 @@ def p_k_multinomial(k):
                     )
                     # c^{a+b} (1-c)^{n-a-b}
                     term = _shifted_monomial(1, n - a - b, Fraction((-1) ** (n - a - b)))
-                    term = term * _shifted_monomial(0, a + b, coeff)
+                    term = poly_mul(term, _shifted_monomial(0, a + b, coeff))
                     total = total + term
     return total

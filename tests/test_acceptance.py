@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from binning_oracle import assert_within_budget, delta_binned
-from pk_oracle import p_k_multinomial, p_k_residue
+from pk_oracle import compose_linear, p_k_multinomial, p_k_residue
 from divvar.constants import a_k_const, a_k_of_q_bulk, a_tilde_k
 from divvar.gammapoly import (
     RationalPolynomial,
@@ -24,7 +24,12 @@ from divvar.gammapoly import (
     gamma_mc_oracle,
     p_k,
 )
-from divvar.rmt import cfkrs_rhs, haar_average_heine, rmt_gamma_deviation
+from divvar.rmt import (
+    cfkrs_rhs,
+    haar_average_heine,
+    rmt_gamma_deviation,
+    secular_coefficients,
+)
 from divvar.sieve import sieve_dk
 from divvar.variance import delta_k
 from divvar.weights import Normalization, make_bump
@@ -54,7 +59,7 @@ def test_criterion_1_gamma3_exact():
         middle = [-927, 4392, -8484, 8568, -4830, 1512, -252, 24, -2]
         assert g.pieces[1].coeffs == tuple(Fraction(m, f8) for m in middle)
         # piece on [2,3) is (3-c)^8 / 8!
-        expect = _monomial(Fraction(1, f8), 8).compose_linear(3, -1)
+        expect = compose_linear(_monomial(Fraction(1, f8), 8), 3, -1)
         assert g.pieces[2].coeffs == expect.coeffs
 
 
@@ -77,7 +82,7 @@ def test_criterion_3_symmetry_and_normalization():
         for k in (2, 3, 4, 5):
             g = gamma_exact(k)
             for j, piece in enumerate(g.pieces):
-                mirrored = g.pieces[k - 1 - j].compose_linear(k, -1)
+                mirrored = compose_linear(g.pieces[k - 1 - j], k, -1)
                 assert piece.coeffs == mirrored.coeffs
             assert g.integral() == Fraction(barnes_g(k + 1) ** 2,
                                             barnes_g(2 * k + 1))
@@ -115,9 +120,8 @@ def test_criterion_4_shift_average_equality():
 
 def test_criterion_5_secular_limit():
     with criterion(5, "scaled secular coefficients approach gamma_2 like 1/N"):
-        g = gamma_exact(2)
-        d20, _ = rmt_gamma_deviation(2, 20, g)
-        d40, _ = rmt_gamma_deviation(2, 40, g)
+        d20, _ = rmt_gamma_deviation(secular_coefficients(2, 20))
+        d40, _ = rmt_gamma_deviation(secular_coefficients(2, 40))
         assert d40 < d20
         ratio = (20 * d20) / (40 * d40)
         assert 0.5 <= ratio <= 2.0

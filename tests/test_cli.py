@@ -136,6 +136,25 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     assert "threads" in capsys.readouterr().err
 
 
+def test_config_file_value_checked_like_its_flag(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("format = xml\n")
+    assert main(["gamma", "--config", str(cfg)]) == 1
+    assert main(["gamma", "--format", "xml"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(e.startswith("invalid config:") for e in err)
+    assert "xml" in err[0] and str(cfg) in err[0]
+
+
+def test_missing_config_file_exit_code(tmp_path, capsys):
+    assert main(["gamma", "--config", str(tmp_path / "nope.txt")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid config:")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
+
+
 def test_report_with_error_rows_exit_code(tmp_path):
     # c = log 1000 / log 10 = 3 lies outside (0, k): the only row is an error
     code, text = run_cli(["variance", "--k", "2", "--q", "10", "--x", "1000"],

@@ -5,15 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divvar.gammapoly import (
-    PiecewisePolynomial,
     RationalPolynomial,
+    _invert,
+    _moment_transform,
+    _transform_mul,
     barnes_g,
     gamma_exact,
     gamma_mc_oracle,
     p_k,
-    slice_integral,
 )
-from pk_oracle import p_k_multinomial, p_k_residue
+from pk_oracle import compose_linear, p_k_multinomial, p_k_residue, poly_mul
+
+
+def slice_integral(a):
+    """Exact density c -> int_{[0,1]^k} delta(sum w - c) prod w_i^{a_i} dw.
+
+    Its Laplace transform is the product of the moment transforms
+    m_{a_i}(s) = int_0^1 w^{a_i} e^{-sw} dw, inverted termwise: the route
+    that gamma_exact takes for its Hankel determinant.
+    """
+    transform = _moment_transform(a[0])
+    for ai in a[1:]:
+        transform = _transform_mul(transform, _moment_transform(ai))
+    return _invert(len(a), transform, Fraction(1))
 
 
 def test_barnes_g_values():
@@ -23,15 +37,14 @@ def test_barnes_g_values():
 
 def test_rational_polynomial_arithmetic():
     p = RationalPolynomial([Fraction(1), Fraction(2)])  # 1 + 2c
-    q = p * p  # (1 + 2c)^2
+    q = poly_mul(p, p)  # (1 + 2c)^2
     assert q.eval(3) == 49
-    assert q.derivative().eval(3) == 2 * 2 * 7
     assert q.integral_over(0, 1) == Fraction(1) + Fraction(2) + Fraction(4, 3)
 
 
 def test_compose_linear_reflection():
     p = RationalPolynomial([Fraction(0), Fraction(0), Fraction(1)])  # c^2
-    r = p.compose_linear(2, -1)  # (2-c)^2
+    r = compose_linear(p, 2, -1)  # (2-c)^2
     assert r.eval(Fraction(1, 2)) == Fraction(9, 4)
 
 
@@ -99,7 +112,7 @@ def test_large_k_mass_and_mirror_symmetry(k):
     g = gamma_exact(k)
     assert g.integral() == Fraction(barnes_g(k + 1) ** 2, barnes_g(2 * k + 1))
     for j in range(k):
-        assert g.pieces[j] == g.pieces[k - 1 - j].compose_linear(k, -1)
+        assert g.pieces[j] == compose_linear(g.pieces[k - 1 - j], k, -1)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7])
@@ -110,12 +123,6 @@ def test_large_k_bridge_both_methods(k):
     assert p_k_residue(k) == bridge
     assert p_k_multinomial(k) == bridge
     assert p_k(k) == bridge
-
-
-def test_json_roundtrip():
-    g = gamma_exact(3)
-    back = PiecewisePolynomial.from_json(g.to_json())
-    assert back == g
 
 
 def test_mc_oracle_seeded_and_close():

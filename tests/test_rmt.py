@@ -89,9 +89,8 @@ def test_secular_inexact_results_raise(monkeypatch):
 
 
 def test_deviation_decays():
-    g = gamma_exact(2)
-    d10, _ = rmt_gamma_deviation(2, 10, g)
-    d20, _ = rmt_gamma_deviation(2, 20, g)
+    d10, _ = rmt_gamma_deviation(secular_coefficients(2, 10))
+    d20, _ = rmt_gamma_deviation(secular_coefficients(2, 20))
     assert d20 < d10
     assert d10 / d20 < 4  # roughly O(1/N)
 
@@ -102,10 +101,9 @@ def test_deviation_times_n_falls_and_settles():
     # 0.00561, 0.00492, 0.00460 with argmax m = 3N/2 (c = 3/2)
     ns = (20, 40, 80, 160)
     for k, argmax_c in ((2, 1), (3, Fraction(3, 2))):
-        g = gamma_exact(k)
         scaled = []
         for N in ns:
-            dev, arg = rmt_gamma_deviation(k, N, g)
+            dev, arg = rmt_gamma_deviation(secular_coefficients(k, N))
             assert arg == argmax_c * N
             scaled.append(N * dev)
         steps = [a - b for a, b in zip(scaled, scaled[1:])]

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from binning_oracle import assert_within_budget, delta_binned
 
 from divvar.constants import a_k_const, a_tilde_k
-from divvar.gammapoly import gamma_exact, p_k
+from divvar.gammapoly import gamma_exact
 from divvar.sieve import sieve_dk
 from divvar.variance import (
     CoverageError,
@@ -20,25 +20,10 @@ from divvar.variance import (
     classify_regime,
     conjectured_values,
     delta_k,
-    mean_over_coprime,
     sharp_variance,
     short_interval_variance,
     smooth_variance_Vk,
 )
-
-
-def test_mean_over_coprime_sharp_examples(table_k2):
-    assert mean_over_coprime(table_k2, 1, None, 6) == 14.0
-    assert mean_over_coprime(table_k2, 2, None, 6) == 5.0
-    # n coprime to 4 up to 10: 1,3,5,7,9 with d_2 = 1,2,2,2,3; phi(4)=2
-    assert mean_over_coprime(table_k2, 4, None, 10) == 5.0
-
-
-def test_mean_over_coprime_smooth(table_k2, psi):
-    # q=1: plain weighted sum
-    ns = np.arange(1, 2 * 300 + 1)
-    expect = float(np.sum(table_k2.values[ns] * psi.eval_array(ns / 300)))
-    assert mean_over_coprime(table_k2, 1, psi, 300) == pytest.approx(expect)
 
 
 def test_sharp_variance_trivial_cases(table_k2):
@@ -59,12 +44,23 @@ def _brute_sharp(table, q, X):
     return a_part - total * total / phi_q
 
 
+_SHARP_GRID = [(q, X) for q in (5, 7, 12, 30, 49) for X in (10, 100, 997, 2000)]
+
+
 def test_sharp_variance_brute_oracle(table_k2):
-    for q in (5, 7, 12, 30, 49):
-        for X in (10, 100, 997, 2000):
-            got = sharp_variance(table_k2, q, X)
-            want = _brute_sharp(table_k2, q, X)
-            assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+    for q, X in _SHARP_GRID:
+        got = sharp_variance(table_k2, q, X)
+        want = _brute_sharp(table_k2, q, X)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+def test_sharp_variance_is_exact(table_k2):
+    # every step in Python ints: sum_a S_a^2 - (sum_a S_a)^2 / phi(q)
+    d = [int(v) for v in table_k2.values[:2001]]
+    for q, X in _SHARP_GRID:
+        sums = [sum(d[a : X + 1 : q]) for a in range(q) if math.gcd(a, q) == 1]
+        exact = sum(s * s for s in sums) - Fraction(sum(sums) ** 2, len(sums))
+        assert sharp_variance(table_k2, q, X) == exact, (q, X)
 
 
 def test_smooth_variance_one_term_per_class(table_k2, psi):
@@ -229,12 +225,10 @@ def test_short_interval_locality(table_k2):
 
 _BASE = a_k_const(2, 10**5)
 _TILDE = a_tilde_k(2, 10**5)
-_G2 = gamma_exact(2)
-_P2 = p_k(2)
 
 
 def test_prediction_regimes():
-    args = (_BASE, _TILDE, _G2, _P2)
+    args = (_BASE, _TILDE)
     assert conjectured_values(2, 10**4, 10**6, *args).regime is Regime.THEOREM1_RANGE
     assert conjectured_values(2, 10**8, 2, *args).regime is Regime.SMALL_C
     big_x = int(100 ** 1.98)
@@ -247,19 +241,19 @@ def test_regime_boundaries():
     assert classify_regime(3, 0.01, 0.05) is Regime.SMALL_C
     assert classify_regime(3, 1.99, 0.05) is Regime.CONJECTURAL_ONLY
     # the prediction carries the same tag: k=3 at c = 1.7
-    args = (a_k_const(3, 10**5), a_tilde_k(3, 10**5), gamma_exact(3), p_k(3))
+    args = (a_k_const(3, 10**5), a_tilde_k(3, 10**5))
     pred = conjectured_values(3, 100, int(round(100**1.7)), *args)
     assert pred.regime is Regime.GRH_RANGE
 
 
 def test_prediction_small_c_is_diagonal_only():
-    p = conjectured_values(2, 10**4, 500, _BASE, _TILDE, _G2, _P2)
+    p = conjectured_values(2, 10**4, 500, _BASE, _TILDE)
     assert p.offdiagonal_prediction == 0.0
     assert p.diagonal_prediction > 0
 
 
 def test_prediction_leading_form_value():
-    p = conjectured_values(2, 10**4, 10**6, _BASE, _TILDE, _G2, _P2)
+    p = conjectured_values(2, 10**4, 10**6, _BASE, _TILDE)
     expect = _TILDE.value * (1 / 48) * 10**4 * 10**6 * math.log(10**4) ** 3
     assert p.smooth_prediction_leading == pytest.approx(expect, rel=1e-9)
 
@@ -271,14 +265,14 @@ def test_prediction_gamma3_at_one():
 
 def test_prediction_c_out_of_range_rejected():
     with pytest.raises(ValueError):
-        conjectured_values(2, 10, 10**7, _BASE, _TILDE, _G2, _P2)
+        conjectured_values(2, 10, 10**7, _BASE, _TILDE)
 
 
 def test_exact_q_form_approaches_leading(phi):
     ratios = []
     for Q in (100, 1000, 10000):
         X = int(round(Q**1.3))
-        p = conjectured_values(2, Q, X, _BASE, _TILDE, _G2, _P2, phi=phi)
+        p = conjectured_values(2, Q, X, _BASE, _TILDE, phi=phi)
         ratios.append(p.smooth_prediction_exact_q / p.smooth_prediction_leading)
     assert abs(ratios[2] - 1) < abs(ratios[1] - 1) < abs(ratios[0] - 1)
 
