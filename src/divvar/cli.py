@@ -8,8 +8,8 @@ Subcommands:
   variance   empirical Delta_k / short-interval sweeps compared against
              the predicted values, with ratio columns
   rmt        exact secular coefficients I_k(m;N) and their scaled
-             deviation from gamma_k, plus a shift-average consistency probe
-             (k <= 6 shifts)
+             deviation from gamma_k, plus an exact shift-average check on
+             rational shifts (k <= 6; a nonzero gap is an error row)
   selftest   fast end-to-end invariant suite
 
 Configuration comes from flags, optionally seeded by a flat key=value
@@ -195,7 +195,7 @@ def cmd_variance(cfg: dict) -> dict:
             table = _get_table(k, x_max, cfg.get("cache_dir"))
             bd = variance.delta_k(table, Q, X, psi, phi)
             pred = variance.conjectured_values(
-                k, Q, X, base, tilde, phi=phi, delta=cfg["delta"])
+                k, Q, X, base, tilde, phi=phi)
             row = {
                 "k": k, "Q": Q, "X": X, "c": pred.c,
                 "regime": pred.regime.value,
@@ -236,16 +236,24 @@ def cmd_rmt(cfg: dict) -> dict:
                                "deviation": dev, "argmax_m": arg})
     if k > rmt.MAX_SHIFTS:
         return report
+    # shifts m/1024 in (e^-0.3, e^0.3), with m odd (so ab != 1) and distinct
+    # on each side: no CFKRS term is singular, and the two sides agree exactly
     rng = np.random.default_rng(cfg["seed"])
     for trial in range(3):
-        A = tuple(np.exp(rng.uniform(-0.3, 0.3, size=k)))
-        B = tuple(np.exp(rng.uniform(-0.3, 0.3, size=k)))
+        A, B = ([Fraction(int(m), 1024) for m in
+                 rng.choice(np.arange(759, 1382, 2), size=k, replace=False)]
+                for _ in range(2))
         lhs = rmt.haar_average_heine(A, B, min(N, 6))
         rhs = rmt.cfkrs_rhs(A, B, min(N, 6))
+        gap = abs(lhs - rhs) / abs(lhs)
         report["rows"].append({
             "kind": "shift_average_check", "k": k, "N": min(N, 6), "m": trial,
-            "value": float(abs(lhs - rhs) / abs(lhs)),
+            "value": float(gap),
         })
+        if gap:
+            report["errors"].append(
+                f"shift_average_check m={trial}: Heine and CFKRS differ, "
+                f"relative gap {float(gap):.3g}")
     return report
 
 
@@ -278,10 +286,9 @@ def cmd_selftest(cfg: dict) -> dict:
         assert abs(base.value - 6 / math.pi**2) < 1e-4
 
     def rmt_check():
-        A = (1.1, 0.9)
-        B = (1.05, 0.97)
-        assert abs(rmt.haar_average_heine(A, B, 5)
-                   - rmt.cfkrs_rhs(A, B, 5)) < 1e-9
+        A = (Fraction(11, 10), Fraction(9, 10))
+        B = (Fraction(21, 20), Fraction(97, 100))
+        assert rmt.haar_average_heine(A, B, 5) == rmt.cfkrs_rhs(A, B, 5)
 
     def secular_check():
         # Keating-Snaith: prod_{j<4} j! (j+4)! / ((j+2)!)^2 = 105, the
@@ -356,15 +363,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--out")
         p.add_argument("--cache-dir", dest="cache_dir")
-        p.add_argument("--delta", type=float)
     return parser
 
 
 _DEFAULTS = {
     "k": 2, "x": None, "q": None, "h": None, "c_grid": None,
-    "prime_limit": 10**6, "n": 20, "samples": None, "seed": 0,
+    "prime_limit": consts.DEFAULT_PRIME_LIMIT, "n": 20, "samples": None, "seed": 0,
     "format": "csv", "out": None, "cache_dir": None,
-    "delta": variance.DEFAULT_DELTA,
 }
 
 
@@ -395,8 +400,8 @@ def build_config(args: argparse.Namespace) -> dict:
     for key in ("x", "q", "h", "n", "samples", "prime_limit"):
         if cfg.get(key) is not None and cfg[key] < 1:
             raise ConfigError(f"{key} must be positive")
-    if not 0 < cfg["delta"] < 1:
-        raise ConfigError("delta must be in (0, 1)")
+    if cfg["seed"] < 0:
+        raise ConfigError("seed must be non-negative")
     return cfg
 
 

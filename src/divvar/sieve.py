@@ -16,6 +16,7 @@ one prime sieve and one factoriser.  Tables are cached on disk by
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -60,8 +61,12 @@ class DivisorTable:
         return n <= self.x_max
 
 
+@functools.cache
 def primes(limit: int) -> np.ndarray:
-    """All primes <= limit, by a vectorized Eratosthenes sieve."""
+    """All primes <= limit, by a vectorized Eratosthenes sieve.
+
+    Memoised, and read-only because every caller shares the array.
+    """
     if limit < 2:
         return np.array([], dtype=np.int64)
     is_prime = np.ones(limit + 1, dtype=bool)
@@ -69,7 +74,9 @@ def primes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-    return np.nonzero(is_prime)[0].astype(np.int64)
+    out = np.nonzero(is_prime)[0].astype(np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def sieve_dk(k: int, x_max: int, memory_budget_bytes: int = 2**34) -> DivisorTable:

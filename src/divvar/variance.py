@@ -33,7 +33,7 @@ from .sieve import DivisorTable, primes
 from .weights import Normalization, SmoothWeight
 
 
-# Default margin of the regime classification, in units of c
+# Margin of the regime classification, in units of c
 DEFAULT_DELTA = 0.05
 
 
@@ -48,18 +48,18 @@ class Regime(enum.Enum):
     CONJECTURAL_ONLY = "ConjecturalOnly"
 
 
-def classify_regime(k: int, c: float, delta: float) -> Regime:
+def classify_regime(k: int, c: float) -> Regime:
     """The range of c = log X / log Q that a prediction at (k, c) falls in.
 
-    Theorem-1 range is [delta, (k+2)/k - delta], the GRH-conditional range
-    continues up to 2 - delta, c < delta is SmallC, and anything else is
-    conjectural only.
+    With d = DEFAULT_DELTA, Theorem-1 range is [d, (k+2)/k - d], the
+    GRH-conditional range continues up to 2 - d, c < d is SmallC, and
+    anything else is conjectural only.
     """
-    if delta <= c <= (k + 2) / k - delta:
+    if DEFAULT_DELTA <= c <= (k + 2) / k - DEFAULT_DELTA:
         return Regime.THEOREM1_RANGE
-    if delta <= c <= 2 - delta:
+    if DEFAULT_DELTA <= c <= 2 - DEFAULT_DELTA:
         return Regime.GRH_RANGE
-    if c < delta:
+    if c < DEFAULT_DELTA:
         return Regime.SMALL_C
     return Regime.CONJECTURAL_ONLY
 
@@ -360,7 +360,6 @@ def conjectured_values(
     base: EulerConstantResult,
     a_tilde: EulerConstantResult,
     phi: Optional[SmoothWeight] = None,
-    delta: float = DEFAULT_DELTA,
 ) -> Prediction:
     """Predicted variance sizes at (k, Q, X), classified by range of c.
 
@@ -409,7 +408,7 @@ def conjectured_values(
         Q=Q,
         X=X,
         c=c,
-        regime=classify_regime(k, c, delta),
+        regime=classify_regime(k, c),
         smooth_prediction_exact_q=exact_q,
         smooth_prediction_leading=leading,
         diagonal_prediction=diagonal,

@@ -94,28 +94,21 @@ def test_criterion_4_shift_average_equality():
     with criterion(4, "Toeplitz average equals subset-sum closed form"):
         rng = np.random.default_rng(2024)
 
-        def separated(v):
-            return v.size < 2 or np.min(np.abs(np.subtract.outer(v, v))
-                                        + np.eye(v.size)) > 0.05
-
         def draw(k):
-            # keep shifts away from the singular surface ab = 1 and from
-            # coalescing with each other: individual subset-sum terms have
-            # poles there (the full sum is regular, but floats cancel)
+            # shifts m/64 in [e^-0.5, e^0.5]; the subset-sum terms have poles
+            # at ab = 1 and where two shifts on one side coincide
             while True:
-                A = np.exp(rng.uniform(-0.5, 0.5, size=k))
-                B = np.exp(rng.uniform(-0.5, 0.5, size=k))
-                if (np.min(np.abs(1.0 - np.outer(A, B))) > 0.1
-                        and separated(A) and separated(B)):
+                A, B = ([Fraction(int(m), 64) for m in rng.integers(39, 106, size=k)]
+                        for _ in range(2))
+                if (len(set(A)) == len(set(B)) == k
+                        and all(a * b != 1 for a in A for b in B)):
                     return A, B
 
         for k in (1, 2, 3):
             for N in range(1, 7):
                 for _ in range(50):
                     A, B = draw(k)
-                    lhs = haar_average_heine(A, B, N)
-                    rhs = cfkrs_rhs(A, B, N)
-                    assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+                    assert haar_average_heine(A, B, N) == cfkrs_rhs(A, B, N)
 
 
 def test_criterion_5_secular_limit():

@@ -122,8 +122,16 @@ def test_corrupt_cache_is_rebuilt(tmp_path, damage):
 
 def test_invalid_config_exit_code():
     assert main(["variance", "--k", "99", "--q", "5"]) == 1
-    assert main(["variance", "--k", "2", "--q", "5", "--delta", "2"]) == 1
+    assert main(["variance", "--k", "2", "--q", "5", "--delta", "2"]) == 1  # no such flag
     assert main(["variance", "--k", "2", "--q", "5", "--threads", "2"]) == 1
+
+
+@pytest.mark.parametrize("argv", (["gamma", "--k", "3", "--samples", "10000"],
+                                  ["rmt", "--k", "2", "--n", "4"]))
+def test_negative_seed_is_invalid_config(argv, capsys):
+    assert main(argv + ["--seed", "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config:")
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -194,6 +202,26 @@ def test_rmt_subcommand(tmp_path):
     assert devs[1] < devs[0]  # deviation shrinks with N
 
 
+@pytest.mark.parametrize("k", (4, 5, 6))
+def test_rmt_shift_average_is_exact(tmp_path, k):
+    code, text = run_cli(["rmt", "--k", str(k), "--n", "24"], tmp_path)
+    assert code == 0
+    checks = [r["value"] for r in csv.DictReader(io.StringIO(text))
+              if r["kind"] == "shift_average_check"]
+    assert checks == ["0"] * 3
+
+
+def test_rmt_shift_average_mismatch_is_an_error(tmp_path, monkeypatch):
+    import divvar.rmt as rmt
+
+    exact = rmt.cfkrs_rhs
+    monkeypatch.setattr(rmt, "cfkrs_rhs", lambda A, B, N: exact(A, B, N) + 1)
+    code, text = run_cli(["rmt", "--k", "2", "--n", "4"], tmp_path)
+    assert code == 2
+    errors = [line for line in text.splitlines() if line.startswith("#ERROR")]
+    assert len(errors) == 3 and "Heine" in errors[0]
+
+
 def test_rmt_beyond_shift_limit(tmp_path):
     # k = 8 draws more shifts than cfkrs_rhs takes: the secular table and the
     # deviations are still reported, without the shift-average probe
@@ -215,8 +243,8 @@ def test_build_config_defaults():
     ns = argparse.Namespace(command="gamma", config=None, k=None, x=None,
                             q=None, h=None, c_grid=None, prime_limit=None,
                             n=None, samples=None, seed=None, format=None,
-                            out=None, cache_dir=None, delta=None)
+                            out=None, cache_dir=None)
     cfg = build_config(ns)
-    assert cfg["k"] == 2 and cfg["format"] == "csv" and cfg["delta"] == 0.05
+    assert cfg["k"] == 2 and cfg["format"] == "csv"
     with pytest.raises(ConfigError):
         build_config(argparse.Namespace(**{**vars(ns), "k": 0}))

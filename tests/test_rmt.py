@@ -18,32 +18,32 @@ from secular_oracle import subset_sum_secular, toeplitz_secular
 
 def test_symbol_coeffs_single_pair():
     # (1 - az)(1 - b/z): coefficient of z^0 is 1 + ab
-    c = symbol_coeffs([0.5], [0.25])
-    assert c[0] == pytest.approx(1 + 0.125)
-    assert c[1] == pytest.approx(-0.5)
-    assert c[-1] == pytest.approx(-0.25)
+    c = symbol_coeffs([Fraction(1, 2)], [Fraction(1, 4)])
+    assert c == {0: Fraction(9, 8), 1: Fraction(-1, 2), -1: Fraction(-1, 4)}
 
 
 def test_heine_n1_by_hand():
     # N=1: the Toeplitz determinant is just the 0th Fourier coefficient
-    a, b = 0.7, 0.4
-    assert haar_average_heine([a], [b], 1) == pytest.approx(1 + a * b)
+    a, b = Fraction(7, 10), Fraction(2, 5)
+    assert haar_average_heine([a], [b], 1) == 1 + a * b
 
 
 def test_cfkrs_matches_heine_randomized():
+    # distinct odd numerators over 256: ab != 1 and no shift repeats on a side
     rng = np.random.default_rng(3)
     for k in (1, 2, 3):
         for N in (1, 2, 4, 6):
-            A = np.exp(rng.uniform(-0.4, 0.4, size=k))
-            B = np.exp(rng.uniform(-0.4, 0.4, size=k))
-            lhs = haar_average_heine(A, B, N)
-            rhs = cfkrs_rhs(A, B, N)
-            assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
+            A, B = ([Fraction(int(m), 256)
+                     for m in rng.choice(np.arange(173, 383, 2), size=k, replace=False)]
+                    for _ in range(2))
+            assert haar_average_heine(A, B, N) == cfkrs_rhs(A, B, N)
 
 
 def test_singular_shift_rejected():
     with pytest.raises(SingularShiftError):
-        cfkrs_rhs([2.0], [0.5], 3)  # alpha * beta = 1
+        cfkrs_rhs([Fraction(2)], [Fraction(1, 2)], 3)  # alpha * beta = 1
+    with pytest.raises(SingularShiftError):
+        cfkrs_rhs([Fraction(0)], [Fraction(1, 2)], 3)  # a swap inverts alpha
 
 
 def test_secular_k2_total_mass():

@@ -236,10 +236,10 @@ def test_prediction_regimes():
 
 
 def test_regime_boundaries():
-    assert classify_regime(3, 1.0, 0.05) is Regime.THEOREM1_RANGE
-    assert classify_regime(3, 1.7, 0.05) is Regime.GRH_RANGE  # above (k+2)/k, below 2-d
-    assert classify_regime(3, 0.01, 0.05) is Regime.SMALL_C
-    assert classify_regime(3, 1.99, 0.05) is Regime.CONJECTURAL_ONLY
+    assert classify_regime(3, 1.0) is Regime.THEOREM1_RANGE
+    assert classify_regime(3, 1.7) is Regime.GRH_RANGE  # above (k+2)/k, below 2-d
+    assert classify_regime(3, 0.01) is Regime.SMALL_C
+    assert classify_regime(3, 1.99) is Regime.CONJECTURAL_ONLY
     # the prediction carries the same tag: k=3 at c = 1.7
     args = (a_k_const(3, 10**5), a_tilde_k(3, 10**5))
     pred = conjectured_values(3, 100, int(round(100**1.7)), *args)
