@@ -12,15 +12,19 @@ Subcommands:
              rational shifts (k <= 6; a nonzero gap is an error row)
   selftest   fast end-to-end invariant suite
 
-Configuration comes from flags, optionally seeded by a flat key=value
-config file (flags override the file).  Each file line is read as the
-flag --key=value, by the same parser as the command line.  Reports are
-emitted as CSV with a fixed column order or as JSON with stable key
-order; floats are printed with 17 significant digits, exact rationals as
-"num/den" strings.
+Each subcommand takes only the flags it reads (the table _KEYS), plus
+--config, --format and --out; any other flag, or an abbreviated one, is
+an invalid config.  Configuration comes from flags, optionally seeded by
+a flat key=value config file (flags override the file).  Each file line
+is read as the flag --key=value, by the same parser as the command line,
+so the file takes the same keys.  A JSON report echoes under "config"
+only the settings the subcommand read.  Reports are emitted as CSV with
+a fixed column order or as JSON with stable key order; floats are
+printed with 17 significant digits, exact rationals as "num/den" strings.
 
-Exit codes: 0 success, 1 invalid config (an unknown flag or config-file
-key, a value its flag refuses, or an unreadable config file; one
+Exit codes: 0 success, 1 invalid config (a flag or config-file key the
+subcommand does not read, a value its flag refuses, --x given with
+--c-grid, or an unreadable config file; one
 "invalid config:" line on stderr), 2 computation error (including a
 report with any error row), 3 I/O error.
 """
@@ -134,7 +138,7 @@ def cmd_gamma(cfg: dict) -> dict:
         "kind": "integral", "k": k,
         "coefficients_or_value": g.integral(),
     })
-    samples = cfg.get("samples")
+    samples = cfg["samples"]
     if samples:
         for c in cfg["c_grid"]:
             est, err = gammapoly.gamma_mc_oracle(k, c, samples, cfg["seed"])
@@ -156,7 +160,7 @@ def cmd_constants(cfg: dict) -> dict:
                            "value": base.value, "tail_bound": base.tail_bound})
     report["rows"].append({"name": "a_tilde_k", "k": k, "prime_limit": limit,
                            "value": tilde.value, "tail_bound": tilde.tail_bound})
-    if cfg.get("q"):
+    if cfg["q"]:
         report["rows"].append({
             "name": "a_k_of_q", "k": k, "q": cfg["q"], "prime_limit": limit,
             "value": consts.a_k_of_q(k, cfg["q"], base),
@@ -179,20 +183,19 @@ def cmd_variance(cfg: dict) -> dict:
     if Q is None:
         raise ConfigError("variance requires --q")
     report = _new_report(cfg, _VARIANCE_COLUMNS)
-    if cfg.get("x"):
+    if cfg["x"]:
         xs = [cfg["x"]]
     else:
-        grid = cfg["c_grid"] or _default_c_grid(k)
-        xs = sorted({max(2, int(round(Q ** c))) for c in grid})
+        xs = sorted({max(2, int(round(Q ** c))) for c in cfg["c_grid"]})
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
     base = consts.a_k_const(k, cfg["prime_limit"])
     tilde = consts.a_tilde_k(k, cfg["prime_limit"])
-    h = cfg.get("h")
+    h = cfg["h"]
     for X in xs:
         try:
             x_max = 2 * X + (h or 0)
-            table = _get_table(k, x_max, cfg.get("cache_dir"))
+            table = _get_table(k, x_max, cfg["cache_dir"])
             bd = variance.delta_k(table, Q, X, psi, phi)
             pred = variance.conjectured_values(
                 k, Q, X, base, tilde, phi=phi)
@@ -317,8 +320,36 @@ def cmd_selftest(cfg: dict) -> dict:
 # Configuration plumbing
 # ----------------------------------------------------------------------------
 
-def _config_file_args(path: str) -> list:
+# key: (default, keyword arguments of its flag --key)
+_SETTINGS = {
+    "k": (2, {"type": int}),
+    "x": (None, {"type": int}),
+    "q": (None, {"type": int}),
+    "h": (None, {"type": int}),
+    "c_grid": (None, {"type": lambda s: [float(t) for t in s.split(",")]}),
+    "prime_limit": (consts.DEFAULT_PRIME_LIMIT, {"type": int}),
+    "n": (20, {"type": int}),
+    "samples": (None, {"type": int}),
+    "seed": (0, {"type": int}),
+    "cache_dir": (None, {}),
+    "format": ("csv", {"choices": ("json", "csv")}),
+    "out": (None, {}),
+}
+
+# the settings each subcommand reads; every one also takes --config and these
+_COMMON = ("format", "out")
+_KEYS = {
+    "gamma": ("k", "c_grid", "samples", "seed"),
+    "constants": ("k", "q", "prime_limit"),
+    "variance": ("k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir"),
+    "rmt": ("k", "n", "seed"),
+    "selftest": (),
+}
+
+
+def _config_file_args(path: str, command: str) -> list:
     """The key = value lines of a config file as --key=value arguments."""
+    keys = (*_KEYS[command], *_COMMON)
     out = []
     with open(path) as fh:
         for raw in fh:
@@ -329,8 +360,9 @@ def _config_file_args(path: str) -> list:
                 raise ConfigError(f"malformed config line: {line!r}")
             key, _, val = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r} in {path}")
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown config key {key!r} for {command} in {path}")
             out.append(f"--{key.replace('_', '-')}={val.strip()}")
     return out
 
@@ -344,33 +376,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
-        prog="divvar",
+        prog="divvar", allow_abbrev=False,
         description="Variance of k-fold divisor sums in progressions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("gamma", "constants", "variance", "rmt", "selftest"):
-        p = sub.add_parser(name)
+    for name, keys in _KEYS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config")
-        p.add_argument("--k", type=int)
-        p.add_argument("--x", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--h", type=int)
-        p.add_argument("--c-grid", dest="c_grid",
-                       type=lambda s: [float(t) for t in s.split(",")])
-        p.add_argument("--prime-limit", dest="prime_limit", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--samples", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--out")
-        p.add_argument("--cache-dir", dest="cache_dir")
+        for key in (*keys, *_COMMON):
+            p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][1])
     return parser
-
-
-_DEFAULTS = {
-    "k": 2, "x": None, "q": None, "h": None, "c_grid": None,
-    "prime_limit": consts.DEFAULT_PRIME_LIMIT, "n": 20, "samples": None, "seed": 0,
-    "format": "csv", "out": None, "cache_dir": None,
-}
 
 
 def _default_c_grid(k: int) -> list:
@@ -378,29 +392,36 @@ def _default_c_grid(k: int) -> list:
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by the config file, overridden by the flags."""
-    cfg = dict(_DEFAULTS)
+    """Defaults, overridden by the config file, overridden by the flags.
+
+    The result holds the settings the subcommand reads, plus "command".
+    """
+    keys = (*_KEYS[args.command], *_COMMON)
+    cfg = {key: _SETTINGS[key][0] for key in keys}
     layers = [args]
     if args.config:
-        argv = [args.command, *_config_file_args(args.config)]
+        argv = [args.command, *_config_file_args(args.config, args.command)]
         try:
             layers.insert(0, _build_parser().parse_args(argv))
         except ConfigError as exc:
             raise ConfigError(f"{exc} in {args.config}") from None
     for layer in layers:
-        for key in _DEFAULTS:
+        for key in keys:
             val = getattr(layer, key, None)
             if val is not None:
                 cfg[key] = val
     cfg["command"] = args.command
-    if cfg["k"] < 1 or cfg["k"] > sieve.MAX_K:
+    if "k" in cfg and not 1 <= cfg["k"] <= sieve.MAX_K:
         raise ConfigError(f"k must be in [1, {sieve.MAX_K}]")
-    if cfg["c_grid"] is None and args.command == "gamma":
-        cfg["c_grid"] = _default_c_grid(cfg["k"])
+    if "c_grid" in cfg:
+        if cfg.get("x") is not None and cfg["c_grid"] is not None:
+            raise ConfigError("give --x or --c-grid, not both")
+        if cfg.get("x") is None and cfg["c_grid"] is None:
+            cfg["c_grid"] = _default_c_grid(cfg["k"])
     for key in ("x", "q", "h", "n", "samples", "prime_limit"):
         if cfg.get(key) is not None and cfg[key] < 1:
             raise ConfigError(f"{key} must be positive")
-    if cfg["seed"] < 0:
+    if cfg.get("seed", 0) < 0:
         raise ConfigError("seed must be non-negative")
     return cfg
 

@@ -29,6 +29,9 @@ import numpy as np
 # d_k(n) fits in uint64 for k <= 8 and n <= 10^9; the sieve refuses larger k.
 MAX_K = 8
 
+# sieve_dk refuses, before allocating, a table that needs more than this
+MEMORY_BUDGET_BYTES = 2**34
+
 # Cache file: magic, format version, crc32 of (k, x_max) and the values,
 # then k and x_max, then the values d_k(1..x_max) as little-endian uint64.
 _MAGIC = b"DIVVARdk"
@@ -38,12 +41,7 @@ _SHAPE = struct.Struct("<QQ")
 
 
 class MemoryBudgetError(MemoryError):
-    def __init__(self, required_bytes: int, budget_bytes: int):
-        super().__init__(
-            f"sieve needs {required_bytes} bytes, budget is {budget_bytes} bytes"
-        )
-        self.required_bytes = required_bytes
-        self.budget_bytes = budget_bytes
+    """The sieve would need more than MEMORY_BUDGET_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,7 @@ def primes(limit: int) -> np.ndarray:
     return out
 
 
-def sieve_dk(k: int, x_max: int, memory_budget_bytes: int = 2**34) -> DivisorTable:
+def sieve_dk(k: int, x_max: int) -> DivisorTable:
     """Sieve d_k(n) for all n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
 
     For each prime p <= sqrt(x_max), the exponent e of p in every multiple
@@ -103,8 +101,9 @@ def sieve_dk(k: int, x_max: int, memory_budget_bytes: int = 2**34) -> DivisorTab
         raise ValueError(f"need x_max >= 1, got {x_max}")
     rem_type = np.min_scalar_type(x_max)
     required = (x_max + 1) * (8 + rem_type.itemsize) + (x_max // 2 + 1) * (1 + 8)
-    if required > memory_budget_bytes:
-        raise MemoryBudgetError(required, memory_budget_bytes)
+    if required > MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetError(
+            f"sieve needs {required} bytes, budget is {MEMORY_BUDGET_BYTES} bytes")
 
     vals = np.ones(x_max + 1, dtype=np.uint64)
     vals[0] = 0

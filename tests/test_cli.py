@@ -71,14 +71,14 @@ def test_variance_repeat_gives_identical_rows(tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "cfg.txt"
-    cfg.write_text("k = 2\nq = 60\nx = 500\nformat = json\nseed = 5\n")
+    cfg.write_text("k = 2\nq = 60\nx = 500\nformat = json\nh = 3\n")
     code, text = run_cli(["variance", "--config", str(cfg), "--x", "400"],
                          tmp_path)
     assert code == 0
     report = json.loads(text)
     assert report["config"]["x"] == 400  # flag wins
     assert report["config"]["q"] == 60   # file value kept
-    assert report["config"]["seed"] == 5
+    assert report["config"]["h"] == 3
 
 
 def test_cache_dir_reused(tmp_path):
@@ -142,6 +142,71 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     cfg.write_text("k = 2\nthreads = 1\n")
     assert main(["constants", "--config", str(cfg)]) == 1
     assert "threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", (
+    # a flag only another subcommand reads
+    ["rmt", "--x", "100"],
+    ["constants", "--seed", "1"],
+    ["gamma", "--cache-dir", "D"],
+    ["variance", "--q", "60", "--n", "5"],
+    ["selftest", "--k", "3"],
+    # an abbreviated flag
+    ["gamma", "--k", "2", "--sam", "10000"],
+    ["constants", "--prime", "1000"],
+    # --x would drop the grid
+    ["variance", "--k", "2", "--q", "60", "--x", "500", "--c-grid", "0.5,1.5"],
+))
+def test_refused_argv_is_one_invalid_config_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config:")
+
+
+def test_config_key_of_another_subcommand_is_invalid_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("k = 2\nq = 60\nx = 500\nseed = 5\n")
+    assert main(["variance", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config:")
+    assert "seed" in err[0]
+
+
+@pytest.mark.parametrize("argv, unset", (
+    (["gamma", "--k", "2", "--c-grid", "0.5", "--samples", "10000",
+      "--seed", "1"], ()),
+    (["constants", "--k", "2", "--q", "12", "--prime-limit", "1000"], ()),
+    (["variance", "--k", "2", "--q", "12", "--c-grid", "0.5", "--h", "3",
+      "--prime-limit", "1000", "--cache-dir", "CACHE"], ("x",)),
+    (["variance", "--k", "2", "--q", "12", "--x", "4", "--h", "3",
+      "--prime-limit", "1000", "--cache-dir", "CACHE"], ("c_grid",)),
+    (["rmt", "--k", "2", "--n", "4", "--seed", "1"], ()),
+    (["selftest"], ()),
+))
+def test_json_config_echoes_only_the_subcommand_keys(argv, unset, tmp_path):
+    argv = [str(tmp_path / "cache") if a == "CACHE" else a for a in argv]
+    code, text = run_cli(argv + ["--format", "json"], tmp_path)
+    assert code == 0
+    keys = {
+        "gamma": {"k", "c_grid", "samples", "seed"},
+        "constants": {"k", "q", "prime_limit"},
+        "variance": {"k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir"},
+        "rmt": {"k", "n", "seed"},
+        "selftest": set(),
+    }[argv[0]]
+    config = json.loads(text)["config"]
+    assert set(config) == keys - set(unset) | {"format", "out", "command"}
+
+
+def test_variance_echoes_the_default_grid(tmp_path):
+    code, text = run_cli(["variance", "--k", "2", "--q", "12",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    grid = report["config"]["c_grid"]
+    assert grid == [0.5, 0.8, 1.0, 1.2, 1.5, 2 - 0.1]
+    xs = sorted({max(2, round(12 ** c)) for c in grid})
+    assert [row["X"] for row in report["rows"]] == xs
 
 
 def test_config_file_value_checked_like_its_flag(tmp_path, capsys):

@@ -88,8 +88,9 @@ def test_k_out_of_range():
 
 
 def test_memory_budget_enforced():
+    # about 33 GB: refused before anything is allocated
     with pytest.raises(MemoryBudgetError):
-        sieve_dk(2, 10**6, memory_budget_bytes=1000)
+        sieve_dk(2, 2 * 10**9)
 
 
 def test_values_read_only(table_k2):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,28 +8,26 @@ from hypothesis import given, strategies as st
 from divvar.weights import (
     Normalization,
     SmoothWeight,
-    integrate_adaptive,
     make_bump,
 )
 
 
-def test_adaptive_simpson_polynomial_exact():
-    assert abs(integrate_adaptive(lambda x: x**3, 0, 2) - 4.0) < 1e-12
-
-
-def test_adaptive_simpson_transcendental():
-    val = integrate_adaptive(math.exp, 0, 1)
-    assert abs(val - (math.e - 1)) < 1e-11
+def mass(w, power):
+    """The integral of w**power over its support, by mpmath at 40 digits."""
+    lo, hi = w.support_lo, w.support_hi
+    with mpmath.workdps(40):
+        c = mpmath.mpf(w.norm_constant)
+        return mpmath.quad(
+            lambda u: (c * mpmath.exp(-1 / ((u - lo) * (hi - u)))) ** power,
+            [lo, hi])
 
 
 def test_unit_integral_normalization(phi):
-    val = integrate_adaptive(lambda u: phi(u), 1, 2)
-    assert abs(val - 1.0) < 1e-9
+    assert abs(mass(phi, 1) - 1) < 1e-15
 
 
 def test_unit_square_integral_normalization(psi):
-    val = integrate_adaptive(lambda u: psi(u) ** 2, 1, 2)
-    assert abs(val - 1.0) < 1e-9
+    assert abs(mass(psi, 2) - 1) < 1e-15
 
 
 def test_vanishes_outside_support(psi):
@@ -57,7 +56,8 @@ def test_raw_bump_is_small_near_edges():
 def test_custom_support():
     w = make_bump(2, 5, Normalization.INTEGRAL_ONE)
     assert w(1.9) == 0.0 and w(5.1) == 0.0 and w(3.5) > 0
-    assert abs(integrate_adaptive(lambda u: w(u), 2, 5) - 1.0) < 1e-9
+    assert abs(mass(w, 1) - 1) < 1e-15
+    assert abs(mass(make_bump(2, 5, Normalization.INTEGRAL_OF_SQUARE_ONE), 2) - 1) < 1e-15
 
 
 def test_bad_support_rejected():
