@@ -24,7 +24,8 @@ printed with 17 significant digits, exact rationals as "num/den" strings.
 
 Exit codes: 0 success, 1 invalid config (a flag or config-file key the
 subcommand does not read, a value its flag refuses, --x given with
---c-grid, or an unreadable config file; one
+--c-grid, gamma's --seed or --c-grid without --samples, a c-grid value
+that is not finite and positive, or an unreadable config file; one
 "invalid config:" line on stderr), 2 computation error (including a
 report with any error row), 3 I/O error.
 """
@@ -144,7 +145,7 @@ def cmd_gamma(cfg: dict) -> dict:
             est, err = gammapoly.gamma_mc_oracle(k, c, samples, cfg["seed"])
             report["rows"].append({
                 "kind": "mc_check", "k": k, "c": float(c),
-                "coefficients_or_value": g.eval_float(c),
+                "coefficients_or_value": float(g.eval(c)),
                 "mc_value": est, "mc_std_error": err,
             })
     return report
@@ -303,8 +304,10 @@ def cmd_selftest(cfg: dict) -> dict:
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
         bd = variance.delta_k(t, 40, 150, psi, phi)
-        direct = math.fsum(phi(q / 40) * variance.smooth_variance_Vk(t, q, 150, psi)
-                           for q in range(40, 81))
+        qs = np.arange(40, 81)
+        direct = math.fsum(
+            w * variance.smooth_variance_Vk(t, q, 150, psi)
+            for q, w in zip(qs.tolist(), phi.eval_array(qs / 40).tolist()))
         assert abs(bd.delta - direct) <= 1e-9 * abs(direct), (bd.delta, direct)
 
     record("sieve_matches_pointwise", sieve_check)
@@ -397,7 +400,6 @@ def build_config(args: argparse.Namespace) -> dict:
     The result holds the settings the subcommand reads, plus "command".
     """
     keys = (*_KEYS[args.command], *_COMMON)
-    cfg = {key: _SETTINGS[key][0] for key in keys}
     layers = [args]
     if args.config:
         argv = [args.command, *_config_file_args(args.config, args.command)]
@@ -405,12 +407,15 @@ def build_config(args: argparse.Namespace) -> dict:
             layers.insert(0, _build_parser().parse_args(argv))
         except ConfigError as exc:
             raise ConfigError(f"{exc} in {args.config}") from None
-    for layer in layers:
-        for key in keys:
-            val = getattr(layer, key, None)
-            if val is not None:
-                cfg[key] = val
+    given = {key: getattr(layer, key) for layer in layers for key in keys
+             if getattr(layer, key, None) is not None}
+    cfg = {key: given.get(key, _SETTINGS[key][0]) for key in keys}
     cfg["command"] = args.command
+    if args.command == "gamma" and cfg["samples"] is None:
+        # seed and c_grid drive the Monte-Carlo check alone
+        if "seed" in given or "c_grid" in given:
+            raise ConfigError("--seed and --c-grid need --samples")
+        del cfg["seed"], cfg["c_grid"]
     if "k" in cfg and not 1 <= cfg["k"] <= sieve.MAX_K:
         raise ConfigError(f"k must be in [1, {sieve.MAX_K}]")
     if "c_grid" in cfg:
@@ -423,6 +428,8 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be positive")
     if cfg.get("seed", 0) < 0:
         raise ConfigError("seed must be non-negative")
+    if not all(0 < c < math.inf for c in cfg.get("c_grid") or ()):
+        raise ConfigError("c-grid values must be finite and positive")
     return cfg
 
 

@@ -8,7 +8,9 @@ determinant of moment transforms (Heine/Andreief), expanded exactly in
 integers and inverted termwise.  No bound on k is needed here; the CLI caps
 k at sieve.MAX_K = 8.  Everything in this module is exact rational
 arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
-oracle.
+oracle.  ``eval`` takes an int, a Fraction or a float (read as its exact
+dyadic value) and returns the exact Fraction, so a caller that needs a
+float rounds once, with ``float()``.
 
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
@@ -36,19 +38,19 @@ import numpy as np
 class RationalPolynomial:
     """Dense polynomial over Fraction, with the arithmetic gamma_k and P_k use."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_den", "_nums")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         c = [Fraction(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
+        # coeffs[i] = _nums[i] / _den, over the common denominator
+        self._den = math.lcm(*(x.denominator for x in c))
+        self._nums = tuple(x.numerator * (self._den // x.denominator) for x in c)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         a, b = self.coeffs, other.coeffs
@@ -63,17 +65,17 @@ class RationalPolynomial:
         return self + RationalPolynomial([-x for x in other.coeffs])
 
     def eval(self, c) -> Fraction:
-        c = Fraction(c)
-        acc = Fraction(0)
-        for x in reversed(self.coeffs):
-            acc = acc * c + x
-        return acc
+        """The exact value at an int, Fraction or float c = p/q.
 
-    def eval_float(self, c: float) -> float:
-        acc = 0.0
-        for x in reversed(self.coeffs):
-            acc = acc * c + float(x)
-        return acc
+        Horner's rule in integers: sum_i nums_i p^i q^(n-i) over den q^n,
+        with n the degree, so one Fraction is built, at the end.
+        """
+        p, q = c.as_integer_ratio()
+        acc, q_pow = 0, 1
+        for x in reversed(self._nums):
+            acc = acc * p + x * q_pow
+            q_pow *= q
+        return Fraction(acc * q, self._den * q_pow)
 
     def integral_over(self, a, b) -> Fraction:
         """Exact definite integral over [a, b]."""
@@ -105,17 +107,10 @@ class PiecewisePolynomial:
     pieces: tuple[RationalPolynomial, ...]
 
     def eval(self, c) -> Fraction:
-        c = Fraction(c)
         if c < 0 or c > self.k:
             raise ValueError(f"c={c} outside [0, {self.k}]")
         j = min(int(c), self.k - 1)
         return self.pieces[j].eval(c)
-
-    def eval_float(self, c: float) -> float:
-        if c < 0 or c > self.k:
-            raise ValueError(f"c={c} outside [0, {self.k}]")
-        j = min(int(math.floor(c)), self.k - 1)
-        return self.pieces[j].eval_float(c)
 
     def integral(self) -> Fraction:
         return sum(

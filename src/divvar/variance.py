@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import EulerConstantResult, a_k_of_q_bulk
-from .gammapoly import PiecewisePolynomial, gamma_exact, p_k
+from .gammapoly import gamma_exact, p_k
 from .sieve import DivisorTable, primes
 from .weights import Normalization, SmoothWeight
 
@@ -72,9 +72,6 @@ class VarianceBreakdown:
     and a_term = d_term + g_term.
     """
 
-    k: int
-    Q: int
-    X: int
     delta: float
     a_term: float
     b_term: float
@@ -86,9 +83,6 @@ class VarianceBreakdown:
 class Prediction:
     """Predicted sizes of the variance quantities at parameters (k, Q, X)."""
 
-    k: int
-    Q: int
-    X: int
     c: float
     regime: Regime
     smooth_prediction_exact_q: float
@@ -109,6 +103,19 @@ def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
     ns = np.arange(max(lo, 1), hi + 1, dtype=np.int64)
     w = table.values[ns].astype(np.float64) * psi.eval_array(ns / float(X))
     return ns, w
+
+
+def _moduli(Q: int, phi: SmoothWeight):
+    """The moduli q >= 2 with q/Q in the support of phi, and phi(q/Q).
+
+    Returns (qs, weights), qs consecutive integers; the ends of the closed
+    support get weight 0.
+    """
+    qs = np.arange(max(2, math.ceil(phi.support_lo * Q)),
+                   math.floor(phi.support_hi * Q) + 1)
+    if qs.size == 0:
+        raise ValueError(f"no modulus q >= 2 has q/Q in the support of phi, Q={Q}")
+    return qs, phi.eval_array(qs / float(Q))
 
 
 def _coprime_class_sums(lo: int, w: np.ndarray, q: int) -> np.ndarray:
@@ -260,14 +267,12 @@ def delta_k(
         raise ValueError("phi must be normalized to unit integral")
     ns, w = _smooth_window(table, X, psi)
     lo = int(ns[0]) if ns.size else 1
-    q_lo = max(2, int(math.ceil(phi.support_lo * Q)))
-    q_hi = int(math.floor(phi.support_hi * Q))
-    nq = max(0, q_hi - q_lo + 1)
-    phi_w = phi.eval_array(np.arange(q_lo, q_lo + nq) / float(Q))
-    coprime_sum = np.zeros(nq)
-    d_q = np.zeros(nq)
-    g_q = np.zeros(nq)
-    totient = np.zeros(nq, dtype=np.int64)
+    qs, phi_w = _moduli(Q, phi)
+    q_lo, q_hi = int(qs[0]), int(qs[-1])
+    coprime_sum = np.zeros(qs.size)
+    d_q = np.zeros(qs.size)
+    g_q = np.zeros(qs.size)
+    totient = np.zeros(qs.size, dtype=np.int64)
     mu = _mobius(q_hi)
     for d in np.flatnonzero(mu).tolist():
         ms = np.arange(-(-q_lo // d), q_hi // d + 1, dtype=np.int64)
@@ -293,9 +298,6 @@ def delta_k(
         return math.fsum((phi_w * values).tolist())
 
     return VarianceBreakdown(
-        k=table.k,
-        Q=Q,
-        X=X,
         delta=weighted(a_q - b_q),
         a_term=weighted(a_q),
         b_term=weighted(b_q),
@@ -347,12 +349,6 @@ def _exact_sums(w: np.ndarray) -> tuple[int, int]:
     return total, total_sq
 
 
-def _gamma_or_zero(gamma: PiecewisePolynomial, c: float) -> float:
-    if c <= 0.0 or c >= gamma.k:
-        return 0.0
-    return gamma.eval_float(c)
-
-
 def conjectured_values(
     k: int,
     Q: int,
@@ -367,7 +363,8 @@ def conjectured_values(
     variant; gamma_k and the off-diagonal polynomial P_k are the memoised
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
     sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) is filled
-    in only when `phi` is given.
+    in only when `phi` is given.  Each gamma_k and P_k value is exact
+    before its one rounding to float.
     """
     c = math.log(X) / math.log(Q)
     if not 0.0 < c < k:
@@ -376,37 +373,25 @@ def conjectured_values(
     fact = math.factorial(kk - 1)
     scale = Q * X * math.log(Q) ** (kk - 1)
     gamma = gamma_exact(k)
-    gamma_c = _gamma_or_zero(gamma, c)
-    leading = a_tilde.value * gamma_c * scale
+    leading = a_tilde.value * float(gamma.eval(c)) * scale
     diagonal = a_tilde.value * c ** (kk - 1) / fact * scale
 
     if c < 1.0:
         offdiag = 0.0
     elif c < 2.0:
-        offdiag = a_tilde.value * p_k(k).eval_float(c) * scale
+        offdiag = a_tilde.value * float(p_k(k).eval(c)) * scale
     else:
         offdiag = float("nan")
 
     exact_q = float("nan")
     if phi is not None:
-        q_lo = max(2, int(math.ceil(phi.support_lo * Q)))
-        q_hi = int(math.floor(phi.support_hi * Q))
-        aq = a_k_of_q_bulk(k, q_hi, base)
-        log_x = math.log(X)
-        parts = []
-        for q in range(q_lo, q_hi + 1):
-            pw = phi(q / Q)
-            if pw == 0.0:
-                continue
-            lq = math.log(q)
-            g = _gamma_or_zero(gamma, log_x / lq)
-            parts.append(aq[q] * X * g * lq ** (kk - 1) * pw)
-        exact_q = math.fsum(parts)
+        qs, pw = _moduli(Q, phi)
+        aq = a_k_of_q_bulk(k, int(qs[-1]), base)[qs]
+        lq = np.log(qs)
+        g = np.array([float(gamma.eval(c_q)) for c_q in math.log(X) / lq])
+        exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
 
     return Prediction(
-        k=k,
-        Q=Q,
-        X=X,
         c=c,
         regime=classify_regime(k, c),
         smooth_prediction_exact_q=exact_q,

@@ -42,12 +42,6 @@ class SmoothWeight:
     normalization: Normalization
     norm_constant: float
 
-    def __call__(self, x: float) -> float:
-        lo, hi = self.support_lo, self.support_hi
-        if x <= lo or x >= hi:
-            return 0.0
-        return self.norm_constant * math.exp(-1.0 / ((x - lo) * (hi - x)))
-
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation; exactly 0 outside the open support."""
         lo, hi = self.support_lo, self.support_hi

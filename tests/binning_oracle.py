@@ -20,9 +20,9 @@ def delta_binned(table, Q, X, psi, phi):
     w = table.values[ns].astype(np.float64) * psi.eval_array(ns / float(X))
     w2 = w * w
     parts_v, parts_a, parts_b, parts_d = [], [], [], []
-    q_lo = max(2, math.ceil(phi.support_lo * Q))
-    for q in range(q_lo, math.floor(phi.support_hi * Q) + 1):
-        pw = phi(q / Q)
+    qs = np.arange(max(2, math.ceil(phi.support_lo * Q)),
+                   math.floor(phi.support_hi * Q) + 1)
+    for q, pw in zip(qs.tolist(), phi.eval_array(qs / float(Q)).tolist()):
         if pw == 0.0:
             continue
         nm = ns % q

@@ -178,7 +178,7 @@ def test_criterion_8_asymptotic_trend():
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
         tilde = a_tilde_k(2, 10**6).value
-        gamma_c = gamma_exact(2).eval_float(1.5)  # = 1/48
+        gamma_c = float(gamma_exact(2).eval(1.5))  # = 1/48
         ratios = []
         ratios_logq = []
         for X in (10**4, 10**5, 10**6):

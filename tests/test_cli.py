@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +13,8 @@ from divvar.cli import (
     emit_report,
     main,
 )
+from divvar.constants import a_tilde_k
+from divvar.gammapoly import gamma_exact
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -156,6 +160,10 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     ["constants", "--prime", "1000"],
     # --x would drop the grid
     ["variance", "--k", "2", "--q", "60", "--x", "500", "--c-grid", "0.5,1.5"],
+    # a c value that is not finite and positive
+    ["variance", "--k", "2", "--q", "50", "--c-grid", "nan"],
+    ["variance", "--k", "2", "--q", "50", "--c-grid", "inf"],
+    ["variance", "--k", "2", "--q", "50", "--c-grid", "-1"],
 ))
 def test_refused_argv_is_one_invalid_config_line(argv, capsys):
     assert main(argv) == 1
@@ -175,6 +183,7 @@ def test_config_key_of_another_subcommand_is_invalid_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv, unset", (
     (["gamma", "--k", "2", "--c-grid", "0.5", "--samples", "10000",
       "--seed", "1"], ()),
+    (["gamma", "--k", "2"], ("samples", "seed", "c_grid")),
     (["constants", "--k", "2", "--q", "12", "--prime-limit", "1000"], ()),
     (["variance", "--k", "2", "--q", "12", "--c-grid", "0.5", "--h", "3",
       "--prime-limit", "1000", "--cache-dir", "CACHE"], ("x",)),
@@ -196,6 +205,60 @@ def test_json_config_echoes_only_the_subcommand_keys(argv, unset, tmp_path):
     }[argv[0]]
     config = json.loads(text)["config"]
     assert set(config) == keys - set(unset) | {"format", "out", "command"}
+
+
+@pytest.mark.parametrize("setting", (["--seed", "5"], ["--c-grid", "0.3"]))
+@pytest.mark.parametrize("from_file", (False, True))
+def test_gamma_monte_carlo_settings_need_samples(setting, from_file, tmp_path,
+                                                 capsys):
+    argv = ["gamma", "--k", "2"]
+    if from_file:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{setting[0][2:]} = {setting[1]}\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv += setting
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid config:")
+    assert "--samples" in err[0]
+
+
+def _exact_value(poly, c):
+    """A piece of gamma_k at c, summed term by term in Fractions."""
+    c = Fraction(c)
+    return sum((a * c**i for i, a in enumerate(poly.coeffs)), Fraction(0))
+
+
+def test_variance_leading_prediction_is_exact_at_k7(tmp_path):
+    # the leading term is a~_7 gamma_7(c) Q X (log Q)^48, with gamma_7 of
+    # size 1e-52 to 1e-43 at these c: float Horner on its cancelling
+    # coefficients gave negative values
+    code, text = run_cli(["variance", "--k", "7", "--q", "40", "--c-grid",
+                          "1.0,1.2,1.5", "--prime-limit", "1000"], tmp_path)
+    assert code == 0
+    tilde = a_tilde_k(7, 1000).value
+    pieces = gamma_exact(7).pieces
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == 3
+    for row in rows:
+        X = int(row["X"])
+        c = math.log(X) / math.log(40)
+        gamma_c = float(_exact_value(pieces[int(c)], c))
+        want = tilde * gamma_c * 40 * X * math.log(40) ** 48
+        assert abs(float(row["prediction_leading"]) - want) <= 1e-14 * want
+
+
+def test_gamma_mc_check_value_is_exact_at_k8(tmp_path):
+    code, text = run_cli(["gamma", "--k", "8", "--samples", "10000",
+                          "--c-grid", "1.0,1.5,7.5"], tmp_path)
+    assert code == 0
+    rows = [r for r in csv.DictReader(io.StringIO(text))
+            if r["kind"] == "mc_check"]
+    assert [float(r["c"]) for r in rows] == [1.0, 1.5, 7.5]
+    for row in rows:
+        want = float(gamma_exact(8).eval(Fraction(row["c"])))
+        assert float(row["coefficients_or_value"]) == want
 
 
 def test_variance_echoes_the_default_grid(tmp_path):

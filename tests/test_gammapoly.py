@@ -42,6 +42,16 @@ def test_rational_polynomial_arithmetic():
     assert q.integral_over(0, 1) == Fraction(1) + Fraction(2) + Fraction(4, 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=-4, max_value=4))
+def test_eval_reads_a_float_as_its_exact_value(c):
+    # gamma_3's piece 1 has coefficients that cancel at every c
+    p = gamma_exact(3).pieces[1]
+    exact = sum((a * Fraction(c) ** i for i, a in enumerate(p.coeffs)), Fraction(0))
+    assert p.eval(c) == exact
+    assert RationalPolynomial().eval(c) == 0
+
+
 def test_compose_linear_reflection():
     p = RationalPolynomial([Fraction(0), Fraction(0), Fraction(1)])  # c^2
     r = compose_linear(p, 2, -1)  # (2-c)^2
@@ -72,7 +82,7 @@ def test_gamma_eval_edges():
     with pytest.raises(ValueError):
         g.eval(3)
     with pytest.raises(ValueError):
-        g.eval_float(-0.1)
+        float(g.eval(-0.1))
 
 
 def test_p2_both_methods():
@@ -130,7 +140,7 @@ def test_mc_oracle_seeded_and_close():
     est1, err1 = gamma_mc_oracle(2, 1.2, 200000, seed=11)
     est2, _ = gamma_mc_oracle(2, 1.2, 200000, seed=11)
     assert est1 == est2  # seed determines the output
-    assert abs(est1 - g.eval_float(1.2)) < 4 * err1
+    assert abs(est1 - float(g.eval(1.2))) < 4 * err1
 
 
 @settings(max_examples=60, deadline=None)

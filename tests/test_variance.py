@@ -123,10 +123,11 @@ def test_delta_decomposition_identities(table_k2, psi, phi):
 def test_delta_matches_direct_vk_sum(table_k2, psi, phi):
     Q, X = 200, 2000
     bd = delta_k(table_k2, Q, X, psi, phi)
+    qs = np.arange(Q, 2 * Q + 1)
     direct = math.fsum(
-        phi(q / Q) * smooth_variance_Vk(table_k2, q, X, psi)
-        for q in range(Q, 2 * Q + 1)
-        if phi(q / Q) > 0
+        pw * smooth_variance_Vk(table_k2, q, X, psi)
+        for q, pw in zip(qs.tolist(), phi.eval_array(qs / Q).tolist())
+        if pw > 0
     )
     assert bd.delta == pytest.approx(direct, rel=1e-9)
 
@@ -260,7 +261,7 @@ def test_prediction_leading_form_value():
 
 def test_prediction_gamma3_at_one():
     g3 = gamma_exact(3)
-    assert g3.eval_float(1.0) == pytest.approx(1 / math.factorial(8), rel=1e-12)
+    assert float(g3.eval(1.0)) == 1 / math.factorial(8)
 
 
 def test_prediction_c_out_of_range_rejected():
