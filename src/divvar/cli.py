@@ -25,7 +25,8 @@ printed with 17 significant digits, exact rationals as "num/den" strings.
 Exit codes: 0 success, 1 invalid config (a flag or config-file key the
 subcommand does not read, a value its flag refuses, --x given with
 --c-grid, gamma's --seed or --c-grid without --samples, a c-grid value
-that is not finite and positive, or an unreadable config file; one
+that is not finite and positive, variance with --q below 2 or an X (given,
+or round(Q^c) from --c-grid) below 2, or an unreadable config file; one
 "invalid config:" line on stderr), 2 computation error (including a
 report with any error row), 3 I/O error.
 """
@@ -183,11 +184,16 @@ def cmd_variance(cfg: dict) -> dict:
     k, Q = cfg["k"], cfg["q"]
     if Q is None:
         raise ConfigError("variance requires --q")
-    report = _new_report(cfg, _VARIANCE_COLUMNS)
+    if Q < 2:
+        raise ConfigError("variance needs --q >= 2 (c = log X / log Q)")
     if cfg["x"]:
         xs = [cfg["x"]]
     else:
-        xs = sorted({max(2, int(round(Q ** c))) for c in cfg["c_grid"]})
+        xs = sorted({int(round(Q ** c)) for c in cfg["c_grid"]})
+    if xs[0] < 2:
+        given = f"--x {xs[0]}" if cfg["x"] else f"c = {min(cfg['c_grid']):g}"
+        raise ConfigError(f"{given} gives X = {xs[0]}; variance needs X >= 2")
+    report = _new_report(cfg, _VARIANCE_COLUMNS)
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
     base = consts.a_k_const(k, cfg["prime_limit"])

@@ -12,9 +12,10 @@ integers for v_k and in floats for V_k).  Delta_k does not: pairs
 m = n (mod q) are shifts m - n = tq, so every modulus is served by the
 autocorrelations of d_k(n) psi(n/X) along the multiples of each
 squarefree d <= 2Q (Möbius inversion removes the condition (n, q) = 1).
-Those come from blocked real FFTs, for O(X log X log Q) work instead of
-O(QX); `delta_k` states the derivation and the error budget against
-residue binning.
+Those come from real FFTs, blocked for long sequences and batched into 2-D
+transforms for short ones, for O(X log X log Q) work instead of O(QX);
+`delta_k` states the derivation and the error budget against residue
+binning.
 """
 
 from __future__ import annotations
@@ -92,17 +93,22 @@ class Prediction:
 
 
 def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
-    """Integers in the support of psi(n/X) with their weighted values.
+    """The weighted values d_k(n) psi(n/X) on the support of psi(n/X).
 
-    Returns (ns, w) where w[i] = d_k(ns[i]) * psi(ns[i]/X).
+    Returns (lo, w) where w[i] = d_k(lo + i) * psi((lo + i)/X) for the
+    integers lo + i in the closed support.  Only w and one float grid of
+    the same length are allocated (psi is evaluated on the grid, then
+    multiplied by the table in place), never an integer index array.
     """
-    lo = int(math.ceil(psi.support_lo * X))
+    lo = max(int(math.ceil(psi.support_lo * X)), 1)
     hi = int(math.floor(psi.support_hi * X))
     if not table.covers(hi):
         raise CoverageError(f"table covers x <= {table.x_max}, need {hi}")
-    ns = np.arange(max(lo, 1), hi + 1, dtype=np.int64)
-    w = table.values[ns].astype(np.float64) * psi.eval_array(ns / float(X))
-    return ns, w
+    grid = np.arange(lo, hi + 1, dtype=np.float64)
+    grid /= X
+    w = psi.eval_array(grid)
+    w *= table.values[lo : hi + 1]
+    return lo, w
 
 
 def _moduli(Q: int, phi: SmoothWeight):
@@ -154,8 +160,8 @@ def smooth_variance_Vk(
         raise ValueError("q must be >= 2")
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
-    ns, w = _smooth_window(table, X, psi)
-    s = _coprime_class_sums(int(ns[0]) if ns.size else 1, w, q)
+    lo, w = _smooth_window(table, X, psi)
+    s = _coprime_class_sums(lo, w, q)
     return float(np.sum((s - s.mean()) ** 2))
 
 
@@ -163,36 +169,45 @@ def smooth_variance_Vk(
 # sequences take a single transform.
 _MIN_BLOCK = 2**14
 _MAX_BLOCKS = 8
+# Short sequences of one transform size are autocorrelated together, as the
+# rows of 2-D transforms of at most this many entries (rows times size).
+_BATCH = 2**17
 
 
-def _fft_size(n: int) -> int:
-    """The least o 2^a >= n with o in {1, 3, 5, 9, 15}.
+# Transform sizes o 2^a, o in {1, 3, 5, 9, 15}: lengths the FFT handles at
+# full speed, spaced at most 25 % apart (powers of two alone are 100 %)
+_FFT_SIZES = np.array(sorted(o << a for o in (1, 3, 5, 9, 15) for a in range(58)))
 
-    At most 25 % above n (a power of two can be 100 % above), and a length
-    the FFT handles at full speed.
-    """
-    return min(o << (-(-n // o) - 1).bit_length() for o in (1, 3, 5, 9, 15))
+
+def _fft_size(n):
+    """The least transform size >= n, for an int or elementwise for an array."""
+    return _FFT_SIZES[np.searchsorted(_FFT_SIZES, n)]
 
 
 def _autocorrelation(u: np.ndarray) -> np.ndarray:
-    """R[h] = sum_j u[j] u[j+h] for 0 <= h < len(u), by blocked real FFTs.
+    """R[..., h] = sum_j u[..., j] u[..., j+h] for 0 <= h < n, row by row.
 
-    u is cut into at most 8 blocks of length L = min(n, max(ceil(n/8), 2^14))
-    and each block is transformed once, zero-padded to _fft_size(2L - 1)
-    so that the circular correlation of two blocks does not wrap.  For
-    each block offset j, one inverse transform of sum_i conj(F_i) F_{i+j}
-    gives the lags jL + g, -L < g < L.  This is no slower than one transform
-    of length 2n, but every temporary (products, inverse transforms) is
-    one block long: with one transform, `divvar variance --k 2 --q 1025
-    --x 262605` peaks at 66 MiB of RSS instead of 52 MiB.
+    Each row of u (a 1-D u is one row) is a sequence of length n; all rows
+    share every transform, as 2-D real FFTs along the last axis.  The rows
+    are cut into at most 8 blocks of length L = min(n, max(ceil(n/8), 2^14))
+    and each block is transformed once, zero-padded to _fft_size(2L - 1) so
+    that the circular correlation of two blocks does not wrap.  For each
+    block offset j, one inverse transform of sum_i conj(F_i) F_{i+j} gives
+    the lags jL + g, -L < g < L.  So n <= 2^14 takes one transform, |F|^2
+    and one inverse.  For longer n this is no slower than one transform of
+    length 2n, but every temporary (products, inverse transforms) is one
+    block long: with one transform, `divvar variance --k 2 --q 1025
+    --x 262605` peaks at 66 MiB of RSS instead of 52 MiB.  Zeros at the end
+    of a row do not change its lags, so sequences of different lengths can
+    share one array as zero-padded rows.
     """
-    n = u.size
-    r = np.zeros(n)
+    n = u.shape[-1]
+    r = np.zeros(u.shape)
     if n == 0:
         return r
     block = min(n, max(-(-n // _MAX_BLOCKS), _MIN_BLOCK))
     size = _fft_size(2 * block - 1)
-    spectra = [np.fft.rfft(u[i : i + block], size) for i in range(0, n, block)]
+    spectra = [np.fft.rfft(u[..., i : i + block], size) for i in range(0, n, block)]
     for j in range(len(spectra)):
         acc = spectra[0].conj() * spectra[j]
         for i in range(1, len(spectra) - j):
@@ -200,10 +215,22 @@ def _autocorrelation(u: np.ndarray) -> np.ndarray:
         corr = np.fft.irfft(acc, size)
         base = j * block
         top = min(block, n - base)
-        r[base : base + top] += corr[:top]
+        r[..., base : base + top] += corr[..., :top]
         if j:
-            r[base - block + 1 : base] += corr[size - block + 1 :]
+            r[..., base - block + 1 : base] += corr[..., size - block + 1 :]
     return r
+
+
+def _progressions(first, step, count) -> np.ndarray:
+    """first[i] + step[i] t for 0 <= t < count[i], concatenated over i.
+
+    Every count must be >= 1; step may be a scalar.  Built as one running
+    sum over the output array, in place.
+    """
+    out = np.repeat(np.broadcast_to(step, count.shape), count)
+    last = first + step * (count - 1)
+    out[np.cumsum(count) - count] = first - np.concatenate(([0], last[:-1]))
+    return np.cumsum(out, out=out)
 
 
 def _mobius(n: int) -> np.ndarray:
@@ -214,6 +241,57 @@ def _mobius(n: int) -> np.ndarray:
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
     return mu
+
+
+def _divisor_pairs(q_lo: int, q_hi: int):
+    """The pairs (d, m), d squarefree, with q = dm in [q_lo, q_hi].
+
+    Returns (d, m, mu(d)) as int64 arrays ordered by d and then m, so the
+    pairs of one d are consecutive and the first of them has the least m.
+    """
+    mu = _mobius(q_hi)
+    ds = np.flatnonzero(mu)
+    m_lo = -(-q_lo // ds)
+    count = q_hi // ds - m_lo + 1
+    live = count > 0
+    ds, m_lo, count = ds[live], m_lo[live], count[live]
+    d = np.repeat(ds, count)
+    return d, _progressions(m_lo, 1, count), mu[d]
+
+
+def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
+    """The sequences w[start[i]::step[i]], of the given lengths, as rows.
+
+    Shorter rows are padded with zeros to the longest.  A single row is a
+    view of w, so the d = 1 sequence is never copied.
+    """
+    if length.size == 1:
+        return w[int(start[0]) :: int(step[0])][None, :]
+    j = np.arange(int(length.max()))
+    inside = j < length[:, None]
+    at = np.where(inside, start[:, None] + step[:, None] * j, 0)
+    return np.where(inside, w[at], 0.0)
+
+
+def _lag_sums(r: np.ndarray, row, m, count) -> np.ndarray:
+    """sum_{t=1}^{count[i]} r[row[i], t m[i]] for each i (count[i] >= 1).
+
+    The lags of consecutive i are gathered together in chunks of at most
+    r.size lags, so no temporary is larger than r, and each i's lags are
+    summed by one np.add.reduceat.
+    """
+    flat = r.reshape(-1)
+    ends = np.cumsum(count)
+    out = np.empty(m.size)
+    begin = 0
+    while begin < m.size:
+        done = int(ends[begin - 1]) if begin else 0
+        stop = int(np.searchsorted(ends, done + flat.size, "right"))
+        c, step = count[begin:stop], m[begin:stop]
+        at = _progressions(row[begin:stop] * r.shape[-1] + step, step, c)
+        out[begin:stop] = np.add.reduceat(flat[at], ends[begin:stop] - c - done)
+        begin = stop
+    return out
 
 
 def delta_k(
@@ -243,14 +321,24 @@ def delta_k(
         G_q = 2 sum_{d|q} mu(d) sum_{t>=1} R_d(t q/d),
         phi(q) = sum_{d|q} mu(d) q/d.
 
-    So one pass over the squarefree d <= 2Q serves every modulus: each
-    u_d has length about X/d, R_d comes from blocked real FFTs and is
-    dropped before the next d, and the lags t q/d are gathered for every
-    q = d m in range.  That is O(X log X log Q) work in all, where binning
-    every modulus separately costs O(QX).  The transforms are blocked
-    (`_autocorrelation`) so that the d = 1 sequence, of length X, never
-    needs a transform of length 2X and its temporaries.  Each piece is
-    summed against Phi(q/Q) with compensated summation.
+    So one pass over the squarefree d <= 2Q serves every modulus: u_d has
+    length about X/d, and every sum over d | q is one np.bincount over the
+    pairs (d, m) with q = dm in range, built once.  That is O(X log X log Q)
+    work in all, where binning every modulus separately costs O(QX).
+
+    The sequences are read from w as the rows of 2-D arrays.  A row longer
+    than 2^14 is a batch of its own, with blocked transforms
+    (`_autocorrelation`), so the d = 1 row, of length X, never needs a
+    transform of length 2X and its temporaries.  Shorter rows are grouped
+    by transform size, and each group is cut into batches of at most
+    _BATCH = 2^17 entries (rows times size), one 2-D transform each; rows
+    with no lag t m < len(u_d) are only summed.  T_d and T2_d are the row
+    sums of u and u^2.  The lags t m of all pairs of a batch are gathered
+    at once, in chunks no longer than the batch's R (`_lag_sums`).  So the
+    peak is set by the d = 1 row's blocked transforms, not by the batches:
+    a second call at (k, Q, X) = (2, 1025, 262605) peaks at 10.6 MiB of
+    traced allocations, w (2 MiB) included.  Each piece is summed against
+    Phi(q/Q) with compensated summation.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8: a_term, b_term and d_term agree to 1e-12
@@ -258,39 +346,57 @@ def delta_k(
     a_term absolute.  delta = A - B cancels as c grows (a_term / delta is
     1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at k = 2), so its relative
     error may reach a_term / delta times that budget.  The largest error
-    seen on the grid is 1.9e-15 * a_term for delta and 7.8e-15 relative
-    for d_term (the Möbius sum of T2_d cancels most).
+    seen on the grid is 1.5e-15 * a_term for delta and 8.6e-15 relative
+    for d_term (the Möbius sum of T2_d cancels most).  The batch cap
+    changes only the rounding, not this budget.
     """
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
     if phi.normalization is not Normalization.INTEGRAL_ONE:
         raise ValueError("phi must be normalized to unit integral")
-    ns, w = _smooth_window(table, X, psi)
-    lo = int(ns[0]) if ns.size else 1
+    lo, w = _smooth_window(table, X, psi)
     qs, phi_w = _moduli(Q, phi)
-    q_lo, q_hi = int(qs[0]), int(qs[-1])
-    coprime_sum = np.zeros(qs.size)
-    d_q = np.zeros(qs.size)
-    g_q = np.zeros(qs.size)
-    totient = np.zeros(qs.size, dtype=np.int64)
-    mu = _mobius(q_hi)
-    for d in np.flatnonzero(mu).tolist():
-        ms = np.arange(-(-q_lo // d), q_hi // d + 1, dtype=np.int64)
-        if ms.size == 0:
-            continue
-        sign = int(mu[d])
-        at = d * ms - q_lo
-        u = w[-(-lo // d) * d - lo :: d]
-        coprime_sum[at] += sign * float(np.sum(u))
-        d_q[at] += sign * float(np.dot(u, u))
-        totient[at] += sign * ms
-        if u.size <= ms[0]:
-            continue  # no shift tq with 0 < tq/d < len(u)
-        r = _autocorrelation(u)
-        for m, i in zip(ms.tolist(), at.tolist()):
-            if m >= u.size:
-                break
-            g_q[i] += 2 * sign * float(r[m::m].sum())
+    q_lo = int(qs[0])
+    d, m, sign = _divisor_pairs(q_lo, int(qs[-1]))
+    # one row u_d = w[start::d] of length n per d; its pairs are the
+    # `pairs` consecutive ones from index `first`
+    ds, first, row = np.unique(d, return_index=True, return_inverse=True)
+    pairs = np.diff(first, append=d.size)
+    start = -(-lo // ds) * ds - lo
+    n = np.maximum(-(-(w.size - start) // ds), 0)
+    lags = np.maximum((n[row] - 1) // m, 0)  # the t >= 1 with t m < n
+
+    # batch key: the transform size of a short row, a key of its own for a
+    # long row, 0 for a row without lags
+    key = np.zeros(ds.size, dtype=np.int64)
+    fft = n > m[first]
+    short = fft & (n <= _MIN_BLOCK)
+    key[short] = _fft_size(2 * n[short] - 1)
+    key[fft & ~short] = -1 - np.flatnonzero(fft & ~short)
+    order = np.lexsort((n, key))
+    t = np.empty(ds.size)
+    t2 = np.empty(ds.size)
+    lag_sum = np.zeros(d.size)
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        per = max(1, _BATCH // max(int(key[group[0]]), int(n[group[-1]]), 1))
+        for b in range(0, group.size, per):
+            batch = group[b : b + per]
+            u = _rows(w, start[batch], ds[batch], n[batch])
+            t[batch] = u.sum(axis=1)
+            t2[batch] = np.einsum("ij,ij->i", u, u)
+            if not key[batch[0]]:
+                continue
+            p = _progressions(first[batch], 1, pairs[batch])
+            pos = np.repeat(np.arange(batch.size), pairs[batch])
+            live = lags[p] > 0
+            p, pos = p[live], pos[live]
+            lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags[p])
+
+    at = d * m - q_lo
+    coprime_sum = np.bincount(at, sign * t[row], qs.size)
+    d_q = np.bincount(at, sign * t2[row], qs.size)
+    g_q = 2 * np.bincount(at, sign * lag_sum, qs.size)
+    totient = np.bincount(at, sign * m, qs.size)
     a_q = d_q + g_q
     b_q = coprime_sum * coprime_sum / totient
 

@@ -43,12 +43,21 @@ class SmoothWeight:
     norm_constant: float
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation; exactly 0 outside the open support."""
+        """Vectorized evaluation; exactly 0 outside the open support.
+
+        Computed in place in the returned array, with one temporary:
+        (x - lo)(hi - x) is positive exactly inside (lo, hi), and is
+        clamped to 0 elsewhere, where -1/0 = -inf gives exp = 0.
+        """
         lo, hi = self.support_lo, self.support_hi
-        out = np.zeros_like(x, dtype=np.float64)
-        inside = (x > lo) & (x < hi)
-        xi = x[inside]
-        out[inside] = self.norm_constant * np.exp(-1.0 / ((xi - lo) * (hi - xi)))
+        span = np.subtract(hi, x, dtype=np.float64)
+        out = np.subtract(x, lo, dtype=np.float64)
+        out *= span
+        np.fmax(out, 0.0, out=out)  # fmax also sends nan to 0
+        with np.errstate(divide="ignore"):
+            np.divide(-1.0, out, out=out)
+        np.exp(out, out=out)
+        out *= self.norm_constant
         return out
 
 

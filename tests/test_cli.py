@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from divvar import variance
 from divvar.cli import (
     ConfigError,
     build_config,
@@ -169,6 +170,22 @@ def test_refused_argv_is_one_invalid_config_line(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invalid config:")
+
+
+@pytest.mark.parametrize("argv", (
+    ["variance", "--k", "2", "--q", "1", "--x", "5"],  # c = log X / log 1
+    ["variance", "--k", "2", "--q", "2", "--c-grid", "1e-9"],  # round(2^1e-9) = 1
+))
+def test_variance_refuses_q_or_x_below_2_before_computing(argv, capsys,
+                                                          monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("delta_k ran")
+
+    monkeypatch.setattr(variance, "delta_k", unreachable)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invalid config:")
 
 
 def test_config_key_of_another_subcommand_is_invalid_config(tmp_path, capsys):

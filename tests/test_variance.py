@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -10,12 +11,14 @@ from binning_oracle import assert_within_budget, delta_binned
 
 from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
+from divvar import variance
 from divvar.sieve import sieve_dk
 from divvar.variance import (
     CoverageError,
     _autocorrelation,
     _exact_sums,
     _fft_size,
+    _smooth_window,
     Regime,
     classify_regime,
     conjectured_values,
@@ -162,6 +165,83 @@ def test_autocorrelation_matches_correlate(n):
     want = np.correlate(u, u, "full")[n - 1:] if n else np.zeros(0)
     assert got.shape == want.shape == (n,)
     assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
+
+
+@pytest.mark.parametrize("lengths", ((1, 40, 2**14 - 1, 2**14, 7, 0),
+                                     (2**14 - 3, 2**14, 2**14 + 5, 100, 1)))
+def test_batched_autocorrelation_matches_correlate(lengths):
+    # rows of mixed lengths, zero-padded to the longest: all short (one
+    # transform per batch), or straddling 2^14 (blocked transforms)
+    rng = np.random.default_rng(len(lengths) + max(lengths))
+    rows = [rng.standard_normal(n) for n in lengths]
+    u = np.zeros((len(rows), max(lengths)))
+    for i, row in enumerate(rows):
+        u[i, : row.size] = row
+    got = _autocorrelation(u)
+    assert got.shape == u.shape
+    for i, row in enumerate(rows):
+        # the padded row's lags: its own, then 0 from n on
+        want = np.correlate(u[i], u[i], "full")[u.shape[1] - 1:]
+        assert np.all(np.abs(got[i] - want) <= 1e-13 * np.sum(row * row))
+
+
+def _transform_shapes(monkeypatch, table, Q, X, psi, phi):
+    """delta_k, and the shape of each array it autocorrelates."""
+    shapes = []
+
+    def spy(u):
+        shapes.append(u.shape)
+        return _autocorrelation(u)
+
+    monkeypatch.setattr(variance, "_autocorrelation", spy)
+    return delta_k(table, Q, X, psi, phi), shapes
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_small_batch_cap_splits_groups_within_budget(oracle_tables, psi, phi,
+                                                     monkeypatch, k):
+    table = oracle_tables[k]
+    for Q, c in ((50, 1.5), (50, 2.0), (200, 1.5)):
+        X = round(Q**c)
+        _, default = _transform_shapes(monkeypatch, table, Q, X, psi, phi)
+        # a cap of two rows for the largest batch, of three rows or more
+        rows, width = max(default)
+        assert rows >= 3
+        monkeypatch.setattr(variance, "_BATCH", 2 * int(_fft_size(2 * width - 1)))
+        bd, capped = _transform_shapes(monkeypatch, table, Q, X, psi, phi)
+        monkeypatch.undo()
+        assert sum(r for r, _ in capped) == sum(r for r, _ in default)
+        assert len(capped) > len(default) and max(capped)[0] > 1
+        assert_within_budget(bd, delta_binned(table, Q, X, psi, phi))
+
+
+def test_smooth_window_is_the_indexed_formula(table_k3, psi):
+    # w is bit-identical to d_k(n) psi(n/X) built from an int64 index array,
+    # psi = C exp(-1/((x - 1)(2 - x))) evaluated on the open support only
+    for X in (2, 3, 17, 1000, 4101, 16384, 24999):
+        lo, w = _smooth_window(table_k3, X, psi)
+        ns = np.arange(X, 2 * X + 1, dtype=np.int64)
+        x = ns / float(X)
+        inside = (x > 1) & (x < 2)
+        bump = np.zeros_like(x)
+        xi = x[inside]
+        bump[inside] = psi.norm_constant * np.exp(-1.0 / ((xi - 1) * (2 - xi)))
+        want = table_k3.values[ns].astype(np.float64) * bump
+        assert lo == X and w.dtype == np.float64
+        assert w.tobytes() == want.tobytes(), X
+
+
+def test_delta_k_memory_peak(psi, phi):
+    # beside the 2 MiB window, the d = 1 row's blocked transforms dominate
+    table = sieve_dk(2, 2 * 262605)
+    delta_k(table, 1025, 262605, psi, phi)  # first call: one-off allocations
+    tracemalloc.start()
+    try:
+        delta_k(table, 1025, 262605, psi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_fft_size_is_short_and_smooth():
