@@ -22,13 +22,19 @@ only the settings the subcommand read.  Reports are emitted as CSV with
 a fixed column order or as JSON with stable key order; floats are
 printed with 17 significant digits, exact rationals as "num/den" strings.
 
+The Monte-Carlo check of gamma draws its uniforms once for the whole
+c-grid (gammapoly.gamma_mc_oracle), so its rows share their samples.
+
 Exit codes: 0 success, 1 invalid config (a flag or config-file key the
 subcommand does not read, a value its flag refuses, --x given with
 --c-grid, gamma's --seed or --c-grid without --samples, a c-grid value
-that is not finite and positive, variance with --q below 2 or an X (given,
-or round(Q^c) from --c-grid) below 2, or an unreadable config file; one
-"invalid config:" line on stderr), 2 computation error (including a
-report with any error row), 3 I/O error.
+that is not finite and positive, gamma's --samples with k = 1, below 10^4
+or with a c-grid value not below k, variance with --q below 2, a Q^c
+that overflows a float, or an X (given, or round(Q^c) from --c-grid)
+whose c = log X/log Q is outside (0, k), X = 1 included, or an unreadable
+config file; one "invalid config:" line on stderr, before anything is
+computed), 2 computation error (including a report with any error row),
+3 I/O error.
 """
 
 from __future__ import annotations
@@ -142,8 +148,9 @@ def cmd_gamma(cfg: dict) -> dict:
     })
     samples = cfg["samples"]
     if samples:
-        for c in cfg["c_grid"]:
-            est, err = gammapoly.gamma_mc_oracle(k, c, samples, cfg["seed"])
+        estimates = gammapoly.gamma_mc_oracle(
+            k, cfg["c_grid"], samples, cfg["seed"])
+        for c, (est, err) in zip(cfg["c_grid"], estimates):
             report["rows"].append({
                 "kind": "mc_check", "k": k, "c": float(c),
                 "coefficients_or_value": float(g.eval(c)),
@@ -189,10 +196,16 @@ def cmd_variance(cfg: dict) -> dict:
     if cfg["x"]:
         xs = [cfg["x"]]
     else:
-        xs = sorted({int(round(Q ** c)) for c in cfg["c_grid"]})
-    if xs[0] < 2:
-        given = f"--x {xs[0]}" if cfg["x"] else f"c = {min(cfg['c_grid']):g}"
-        raise ConfigError(f"{given} gives X = {xs[0]}; variance needs X >= 2")
+        try:
+            xs = sorted({int(round(Q ** c)) for c in cfg["c_grid"]})
+        except OverflowError:
+            raise ConfigError("Q^c overflows a float for a c in the grid") from None
+    # the c that conjectured_values checks; X = 1 gives c = 0
+    for X in xs:
+        c = math.log(X) / math.log(Q)
+        if not 0.0 < c < k:
+            raise ConfigError(
+                f"X = {X} gives c = log X/log Q = {c:.6f} outside (0, {k})")
     report = _new_report(cfg, _VARIANCE_COLUMNS)
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
@@ -436,6 +449,14 @@ def build_config(args: argparse.Namespace) -> dict:
         raise ConfigError("seed must be non-negative")
     if not all(0 < c < math.inf for c in cfg.get("c_grid") or ()):
         raise ConfigError("c-grid values must be finite and positive")
+    if cfg.get("samples") is not None:
+        # what the Monte-Carlo oracle refuses, refused before any table is built
+        if cfg["k"] < 2:
+            raise ConfigError("--samples needs k >= 2")
+        if cfg["samples"] < 10**4:
+            raise ConfigError("--samples must be at least 10^4")
+        if not all(c < cfg["k"] for c in cfg["c_grid"]):
+            raise ConfigError(f"c-grid values must lie in (0, k) = (0, {cfg['k']})")
     return cfg
 
 

@@ -251,41 +251,62 @@ def p_k(k: int) -> RationalPolynomial:
 # Monte-Carlo oracle
 # ----------------------------------------------------------------------------
 
-def gamma_mc_oracle(k: int, c: float, samples: int, seed: int) -> tuple[float, float]:
-    """Unbiased Monte-Carlo estimate of gamma_k(c) with its standard error.
+def gamma_mc_oracle(k: int, cs: list[float], samples: int,
+                    seed: int) -> list[tuple[float, float]]:
+    """Unbiased Monte-Carlo estimates of gamma_k(c), one per c of `cs`.
 
-    Samples k-1 uniforms, sets the last coordinate to c minus their sum
+    Returns (estimate, standard error) for each c, in grid order.  Draws
+    k-1 uniforms per sample, sets the last coordinate to c minus their sum
     (conditioning on the delta constraint), and averages the squared
     Vandermonde of the full point whenever that coordinate lands in [0,1].
-    Deterministic for a fixed seed.
+
+    The uniforms are drawn once for the whole grid, in batches of 2^18
+    samples by rng.random((b, k-1)) from default_rng(seed), so each c sees
+    the samples a one-c call with the same seed sees, and its pair is the
+    same.  Per batch the coordinate sum and the squared Vandermonde of the
+    k-1 free coordinates, which do not depend on c, are formed once; for
+    each c the factors (w_i - last)^2 are multiplied in on the accepted
+    rows only.  The estimates at different c therefore share their draws
+    and are correlated, as they were when each c drew the same seeded
+    uniforms again.  Memory is a few arrays of one batch, whatever `samples`
+    and the grid size are.  Every argument is checked before anything is
+    drawn.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if not 0 < c < k:
-        raise ValueError(f"need 0 < c < k, got c={c}")
+    for c in cs:
+        if not 0 < c < k:
+            raise ValueError(f"need 0 < c < k, got c={c}")
     if samples < 10**4:
         raise ValueError(f"need samples >= 10^4, got {samples}")
     rng = np.random.default_rng(seed)
     norm = 1.0 / (math.factorial(k) * barnes_g(k + 1) ** 2)
     batch = 1 << 18
-    total = 0.0
-    total_sq = 0.0
+    total = [0.0] * len(cs)
+    total_sq = [0.0] * len(cs)
     done = 0
     while done < samples:
         b = min(batch, samples - done)
-        w = rng.random((b, k - 1))
-        last = c - w.sum(axis=1)
-        ok = (last >= 0.0) & (last <= 1.0)
-        pts = np.concatenate([w, last[:, None]], axis=1)
-        vals = np.ones(b)
-        for i in range(k):
-            for j in range(i + 1, k):
-                vals *= (pts[:, i] - pts[:, j]) ** 2
-        vals = np.where(ok, vals, 0.0)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        # row i holds coordinate i of every sample of the batch
+        w = np.ascontiguousarray(rng.random((b, k - 1)).T)
+        s = w.sum(axis=0)
+        free = np.ones(b)
+        for i in range(k - 1):
+            for j in range(i + 1, k - 1):
+                free *= (w[i] - w[j]) ** 2
+        for n, c in enumerate(cs):
+            last = c - s
+            ok = np.flatnonzero((last >= 0.0) & (last <= 1.0))
+            last = last[ok]
+            vals = free[ok]
+            for i in range(k - 1):
+                vals *= (w[i, ok] - last) ** 2
+            total[n] += float(vals.sum())
+            total_sq[n] += float((vals * vals).sum())
         done += b
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    std_err = math.sqrt(var / samples)
-    return mean * norm, std_err * norm
+    out = []
+    for t, t_sq in zip(total, total_sq):
+        mean = t / samples
+        var = max(t_sq / samples - mean * mean, 0.0)
+        out.append((mean * norm, math.sqrt(var / samples) * norm))
+    return out

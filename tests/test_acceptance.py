@@ -206,8 +206,8 @@ def test_criterion_9_monte_carlo_agreement():
         for k in (2, 3, 4):
             g = gamma_exact(k)
             for i, c in enumerate(rng.uniform(0.05, k - 0.05, size=20)):
-                est, err = gamma_mc_oracle(k, float(c), 10**6,
-                                           seed=1000 * k + i)
+                est, err = gamma_mc_oracle(k, [float(c)], 10**6,
+                                           seed=1000 * k + i)[0]
                 # exact rational evaluation: near the edges gamma_k is far
                 # below float64 cancellation noise
                 exact = float(g.eval(Fraction(float(c))))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from divvar import variance
+from divvar import gammapoly, sieve, variance
 from divvar.cli import (
     ConfigError,
     build_config,
@@ -165,8 +165,27 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     ["variance", "--k", "2", "--q", "50", "--c-grid", "nan"],
     ["variance", "--k", "2", "--q", "50", "--c-grid", "inf"],
     ["variance", "--k", "2", "--q", "50", "--c-grid", "-1"],
+    # what the Monte-Carlo oracle refuses
+    ["gamma", "--k", "1", "--samples", "10000"],
+    ["gamma", "--k", "2", "--samples", "100"],
+    ["gamma", "--k", "2", "--samples", "10000", "--c-grid", "2.5"],
+    ["gamma", "--k", "3", "--samples", "10000", "--c-grid", "1,3"],
+    # a c = log X / log Q outside (0, k)
+    ["variance", "--k", "2", "--q", "100", "--c-grid", "2.9"],
+    ["variance", "--k", "2", "--q", "100", "--c-grid", "1.5,1.999999999"],
+    ["variance", "--k", "2", "--q", "10", "--x", "100000"],
+    # a Q^c that overflows a float, with c above k or below it
+    ["variance", "--k", "2", "--q", "1000", "--c-grid", "200"],
+    ["variance", "--k", "2", "--q", str(10**250), "--c-grid", "1.5"],
+    ["variance", "--k", "2", "--q", str(10**400), "--c-grid", "0.5"],
 ))
-def test_refused_argv_is_one_invalid_config_line(argv, capsys):
+def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("computed before refusing")
+
+    for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
+                         (gammapoly, "gamma_exact")):
+        monkeypatch.setattr(module, name, unreachable)
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invalid config:")
@@ -308,12 +327,22 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_report_with_error_rows_exit_code(tmp_path):
-    # c = log 1000 / log 10 = 3 lies outside (0, k): the only row is an error
-    code, text = run_cli(["variance", "--k", "2", "--q", "10", "--x", "1000"],
-                         tmp_path)
+def test_report_with_error_rows_exit_code(tmp_path, monkeypatch):
+    # a partial failure: X = 32 gets its row, X = 63 an error row
+    delta_k = variance.delta_k
+
+    def fails_at_63(table, Q, X, psi, phi):
+        if X == 63:
+            raise ArithmeticError("fails at X = 63")
+        return delta_k(table, Q, X, psi, phi)
+
+    monkeypatch.setattr(variance, "delta_k", fails_at_63)
+    code, text = run_cli(["variance", "--k", "2", "--q", "10",
+                          "--c-grid", "1.5,1.8"], tmp_path)
     assert code == 2
-    assert text.splitlines()[1].startswith("#ERROR")
+    lines = text.splitlines()
+    assert len(lines) == 3 and lines[1].startswith("2,10,32,")
+    assert lines[2].startswith("#ERROR,X=63:")
 
 
 def test_gamma_k8(tmp_path):

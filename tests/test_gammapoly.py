@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,8 @@ from divvar.gammapoly import (
     gamma_mc_oracle,
     p_k,
 )
+from divvar.cli import _default_c_grid
+from mc_oracle import gamma_mc_reference
 from pk_oracle import compose_linear, p_k_multinomial, p_k_residue, poly_mul
 
 
@@ -137,10 +140,47 @@ def test_large_k_bridge_both_methods(k):
 
 def test_mc_oracle_seeded_and_close():
     g = gamma_exact(2)
-    est1, err1 = gamma_mc_oracle(2, 1.2, 200000, seed=11)
-    est2, _ = gamma_mc_oracle(2, 1.2, 200000, seed=11)
+    est1, err1 = gamma_mc_oracle(2, [1.2], 200000, seed=11)[0]
+    est2, _ = gamma_mc_oracle(2, [1.2], 200000, seed=11)[0]
     assert est1 == est2  # seed determines the output
     assert abs(est1 - float(g.eval(1.2))) < 4 * err1
+
+
+# two batches of 2^18 samples, the second one partial
+MC_SAMPLES = (1 << 18) + 10**4
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_mc_grid_matches_per_c_reference(k):
+    cs = _default_c_grid(k)
+    for seed in range(3):
+        grid = gamma_mc_oracle(k, cs, MC_SAMPLES, seed)
+        assert len(grid) == len(cs)
+        for c, pair in zip(cs, grid):
+            for got, want in zip(pair, gamma_mc_reference(k, c, MC_SAMPLES, seed)):
+                assert abs(got - want) <= 1e-14 * abs(want), (k, seed, c)
+
+
+@pytest.mark.parametrize("k", [2, 4, 7])
+def test_mc_grid_pair_is_the_one_c_pair(k):
+    cs = _default_c_grid(k)
+    grid = gamma_mc_oracle(k, cs, MC_SAMPLES, seed=5)
+    assert grid == [gamma_mc_oracle(k, [c], MC_SAMPLES, seed=5)[0] for c in cs]
+
+
+@pytest.mark.parametrize("k, cs, samples", [
+    (1, [0.5], 10**4),
+    (3, [1.0, 3.0], 10**4),
+    (3, [1.0, 0.0], 10**4),
+    (3, [1.0], 10**4 - 1),
+])
+def test_mc_oracle_refuses_before_drawing(k, cs, samples, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(np.random, "default_rng", unreachable)
+    with pytest.raises(ValueError):
+        gamma_mc_oracle(k, cs, samples, seed=0)
 
 
 @settings(max_examples=60, deadline=None)
