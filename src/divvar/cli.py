@@ -31,9 +31,10 @@ subcommand does not read, a value its flag refuses, --x given with
 that is not finite and positive, gamma's --samples with k = 1, below 10^4
 or with a c-grid value not below k, variance with --q below 2, a Q^c
 that overflows a float, or an X (given, or round(Q^c) from --c-grid)
-whose c = log X/log Q is outside (0, k), X = 1 included, or an unreadable
-config file; one "invalid config:" line on stderr, before anything is
-computed), 2 computation error (including a report with any error row),
+whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
+window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, or an
+unreadable config file; one "invalid config:" line on stderr, before
+anything is computed), 2 computation error (including a report with any error row),
 3 I/O error.
 """
 
@@ -103,9 +104,14 @@ def _new_report(config: dict, columns: list) -> dict:
 # Sieve cache
 # ----------------------------------------------------------------------------
 
-def _get_table(k: int, x_max: int, cache_dir: Optional[str]) -> sieve.DivisorTable:
+def _get_table(k: int, x_min: int, x_max: int,
+               cache_dir: Optional[str]) -> sieve.DivisorTable:
+    """d_k on the window [x_min, x_max], from `dk_{k}_{x_max}.bin` in cache_dir.
+
+    The file holds one window per (k, x_max); any other window is a miss.
+    """
     if cache_dir is None:
-        return sieve.sieve_dk(k, x_max)
+        return sieve.sieve_dk(k, x_max, x_min)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"dk_{k}_{x_max}.bin")
     if os.path.exists(path):
@@ -115,9 +121,10 @@ def _get_table(k: int, x_max: int, cache_dir: Optional[str]) -> sieve.DivisorTab
             table = sieve.load_table(path)
         except (OSError, ValueError):
             table = None
-        if table is not None and table.k == k and table.x_max == x_max:
+        if table is not None and (table.k, table.x_min, table.x_max) == (
+                k, x_min, x_max):
             return table
-    table = sieve.sieve_dk(k, x_max)
+    table = sieve.sieve_dk(k, x_max, x_min)
     sieve.dump_table(table, path)
     return table
 
@@ -153,7 +160,7 @@ def cmd_gamma(cfg: dict) -> dict:
         for c, (est, err) in zip(cfg["c_grid"], estimates):
             report["rows"].append({
                 "kind": "mc_check", "k": k, "c": float(c),
-                "coefficients_or_value": float(g.eval(c)),
+                "coefficients_or_value": g.eval_float(c),
                 "mc_value": est, "mc_std_error": err,
             })
     return report
@@ -200,22 +207,28 @@ def cmd_variance(cfg: dict) -> dict:
             xs = sorted({int(round(Q ** c)) for c in cfg["c_grid"]})
         except OverflowError:
             raise ConfigError("Q^c overflows a float for a c in the grid") from None
+    h = cfg["h"] or 0
     # the c that conjectured_values checks; X = 1 gives c = 0
     for X in xs:
         c = math.log(X) / math.log(Q)
         if not 0.0 < c < k:
             raise ConfigError(
                 f"X = {X} gives c = log X/log Q = {c:.6f} outside (0, {k})")
+        need = sieve.sieve_bytes(X, 2 * X + h)
+        if need > sieve.MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"X = {X}: sieving d_{k} on [{X}, {2 * X + h}] needs {need} "
+                f"bytes, budget is {sieve.MEMORY_BUDGET_BYTES} bytes")
     report = _new_report(cfg, _VARIANCE_COLUMNS)
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
     base = consts.a_k_const(k, cfg["prime_limit"])
     tilde = consts.a_tilde_k(k, cfg["prime_limit"])
-    h = cfg["h"]
     for X in xs:
         try:
-            x_max = 2 * X + (h or 0)
-            table = _get_table(k, x_max, cfg["cache_dir"])
+            # psi(n/X) vanishes outside [X, 2X]; the short-interval sums
+            # read up to 2X + H
+            table = _get_table(k, X, 2 * X + h, cfg["cache_dir"])
             bd = variance.delta_k(table, Q, X, psi, phi)
             pred = variance.conjectured_values(
                 k, Q, X, base, tilde, phi=phi)
@@ -296,7 +309,7 @@ def cmd_selftest(cfg: dict) -> dict:
     def sieve_check():
         t = sieve.sieve_dk(3, 1000)
         for n in (1, 6, 12, 64, 997):
-            assert int(t.values[n]) == sieve.dk_single(3, n)
+            assert int(t.values[n - 1]) == sieve.dk_single(3, n)
 
     def gamma_check():
         g = gammapoly.gamma_exact(2)

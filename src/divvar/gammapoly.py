@@ -9,8 +9,8 @@ integers and inverted termwise.  No bound on k is needed here; the CLI caps
 k at sieve.MAX_K = 8.  Everything in this module is exact rational
 arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
 oracle.  ``eval`` takes an int, a Fraction or a float (read as its exact
-dyadic value) and returns the exact Fraction, so a caller that needs a
-float rounds once, with ``float()``.
+dyadic value) and returns the exact Fraction; ``eval_float`` rounds the
+same exact value once to a float, without building the Fraction.
 
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
@@ -64,18 +64,31 @@ class RationalPolynomial:
     def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         return self + RationalPolynomial([-x for x in other.coeffs])
 
-    def eval(self, c) -> Fraction:
-        """The exact value at an int, Fraction or float c = p/q.
+    def _ratio(self, c) -> tuple[int, int]:
+        """(num, den) with num/den the exact value at an int, Fraction or float c.
 
-        Horner's rule in integers: sum_i nums_i p^i q^(n-i) over den q^n,
-        with n the degree, so one Fraction is built, at the end.
+        Horner's rule in integers, at c = p/q: sum_i nums_i p^i q^(n-i) over
+        den q^n, with n the degree.  The one evaluator; nothing is reduced.
         """
         p, q = c.as_integer_ratio()
         acc, q_pow = 0, 1
         for x in reversed(self._nums):
             acc = acc * p + x * q_pow
             q_pow *= q
-        return Fraction(acc * q, self._den * q_pow)
+        return acc * q, self._den * q_pow
+
+    def eval(self, c) -> Fraction:
+        """The exact value at an int, Fraction or float c, as one Fraction."""
+        return Fraction(*self._ratio(c))
+
+    def eval_float(self, c) -> float:
+        """The exact value at c rounded once to a float, == float(eval(c)).
+
+        One int true division, which is correctly rounded, so no Fraction
+        (and no gcd) is built.
+        """
+        num, den = self._ratio(c)
+        return num / den
 
     def integral_over(self, a, b) -> Fraction:
         """Exact definite integral over [a, b]."""
@@ -106,11 +119,17 @@ class PiecewisePolynomial:
     k: int
     pieces: tuple[RationalPolynomial, ...]
 
-    def eval(self, c) -> Fraction:
+    def _piece(self, c) -> RationalPolynomial:
         if c < 0 or c > self.k:
             raise ValueError(f"c={c} outside [0, {self.k}]")
-        j = min(int(c), self.k - 1)
-        return self.pieces[j].eval(c)
+        return self.pieces[min(int(c), self.k - 1)]
+
+    def eval(self, c) -> Fraction:
+        return self._piece(c).eval(c)
+
+    def eval_float(self, c) -> float:
+        """float(eval(c)), without building the Fraction."""
+        return self._piece(c).eval_float(c)
 
     def integral(self) -> Fraction:
         return sum(

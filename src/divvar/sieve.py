@@ -2,11 +2,16 @@
 
 d_k(n) counts ordered k-tuples of positive integers with product n.  It is
 multiplicative with d_k(p^e) = C(e + k - 1, k - 1), and the bulk sieve
-builds it from that: for each prime p <= sqrt(x_max) it marks the exponent
-of p on the multiples of p, multiplies in the binomial at that exponent and
-divides the p-part out of a running cofactor.  What is left of the cofactor
-is 1 or a single prime > sqrt(x_max), which contributes d_k(p) = k.  The
-work is O(x_max log log x_max), the same for every k.
+builds it from that on a window [x_min, x_max]: for each prime
+p <= sqrt(x_max) it marks the exponent of p on the multiples of p in the
+window, multiplies in the binomial at that exponent and divides the p-part
+out of a running cofactor.  What is left of the cofactor is 1 or a single
+prime > sqrt(x_max), which contributes d_k(p) = k.  The work is
+O(L log log x_max) for a window of length L = x_max - x_min + 1, plus one
+step per prime, the same for every k; a full table is the window
+[1, x_max].  The values are stored in the narrowest unsigned dtype that
+holds their maximum: 1 byte per n for d_2 below 1081080 (the least n with
+256 divisors), 2 bytes for d_2 up to 10^7 and for d_3 up to 2 * 10^7.
 
 `primes` (Eratosthenes) and `factorize` (trial division) are the package's
 one prime sieve and one factoriser.  Tables are cached on disk by
@@ -29,34 +34,48 @@ import numpy as np
 # d_k(n) fits in uint64 for k <= 8 and n <= 10^9; the sieve refuses larger k.
 MAX_K = 8
 
-# sieve_dk refuses, before allocating, a table that needs more than this
+# sieve_dk refuses, before allocating, a window that needs more than this
 MEMORY_BUDGET_BYTES = 2**34
 
-# Cache file: magic, format version, crc32 of (k, x_max) and the values,
-# then k and x_max, then the values d_k(1..x_max) as little-endian uint64.
+# Cache file (format v3): magic, format version, crc32 of the shape and the
+# values; the shape (k, x_min, x_max, itemsize); then the values
+# d_k(x_min..x_max) as little-endian unsigned integers of that itemsize.
 _MAGIC = b"DIVVARdk"
-_VERSION = 2
+_VERSION = 3
 _HEADER = struct.Struct("<8sII")
-_SHAPE = struct.Struct("<QQ")
+_SHAPE = struct.Struct("<QQQQ")
 
 
 class MemoryBudgetError(MemoryError):
     """The sieve would need more than MEMORY_BUDGET_BYTES."""
 
 
+class CoverageError(ValueError):
+    """The divisor table does not cover the range a computation needs."""
+
+
 @dataclass(frozen=True)
 class DivisorTable:
-    """Exact values d_k(n) for 1 <= n <= x_max; values[0] is unused (0)."""
+    """Exact values d_k(n) for x_min <= n <= x_max: values[i] = d_k(x_min + i)."""
 
     k: int
+    x_min: int
     x_max: int
-    values: np.ndarray  # uint64, length x_max + 1
+    values: np.ndarray  # unsigned integers, length x_max - x_min + 1
 
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def covers(self, n: int) -> bool:
-        return n <= self.x_max
+    def covers(self, lo: int, hi: int) -> bool:
+        """Whether the table holds every n in [lo, hi]."""
+        return self.x_min <= lo and hi <= self.x_max
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """d_k(n) for lo <= n <= hi, a view of values; CoverageError if not covered."""
+        if not self.covers(lo, hi):
+            raise CoverageError(
+                f"table covers [{self.x_min}, {self.x_max}], need [{lo}, {hi}]")
+        return self.values[lo - self.x_min : hi - self.x_min + 1]
 
 
 @functools.cache
@@ -77,54 +96,69 @@ def primes(limit: int) -> np.ndarray:
     return out
 
 
-def sieve_dk(k: int, x_max: int) -> DivisorTable:
-    """Sieve d_k(n) for all n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
+def sieve_bytes(x_min: int, x_max: int) -> int:
+    """The bytes sieve_dk allocates for the window [x_min, x_max] (see there)."""
+    n = x_max - x_min + 1
+    return n * (8 + np.min_scalar_type(x_max).itemsize) + (n // 2 + 1) * (1 + 8)
+
+
+def sieve_dk(k: int, x_max: int, x_min: int = 1) -> DivisorTable:
+    """Sieve d_k(n) for x_min <= n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
 
     For each prime p <= sqrt(x_max), the exponent e of p in every multiple
-    of p is marked into a uint8 array, the table is multiplied there by
-    C(e + k - 1, k - 1), and p^e is divided out of a running cofactor
-    rem(n), which starts at n.  Afterwards rem(n) is 1 or the one prime
-    factor of n above sqrt(x_max), so the table is multiplied by k wherever
-    rem(n) > 1.  That is pi(sqrt(x_max)) vectorised steps and
-    O(x_max log log x_max) work, whatever k is.
+    of p in the window is marked into a uint8 array, the values are
+    multiplied there by C(e + k - 1, k - 1), and p^e is divided out of a
+    running cofactor rem(n), which starts at n.  Each prime power's first
+    multiple is offset to x_min, and a prime with no multiple in the window
+    is a step that touches nothing.  Afterwards rem(n) is 1 or the one
+    prime factor of n above sqrt(x_max), so the values are multiplied by k
+    wherever rem(n) > 1.  That is pi(sqrt(x_max)) vectorised steps and
+    O(L log log x_max) work on a window of L = x_max - x_min + 1 values,
+    whatever k is.
 
-    Memory per n: 8 bytes of uint64 values, the itemsize of
-    np.min_scalar_type(x_max) for rem (4 bytes below 2^32), and at p = 2,
-    on every other n, one byte of exponent and 8 bytes of gathered
-    binomials: about 16.5 bytes per n below 2^32.
+    Memory per n of the window, while sieving: 8 bytes of uint64 values,
+    the itemsize of np.min_scalar_type(x_max) for rem (4 bytes below
+    2^32), and at p = 2, on every other n, one byte of exponent and 8 bytes
+    of gathered binomials: about 16.5 bytes per n below 2^32
+    (`sieve_bytes`, checked against MEMORY_BUDGET_BYTES before anything is
+    allocated).  The table keeps np.min_scalar_type(max value) per n: the
+    values are narrowed once, after sieving.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the 64-bit overflow guard (k <= {MAX_K})")
-    if x_max < 1:
-        raise ValueError(f"need x_max >= 1, got {x_max}")
-    rem_type = np.min_scalar_type(x_max)
-    required = (x_max + 1) * (8 + rem_type.itemsize) + (x_max // 2 + 1) * (1 + 8)
+    if not 1 <= x_min <= x_max:
+        raise ValueError(f"need 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
+    required = sieve_bytes(x_min, x_max)
     if required > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
             f"sieve needs {required} bytes, budget is {MEMORY_BUDGET_BYTES} bytes")
 
-    vals = np.ones(x_max + 1, dtype=np.uint64)
-    vals[0] = 0
-    rem = np.arange(x_max + 1, dtype=rem_type)
+    size = x_max - x_min + 1
+    vals = np.ones(size, dtype=np.uint64)
+    rem = np.arange(x_min, x_max + 1, dtype=np.min_scalar_type(x_max))
     binom = np.array(
         [math.comb(e + k - 1, k - 1) for e in range(x_max.bit_length())],
         dtype=np.uint64,
     )
-    exps = np.empty(x_max // 2 + 1, dtype=np.uint8)
+    exps = np.empty(size // 2 + 1, dtype=np.uint8)
     for p in primes(math.isqrt(x_max)).tolist():
-        e = exps[: x_max // p]  # e[i] is the exponent of p in (i + 1) p
+        first = -(-x_min // p) * p - x_min  # index of the first multiple of p
+        # e[i] is the exponent of p in the multiple at index first + i p
+        e = exps[: len(range(first, size, p))]
         e.fill(1)
-        rem[p::p] //= p
+        rem[first::p] //= p
         q = p * p
         while q <= x_max:
-            e[q // p - 1 :: q // p] += 1
-            rem[q::q] //= p
+            at = -(-x_min // q) * q - x_min
+            e[(at - first) // p :: q // p] += 1
+            rem[at::q] //= p
             q *= p
-        vals[p::p] *= binom[e]
+        vals[first::p] *= binom[e]
     np.multiply(vals, k, out=vals, where=rem > 1)
-    return DivisorTable(k, x_max, vals)
+    del rem  # freed before the narrowed copy is allocated
+    return DivisorTable(k, x_min, x_max, vals.astype(np.min_scalar_type(vals.max())))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -185,14 +219,16 @@ def _checksum(shape: bytes, raw: bytes) -> int:
 
 
 def dump_table(table: DivisorTable, path: str) -> None:
-    """Write `table` to `path`: a checksummed header, then raw uint64 values.
+    """Write `table` to `path`: a checksummed header, then the raw values.
 
-    The header holds a magic number, the format version and a crc32 of
-    (k, x_max) and the values.  The write is atomic (temp file + rename)
-    so a cache is never left torn.
+    The header holds a magic number, the format version, a crc32 of the
+    shape and the values, and the shape (k, x_min, x_max, itemsize); the
+    values follow in the table's own dtype, little-endian.  The write is
+    atomic (temp file + rename) so a cache is never left torn.
     """
-    shape = _SHAPE.pack(table.k, table.x_max)
-    raw = table.values[1:].astype("<u8").tobytes()
+    itemsize = table.values.itemsize
+    shape = _SHAPE.pack(table.k, table.x_min, table.x_max, itemsize)
+    raw = table.values.astype(f"<u{itemsize}", copy=False).tobytes()
     with atomic_open(path) as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, _checksum(shape, raw)))
         fh.write(shape)
@@ -202,8 +238,8 @@ def dump_table(table: DivisorTable, path: str) -> None:
 def load_table(path: str) -> DivisorTable:
     """Read a dump_table file.
 
-    ValueError if the file is torn, of another format or version, or fails
-    its checksum.
+    ValueError if the file is torn, of another format or version, has an
+    itemsize that is not 1, 2, 4 or 8, or fails its checksum.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -213,12 +249,14 @@ def load_table(path: str) -> DivisorTable:
     magic, version, crc = _HEADER.unpack_from(data)
     if magic != _MAGIC or version != _VERSION:
         raise ValueError(f"{path}: not a version-{_VERSION} d_k table")
-    k, x_max = _SHAPE.unpack_from(data, _HEADER.size)
+    k, x_min, x_max, itemsize = _SHAPE.unpack_from(data, _HEADER.size)
+    if itemsize not in (1, 2, 4, 8) or not 1 <= x_min <= x_max:
+        raise ValueError(f"{path}: bad shape {(k, x_min, x_max, itemsize)}")
     raw = memoryview(data)[head:]
-    if len(raw) != 8 * x_max:
-        raise ValueError(f"{path}: expected {8 * x_max} value bytes, found {len(raw)}")
+    expected = itemsize * (x_max - x_min + 1)
+    if len(raw) != expected:
+        raise ValueError(f"{path}: expected {expected} value bytes, found {len(raw)}")
     if _checksum(data[_HEADER.size : head], raw) != crc:
         raise ValueError(f"{path}: checksum mismatch")
-    values = np.zeros(x_max + 1, dtype=np.uint64)
-    values[1:] = np.frombuffer(raw, dtype="<u8")
-    return DivisorTable(int(k), int(x_max), values)
+    values = np.frombuffer(data, dtype=f"<u{itemsize}", offset=head)
+    return DivisorTable(int(k), int(x_min), int(x_max), values)

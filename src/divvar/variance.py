@@ -38,10 +38,6 @@ from .weights import Normalization, SmoothWeight
 DEFAULT_DELTA = 0.05
 
 
-class CoverageError(ValueError):
-    """The divisor table does not cover the range a computation needs."""
-
-
 class Regime(enum.Enum):
     SMALL_C = "SmallC"
     THEOREM1_RANGE = "Theorem1Range"
@@ -96,18 +92,18 @@ def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
     """The weighted values d_k(n) psi(n/X) on the support of psi(n/X).
 
     Returns (lo, w) where w[i] = d_k(lo + i) * psi((lo + i)/X) for the
-    integers lo + i in the closed support.  Only w and one float grid of
-    the same length are allocated (psi is evaluated on the grid, then
-    multiplied by the table in place), never an integer index array.
+    integers lo + i in the closed support, which the table's window must
+    cover.  Only w and one float grid of the same length are allocated
+    (psi is evaluated on the grid, then multiplied by the table in place),
+    never an integer index array.
     """
     lo = max(int(math.ceil(psi.support_lo * X)), 1)
     hi = int(math.floor(psi.support_hi * X))
-    if not table.covers(hi):
-        raise CoverageError(f"table covers x <= {table.x_max}, need {hi}")
+    values = table.window(lo, hi)
     grid = np.arange(lo, hi + 1, dtype=np.float64)
     grid /= X
     w = psi.eval_array(grid)
-    w *= table.values[lo : hi + 1]
+    w *= values
     return lo, w
 
 
@@ -128,8 +124,9 @@ def _coprime_class_sums(lo: int, w: np.ndarray, q: int) -> np.ndarray:
     """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q.
 
     w holds w_n for the consecutive n = lo, lo+1, ...  It is placed in rows
-    of length q, padded with zeros, and the columns are summed in w's own
-    dtype, so integer values give exact integer class sums.
+    of length q, padded with zeros, and the columns are summed; numpy sums
+    unsigned integers of any width in uint64, so integer values give exact
+    integer class sums.
     """
     head = lo % q
     rows = np.zeros(-(-(head + w.size) // q) * q, dtype=w.dtype)
@@ -145,9 +142,7 @@ def sharp_variance(table: DivisorTable, q: int, X: int) -> Fraction:
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    if not table.covers(X):
-        raise CoverageError(f"table covers x <= {table.x_max}, need {X}")
-    s = _coprime_class_sums(1, table.values[1 : X + 1], q)
+    s = _coprime_class_sums(1, table.window(1, X), q)
     total, total_sq = _exact_sums(s)
     return Fraction(s.size * total_sq - total * total, s.size)
 
@@ -419,16 +414,14 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
     (m, m+1), equal to T(m+H) - T(m) with T the partial-sum function of
     d_k; the x-integral is therefore a rational evaluated exactly, piece
     by piece, in integer arithmetic, and rounded to float once at the end.
+    Only d_k on [X + 1, 2X + H] is read: T(m) - T(X) for X <= m <= 2X + H
+    is summed in an explicit uint64 accumulator, whatever the table's dtype.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
-    if not table.covers(2 * X + H):
-        raise CoverageError(
-            f"table covers x <= {table.x_max}, need {2 * X + H}"
-        )
-    prefix = np.zeros(2 * X + H + 1, dtype=np.uint64)
-    np.cumsum(table.values[1 : 2 * X + H + 1], out=prefix[1:])
-    window = prefix[X + H : 2 * X + H] - prefix[X : 2 * X]
+    prefix = np.zeros(X + H + 1, dtype=np.uint64)
+    np.cumsum(table.window(X + 1, 2 * X + H), dtype=np.uint64, out=prefix[1:])
+    window = prefix[H : X + H] - prefix[:X]
     total, total_sq = _exact_sums(window)
     # exact: (1/X) sum S_m^2 - ((1/X) sum S_m)^2 over the X unit pieces
     return (X * total_sq - total * total) / (X * X)
@@ -479,13 +472,13 @@ def conjectured_values(
     fact = math.factorial(kk - 1)
     scale = Q * X * math.log(Q) ** (kk - 1)
     gamma = gamma_exact(k)
-    leading = a_tilde.value * float(gamma.eval(c)) * scale
+    leading = a_tilde.value * gamma.eval_float(c) * scale
     diagonal = a_tilde.value * c ** (kk - 1) / fact * scale
 
     if c < 1.0:
         offdiag = 0.0
     elif c < 2.0:
-        offdiag = a_tilde.value * float(p_k(k).eval(c)) * scale
+        offdiag = a_tilde.value * p_k(k).eval_float(c) * scale
     else:
         offdiag = float("nan")
 
@@ -494,7 +487,7 @@ def conjectured_values(
         qs, pw = _moduli(Q, phi)
         aq = a_k_of_q_bulk(k, int(qs[-1]), base)[qs]
         lq = np.log(qs)
-        g = np.array([float(gamma.eval(c_q)) for c_q in math.log(X) / lq])
+        g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
         exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
 
     return Prediction(

@@ -17,7 +17,7 @@ def delta_binned(table, Q, X, psi, phi):
     lo = max(1, math.ceil(psi.support_lo * X))
     hi = math.floor(psi.support_hi * X)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
-    w = table.values[ns].astype(np.float64) * psi.eval_array(ns / float(X))
+    w = table.window(lo, hi).astype(np.float64) * psi.eval_array(ns / float(X))
     w2 = w * w
     parts_v, parts_a, parts_b, parts_d = [], [], [], []
     qs = np.arange(max(2, math.ceil(phi.support_lo * Q)),

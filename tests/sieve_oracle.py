@@ -4,7 +4,13 @@ d_k = 1 * d_{k-1}, and each fold is the harmonic double loop
 d_k(a b) += d_{k-1}(b), vectorised over b for each a <= x_max.  This costs
 O(k x_max log x_max) with x_max Python iterations per fold, and shares no
 arithmetic with `divvar.sieve.sieve_dk` (no primes, no binomials).
+
+`v2_file` writes a table in the cache format that version 3 replaced, for
+the tests that a version-2 file is rejected and rebuilt.
 """
+
+import struct
+import zlib
 
 import numpy as np
 
@@ -21,3 +27,12 @@ def harmonic_tables(k_max, x_max):
         cur = nxt
         tables.append(cur)
     return tables
+
+
+def v2_file(table):
+    """A version-2 cache file of a full table: magic, version 2, crc32 of
+    (k, x_max) and the values, then k, x_max and uint64 d_k(1..x_max)."""
+    shape = struct.pack("<QQ", table.k, table.x_max)
+    raw = table.values.astype("<u8").tobytes()
+    crc = zlib.crc32(raw, zlib.crc32(shape))
+    return struct.pack("<8sII", b"DIVVARdk", 2, crc) + shape + raw

@@ -141,7 +141,7 @@ def test_criterion_6_decomposition_identities():
         from divvar.variance import sharp_variance
         table = sieve_dk(2, 2000)
         X = 2000
-        d = [int(v) for v in table.values]
+        d = [0] + [int(v) for v in table.values]
         for q in range(2, 51):
             sums = defaultdict(int)
             for n in range(1, X + 1):

@@ -5,11 +5,16 @@ import math
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sieve_oracle import v2_file
+
+from divvar import constants as consts
 from divvar import gammapoly, sieve, variance
 from divvar.cli import (
     ConfigError,
+    _get_table,
     build_config,
     emit_report,
     main,
@@ -125,6 +130,43 @@ def test_corrupt_cache_is_rebuilt(tmp_path, damage):
     assert path.read_bytes() == good
 
 
+def test_cache_holds_the_window_of_each_x(tmp_path):
+    cache = tmp_path / "cache"
+    code, _ = run_cli(
+        ["variance", "--k", "3", "--q", "100", "--c-grid", "2.5,2.8", "--h", "1000",
+         "--cache-dir", str(cache)], tmp_path)
+    assert code == 0
+    xs = (100000, 398107)  # round(100^2.5), round(100^2.8)
+    assert sorted(os.listdir(cache)) == sorted(f"dk_3_{2 * x + 1000}.bin" for x in xs)
+    for x in xs:
+        table = sieve.load_table(str(cache / f"dk_3_{2 * x + 1000}.bin"))
+        assert (table.k, table.x_min, table.x_max) == (3, x, 2 * x + 1000)
+        assert table.values.dtype == np.uint16
+
+
+@pytest.mark.parametrize("stale", ("v2", "full", "other x_min"))
+def test_get_table_rebuilds_another_window(tmp_path, stale, monkeypatch):
+    path = tmp_path / "dk_2_1000.bin"
+    if stale == "v2":
+        path.write_bytes(v2_file(sieve.sieve_dk(2, 1000)))
+    else:
+        x_min = 1 if stale == "full" else 499
+        sieve.dump_table(sieve.sieve_dk(2, 1000, x_min), str(path))
+    sieved = []
+    real = sieve.sieve_dk
+    monkeypatch.setattr(sieve, "sieve_dk", lambda *a: sieved.append(a) or real(*a))
+    table = _get_table(2, 500, 1000, str(tmp_path))
+    assert sieved == [(2, 1000, 500)]
+    assert (table.x_min, table.x_max) == (500, 1000)
+    assert np.array_equal(table.values, real(2, 1000).values[499:])
+    back = sieve.load_table(str(path))
+    assert (back.x_min, back.x_max) == (500, 1000)
+    assert os.listdir(tmp_path) == ["dk_2_1000.bin"]
+    # now a hit: nothing is sieved
+    assert np.array_equal(_get_table(2, 500, 1000, str(tmp_path)).values, table.values)
+    assert sieved == [(2, 1000, 500)]
+
+
 def test_invalid_config_exit_code():
     assert main(["variance", "--k", "99", "--q", "5"]) == 1
     assert main(["variance", "--k", "2", "--q", "5", "--delta", "2"]) == 1  # no such flag
@@ -178,13 +220,16 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     ["variance", "--k", "2", "--q", "1000", "--c-grid", "200"],
     ["variance", "--k", "2", "--q", str(10**250), "--c-grid", "1.5"],
     ["variance", "--k", "2", "--q", str(10**400), "--c-grid", "0.5"],
+    # an X whose window [X, 2X + H] the sieve's memory budget refuses
+    ["variance", "--k", "2", "--q", "1000000", "--c-grid", "1.9"],
+    ["variance", "--k", "2", "--q", "1000000", "--c-grid", "0.5,1.9"],
 ))
 def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("computed before refusing")
 
     for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
-                         (gammapoly, "gamma_exact")):
+                         (gammapoly, "gamma_exact"), (consts, "a_k_const")):
         monkeypatch.setattr(module, name, unreachable)
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()

@@ -55,6 +55,38 @@ def test_eval_reads_a_float_as_its_exact_value(c):
     assert RationalPolynomial().eval(c) == 0
 
 
+def _exact_q_cs(k):
+    """The c_q = log X / log q that conjectured_values evaluates gamma_k at:
+    q over [Q, 2Q], X = round(Q^c) on the default c-grid, Q = 100 and 300."""
+    cs = []
+    for Q in (100, 300):
+        qs = np.arange(Q, 2 * Q + 1)
+        for c in _default_c_grid(k):
+            cs += (math.log(round(Q**c)) / np.log(qs)).tolist()
+    return [c for c in cs if 0 <= c <= k]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_eval_float_is_the_rounded_exact_value(k):
+    g, p = gamma_exact(k), p_k(k)
+    cs = _exact_q_cs(k)
+    assert len(cs) > 1000
+    for c in cs:
+        assert g.eval_float(c) == float(g.eval(c)), (k, c)
+        assert p.eval_float(c) == float(p.eval(c)), (k, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=8), st.floats(min_value=0, max_value=1))
+def test_eval_float_matches_float_of_eval(k, u):
+    c = u * k
+    g = gamma_exact(k)
+    assert g.eval_float(c) == float(g.eval(c))
+    assert p_k(k).eval_float(c) == float(p_k(k).eval(c))
+    with pytest.raises(ValueError):
+        g.eval_float(k + 0.5)
+
+
 def test_compose_linear_reflection():
     p = RationalPolynomial([Fraction(0), Fraction(0), Fraction(1)])  # c^2
     r = compose_linear(p, 2, -1)  # (2-c)^2

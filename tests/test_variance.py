@@ -12,9 +12,8 @@ from binning_oracle import assert_within_budget, delta_binned
 from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
 from divvar import variance
-from divvar.sieve import sieve_dk
+from divvar.sieve import CoverageError, sieve_dk
 from divvar.variance import (
-    CoverageError,
     _autocorrelation,
     _exact_sums,
     _fft_size,
@@ -38,7 +37,7 @@ def _brute_sharp(table, q, X):
     sums = {a: 0 for a in range(q) if math.gcd(a, q) == 1}
     for n in range(1, X + 1):
         if math.gcd(n, q) == 1:
-            sums[n % q] += int(table.values[n])
+            sums[n % q] += int(table.values[n - 1])
     vals = list(sums.values())
     phi_q = len(vals)
     # integer-exact double-sum form: sum_a S_a^2 - phi * mean^2
@@ -59,7 +58,7 @@ def test_sharp_variance_brute_oracle(table_k2):
 
 def test_sharp_variance_is_exact(table_k2):
     # every step in Python ints: sum_a S_a^2 - (sum_a S_a)^2 / phi(q)
-    d = [int(v) for v in table_k2.values[:2001]]
+    d = [0] + [int(v) for v in table_k2.values[:2000]]
     for q, X in _SHARP_GRID:
         sums = [sum(d[a : X + 1 : q]) for a in range(q) if math.gcd(a, q) == 1]
         exact = sum(s * s for s in sums) - Fraction(sum(sums) ** 2, len(sums))
@@ -72,7 +71,7 @@ def test_smooth_variance_one_term_per_class(table_k2, psi):
     q, X = 997, 400
     v = smooth_variance_Vk(table_k2, q, X, psi)
     ns = np.arange(1, 2 * X + 1)
-    w = table_k2.values[ns].astype(float) * psi.eval_array(ns / X)
+    w = table_k2.values[ns - 1].astype(float) * psi.eval_array(ns / X)
     mask = np.gcd(ns, q) == 1
     phi_q = sum(1 for a in range(q) if math.gcd(a, q) == 1)
     direct = float(np.sum(w[mask] ** 2)) - float(np.sum(w[mask])) ** 2 / phi_q
@@ -83,7 +82,7 @@ def test_smooth_variance_double_sum_identity(table_k2, psi):
     q, X = 11, 100
     v = smooth_variance_Vk(table_k2, q, X, psi)
     ns = np.arange(1, 2 * X + 1)
-    w = table_k2.values[ns].astype(float) * psi.eval_array(ns / X)
+    w = table_k2.values[ns - 1].astype(float) * psi.eval_array(ns / X)
     sums = defaultdict(float)
     for n, wn in zip(ns.tolist(), w.tolist()):
         if math.gcd(n, q) == 1:
@@ -226,9 +225,26 @@ def test_smooth_window_is_the_indexed_formula(table_k3, psi):
         bump = np.zeros_like(x)
         xi = x[inside]
         bump[inside] = psi.norm_constant * np.exp(-1.0 / ((xi - 1) * (2 - xi)))
-        want = table_k3.values[ns].astype(np.float64) * bump
+        want = table_k3.values[ns - 1].astype(np.float64) * bump
         assert lo == X and w.dtype == np.float64
         assert w.tobytes() == want.tobytes(), X
+
+
+# (k, Q, X, H): cache-k3's c = 2.5, 2.8 at Q = 100, and sweep-k2-like points
+@pytest.mark.parametrize("k, Q, X, H", (
+    (3, 100, 100000, 1000), (3, 100, 398107, 1000), (2, 1025, 262605, 7),
+    (2, 50, 3000, 1), (3, 40, 150, 37)))
+def test_window_table_gives_the_full_table_values(k, Q, X, H, psi, phi):
+    full = sieve_dk(k, 2 * X + H)
+    window = sieve_dk(k, 2 * X + H, X)
+    assert window.values.nbytes < full.values.nbytes
+    assert delta_k(window, Q, X, psi, phi) == delta_k(full, Q, X, psi, phi)
+    assert short_interval_variance(window, X, H) == short_interval_variance(full, X, H)
+    # the window starts at X: one n lower is not covered
+    with pytest.raises(CoverageError):
+        short_interval_variance(sieve_dk(k, 2 * X + H, X + 2), X, H)
+    with pytest.raises(CoverageError):
+        delta_k(sieve_dk(k, 2 * X + H, X + 1), Q, X, psi, phi)
 
 
 def test_delta_k_memory_peak(psi, phi):
@@ -265,9 +281,9 @@ def test_offdiagonal_vanishes_when_q_exceeds_span(table_k2, psi, phi):
 def test_short_interval_variance_is_exact(table_k3):
     # at (16000, 18000) sum S_m^2 exceeds 2^53, where float sums lose digits
     for X, H in ((16000, 18000), (20000, 9000), (2000, 300), (20000, 1)):
-        vals = [int(v) for v in table_k3.values[: 2 * X + H + 1]]
+        vals = [int(v) for v in table_k3.values[: 2 * X + H]]
         prefix = [0]
-        for v in vals[1:]:
+        for v in vals:
             prefix.append(prefix[-1] + v)
         sums = [prefix[m + H] - prefix[m] for m in range(X, 2 * X)]
         exact = Fraction(sum(s * s for s in sums), X) - Fraction(sum(sums), X) ** 2
@@ -285,7 +301,7 @@ def test_short_interval_riemann_oracle(table_k2):
     def riemann(X, H, dx=1e-3):
         top = 2 * X + H
         pref = np.concatenate(
-            ([0], np.cumsum(table_k2.values[1 : top + 1], dtype=np.int64)))
+            ([0], np.cumsum(table_k2.values[:top], dtype=np.int64)))
         xs = np.arange(X, 2 * X, dx) + dx / 2
         lo = np.ceil(xs).astype(int) - 1
         hi = np.floor(xs + H).astype(int)
