@@ -8,8 +8,9 @@ Subcommands:
   variance   empirical Delta_k / short-interval sweeps compared against
              the predicted values, with ratio columns
   rmt        exact secular coefficients I_k(m;N) and their scaled
-             deviation from gamma_k, plus an exact shift-average check on
-             rational shifts (k <= 6; a nonzero gap is an error row)
+             deviation from gamma_k at N // 2 (when N >= 2) and at N,
+             plus an exact shift-average check on rational shifts
+             (k <= 6; a nonzero gap is an error row)
   selftest   fast end-to-end invariant suite
 
 Each subcommand takes only the flags it reads (the table _KEYS), plus
@@ -32,10 +33,11 @@ that is not finite and positive, gamma's --samples with k = 1, below 10^4
 or with a c-grid value not below k, variance with --q below 2, a Q^c
 that overflows a float, or an X (given, or round(Q^c) from --c-grid)
 whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
-window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, or an
-unreadable config file; one "invalid config:" line on stderr, before
-anything is computed), 2 computation error (including a report with any error row),
-3 I/O error.
+window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
+--prime-limit below constants.MIN_PRIME_LIMIT, rmt with k N above
+rmt.KN_BOUND, or an unreadable config file; one "invalid config:" line
+on stderr, before anything is computed), 2 computation error (including
+a report with any error row), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ def cmd_rmt(cfg: dict) -> dict:
     for m, coeff in enumerate(table.coefficients):
         report["rows"].append({"kind": "secular", "k": k, "N": N, "m": m,
                                "value": coeff})
-    for t in (rmt.secular_coefficients(k, max(2, N // 2)), table):
+    half = [rmt.secular_coefficients(k, N // 2)] if N >= 2 else []
+    for t in (*half, table):
         dev, arg = rmt.rmt_gamma_deviation(t)
         report["rows"].append({"kind": "gamma_deviation", "k": k, "N": t.N,
                                "deviation": dev, "argmax_m": arg})
@@ -332,14 +335,24 @@ def cmd_selftest(cfg: dict) -> dict:
         assert sum(rmt.secular_coefficients(2, 4).coefficients) == 105
 
     def variance_check():
+        # Delta_k against the pair-sum definition of each V_q, which bins
+        # nothing: sum over m = n (q) with (mn, q) = 1 of w_m w_n, minus
+        # (sum over (n, q) = 1 of w_n)^2 / phi(q)
         t = sieve.sieve_dk(2, 500)
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
         bd = variance.delta_k(t, 40, 150, psi, phi)
+        ns = np.arange(150, 301)
+        w = t.window(150, 300) * psi.eval_array(ns / 150)
+        same_class = ns[:, None] - ns[None, :]
         qs = np.arange(40, 81)
-        direct = math.fsum(
-            w * variance.smooth_variance_Vk(t, q, 150, psi)
-            for q, w in zip(qs.tolist(), phi.eval_array(qs / 40).tolist()))
+        direct = []
+        for q, pw in zip(qs.tolist(), phi.eval_array(qs / 40).tolist()):
+            wq = np.where(np.gcd(ns, q) == 1, w, 0.0)
+            pairs = np.outer(wq, wq)[same_class % q == 0].sum()
+            totient = np.count_nonzero(np.gcd(np.arange(q), q) == 1)
+            direct.append(pw * (pairs - wq.sum() ** 2 / totient))
+        direct = math.fsum(direct)
         assert abs(bd.delta - direct) <= 1e-9 * abs(direct), (bd.delta, direct)
 
     record("sieve_matches_pointwise", sieve_check)
@@ -455,9 +468,16 @@ def build_config(args: argparse.Namespace) -> dict:
             raise ConfigError("give --x or --c-grid, not both")
         if cfg.get("x") is None and cfg["c_grid"] is None:
             cfg["c_grid"] = _default_c_grid(cfg["k"])
-    for key in ("x", "q", "h", "n", "samples", "prime_limit"):
+    for key in ("x", "q", "h", "n", "samples"):
         if cfg.get(key) is not None and cfg[key] < 1:
             raise ConfigError(f"{key} must be positive")
+    # what a_k_const and secular_coefficients refuse, refused before either runs
+    if cfg.get("prime_limit", math.inf) < consts.MIN_PRIME_LIMIT:
+        raise ConfigError(
+            f"prime-limit must be at least {consts.MIN_PRIME_LIMIT}")
+    if "n" in cfg and cfg["k"] * cfg["n"] > rmt.KN_BOUND:
+        raise ConfigError(
+            f"k * n = {cfg['k'] * cfg['n']} exceeds the bound {rmt.KN_BOUND}")
     if cfg.get("seed", 0) < 0:
         raise ConfigError("seed must be non-negative")
     if not all(0 < c < math.inf for c in cfg.get("c_grid") or ()):

@@ -28,6 +28,8 @@ import numpy as np
 from .sieve import factorize, primes
 
 DEFAULT_PRIME_LIMIT = 10**6
+# The least truncation point P the tail bounds are stated for
+MIN_PRIME_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,9 @@ def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantRe
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    if prime_limit < 100:
-        raise ValueError(f"need prime_limit >= 100, got {prime_limit}")
+    if prime_limit < MIN_PRIME_LIMIT:
+        raise ValueError(
+            f"need prime_limit >= {MIN_PRIME_LIMIT}, got {prime_limit}")
     logs = _factor_logs(k, primes(prime_limit))
     value = math.exp(math.fsum(logs.tolist()))
     c = _factor_log_bound(k, prime_limit)

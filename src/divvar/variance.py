@@ -1,21 +1,20 @@
 """Empirical variances of divisor sums in progressions and short intervals.
 
-Provides the sharp-cutoff variance v_k(q;X) (an exact Fraction), the
-smoothed variance V_k(q;X), the weighted aggregate Delta_k(Q;X) together
-with its exact decomposition into same-residue (A), mean-square (B),
-diagonal (D) and off-diagonal (G) pieces, the short-interval variance,
-and the predicted values for each of these quantities in the different
-ranges of c = log X / log Q.
+Provides the weighted aggregate Delta_k(Q;X) = sum_q V_k(q;X) Phi(q/Q)
+together with its exact decomposition into same-residue (A), mean-square
+(B), diagonal (D) and off-diagonal (G) pieces, the short-interval
+variance, and the predicted values for each of these quantities in the
+different ranges of c = log X / log Q.
 
-v_k and V_k bin one modulus by residue class (`_coprime_class_sums`, in
-integers for v_k and in floats for V_k).  Delta_k does not: pairs
-m = n (mod q) are shifts m - n = tq, so every modulus is served by the
-autocorrelations of d_k(n) psi(n/X) along the multiples of each
-squarefree d <= 2Q (Möbius inversion removes the condition (n, q) = 1).
-Those come from real FFTs, blocked for long sequences and batched into 2-D
-transforms for short ones, for O(X log X log Q) work instead of O(QX);
-`delta_k` states the derivation and the error budget against residue
-binning.
+Delta_k is the only route to the per-modulus variances V_k(q;X); it
+never bins by residue class.  Pairs m = n (mod q) are shifts m - n = tq,
+so every modulus is served by the autocorrelations of d_k(n) psi(n/X)
+along the multiples of each squarefree d <= 2Q (Möbius inversion removes
+the condition (n, q) = 1).  Those come from real FFTs, blocked for long
+sequences and batched into 2-D transforms for short ones, for
+O(X log X log Q) work instead of O(QX); `delta_k` states the derivation
+and the error budget against residue binning, which lives under tests/
+as the oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -118,46 +116,6 @@ def _moduli(Q: int, phi: SmoothWeight):
     if qs.size == 0:
         raise ValueError(f"no modulus q >= 2 has q/Q in the support of phi, Q={Q}")
     return qs, phi.eval_array(qs / float(Q))
-
-
-def _coprime_class_sums(lo: int, w: np.ndarray, q: int) -> np.ndarray:
-    """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q.
-
-    w holds w_n for the consecutive n = lo, lo+1, ...  It is placed in rows
-    of length q, padded with zeros, and the columns are summed; numpy sums
-    unsigned integers of any width in uint64, so integer values give exact
-    integer class sums.
-    """
-    head = lo % q
-    rows = np.zeros(-(-(head + w.size) // q) * q, dtype=w.dtype)
-    rows[head : head + w.size] = w
-    class_sums = rows.reshape(-1, q).sum(axis=0)
-    return class_sums[np.gcd(np.arange(q), q) == 1]
-
-
-def sharp_variance(table: DivisorTable, q: int, X: int) -> Fraction:
-    """Variance over coprime residue classes of sum_{n<=X, n=a (q)} d_k(n).
-
-    Exact: sum_a S_a^2 - (sum_a S_a)^2 / phi(q) from integer class sums.
-    """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    s = _coprime_class_sums(1, table.window(1, X), q)
-    total, total_sq = _exact_sums(s)
-    return Fraction(s.size * total_sq - total * total, s.size)
-
-
-def smooth_variance_Vk(
-    table: DivisorTable, q: int, X: int, psi: SmoothWeight
-) -> float:
-    """V_k(q;X): variance over coprime classes of sum_{n=a (q)} d_k(n)psi(n/X)."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
-        raise ValueError("psi must be normalized to unit square integral")
-    lo, w = _smooth_window(table, X, psi)
-    s = _coprime_class_sums(lo, w, q)
-    return float(np.sum((s - s.mean()) ** 2))
 
 
 # Blocks of the autocorrelation are never shorter than this, so short
@@ -271,22 +229,15 @@ def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
 def _lag_sums(r: np.ndarray, row, m, count) -> np.ndarray:
     """sum_{t=1}^{count[i]} r[row[i], t m[i]] for each i (count[i] >= 1).
 
-    The lags of consecutive i are gathered together in chunks of at most
-    r.size lags, so no temporary is larger than r, and each i's lags are
-    summed by one np.add.reduceat.
+    All lags are gathered by one _progressions and each i's lags are
+    summed by one np.add.reduceat.  When q_hi <= 2 q_lo (Phi supported in
+    [1, 2], as in the CLI) there are at most 1.5 r.size lags: in `delta_k`
+    the pairs of a row of length n have count < n/m, their m are the
+    integers in [a, b] with b <= 2a, and sum_{a <= m <= 2a} 1/m <= 3/2, the
+    worst case being m in {1, 2}.
     """
-    flat = r.reshape(-1)
-    ends = np.cumsum(count)
-    out = np.empty(m.size)
-    begin = 0
-    while begin < m.size:
-        done = int(ends[begin - 1]) if begin else 0
-        stop = int(np.searchsorted(ends, done + flat.size, "right"))
-        c, step = count[begin:stop], m[begin:stop]
-        at = _progressions(row[begin:stop] * r.shape[-1] + step, step, c)
-        out[begin:stop] = np.add.reduceat(flat[at], ends[begin:stop] - c - done)
-        begin = stop
-    return out
+    at = _progressions(row * r.shape[-1] + m, m, count)
+    return np.add.reduceat(r.reshape(-1)[at], np.cumsum(count) - count)
 
 
 def delta_k(
@@ -329,11 +280,11 @@ def delta_k(
     _BATCH = 2^17 entries (rows times size), one 2-D transform each; rows
     with no lag t m < len(u_d) are only summed.  T_d and T2_d are the row
     sums of u and u^2.  The lags t m of all pairs of a batch are gathered
-    at once, in chunks no longer than the batch's R (`_lag_sums`).  So the
-    peak is set by the d = 1 row's blocked transforms, not by the batches:
-    a second call at (k, Q, X) = (2, 1025, 262605) peaks at 10.6 MiB of
-    traced allocations, w (2 MiB) included.  Each piece is summed against
-    Phi(q/Q) with compensated summation.
+    at once (`_lag_sums`), at most 1.5 times as many as the batch's R has
+    entries.  So the peak is set by the d = 1 row's blocked transforms,
+    not by the batches: a second call at (k, Q, X) = (2, 1025, 262605)
+    peaks at 10.6 MiB of traced allocations, w (2 MiB) included.  Each
+    piece is summed against Phi(q/Q) with compensated summation.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8: a_term, b_term and d_term agree to 1e-12

@@ -1,23 +1,71 @@
-"""Delta_k(Q;X) by residue binning: the reference `delta_k` is checked against.
+"""Per-modulus residue binning: the reference `delta_k` is checked against.
 
-For every modulus q the whole psi-window is binned by n mod q, so this
-costs O(Q X).  It shares no arithmetic with `divvar.variance.delta_k`
-beyond the weights w_n = d_k(n) psi(n/X): the class sums come from
-`np.bincount`, V_q from the direct definition sum_a (S_a - mean)^2, and
-the off-diagonal part from G_q = A_q - D_q.
+`_coprime_class_sums` is the one binning route.  On it rest the exact
+sharp-cutoff variance v_k(q;X), the smoothed variance V_k(q;X) and
+Delta_k(Q;X) binned modulus by modulus, which costs O(Q X).  It shares no
+arithmetic with `divvar.variance.delta_k` beyond the weights
+w_n = d_k(n) psi(n/X): V_q comes from the direct definition
+sum_a (S_a - mean)^2, and the off-diagonal part from G_q = A_q - D_q.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from divvar.variance import _exact_sums
+from divvar.weights import Normalization
 
-def delta_binned(table, Q, X, psi, phi):
-    """(delta, a_term, b_term, d_term, g_term) of Delta_k(Q;X) by binning."""
+
+def _coprime_class_sums(lo, w, q):
+    """S_a = sum_{n=a (q)} w_n for each of the phi(q) classes a coprime to q.
+
+    w holds w_n for the consecutive n = lo, lo+1, ...  It is placed in rows
+    of length q, padded with zeros, and the columns are summed; numpy sums
+    unsigned integers of any width in uint64, so integer values give exact
+    integer class sums.
+    """
+    head = lo % q
+    rows = np.zeros(-(-(head + w.size) // q) * q, dtype=w.dtype)
+    rows[head : head + w.size] = w
+    class_sums = rows.reshape(-1, q).sum(axis=0)
+    return class_sums[np.gcd(np.arange(q), q) == 1]
+
+
+def _weights(table, X, psi):
+    """(lo, w) with w[i] = d_k(lo + i) psi((lo + i)/X) on psi's support."""
     lo = max(1, math.ceil(psi.support_lo * X))
     hi = math.floor(psi.support_hi * X)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     w = table.window(lo, hi).astype(np.float64) * psi.eval_array(ns / float(X))
+    return lo, w
+
+
+def sharp_variance(table, q, X):
+    """Variance over coprime residue classes of sum_{n<=X, n=a (q)} d_k(n).
+
+    Exact: sum_a S_a^2 - (sum_a S_a)^2 / phi(q) from integer class sums.
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    s = _coprime_class_sums(1, table.window(1, X), q)
+    total, total_sq = _exact_sums(s)
+    return Fraction(s.size * total_sq - total * total, s.size)
+
+
+def smooth_variance_Vk(table, q, X, psi):
+    """V_k(q;X): variance over coprime classes of sum_{n=a (q)} d_k(n)psi(n/X)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
+        raise ValueError("psi must be normalized to unit square integral")
+    s = _coprime_class_sums(*_weights(table, X, psi), q)
+    return float(np.sum((s - s.mean()) ** 2))
+
+
+def delta_binned(table, Q, X, psi, phi):
+    """(delta, a_term, b_term, d_term, g_term) of Delta_k(Q;X) by binning."""
+    lo, w = _weights(table, X, psi)
     w2 = w * w
     parts_v, parts_a, parts_b, parts_d = [], [], [], []
     qs = np.arange(max(2, math.ceil(phi.support_lo * Q)),
@@ -25,15 +73,12 @@ def delta_binned(table, Q, X, psi, phi):
     for q, pw in zip(qs.tolist(), phi.eval_array(qs / float(Q)).tolist()):
         if pw == 0.0:
             continue
-        nm = ns % q
-        coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-        s = np.bincount(nm, weights=w, minlength=q)[coprime]
+        s = _coprime_class_sums(lo, w, q)
         tot = float(s.sum())
         parts_v.append(pw * float(np.sum((s - tot / s.size) ** 2)))
         parts_a.append(pw * float(np.sum(s * s)))
         parts_b.append(pw * tot * tot / s.size)
-        parts_d.append(pw * float(np.sum(
-            np.bincount(nm, weights=w2, minlength=q)[coprime])))
+        parts_d.append(pw * float(np.sum(_coprime_class_sums(lo, w2, q))))
     a = math.fsum(parts_a)
     d = math.fsum(parts_d)
     return math.fsum(parts_v), a, math.fsum(parts_b), d, a - d

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from binning_oracle import assert_within_budget, delta_binned
+from binning_oracle import assert_within_budget, delta_binned, sharp_variance
 from pk_oracle import compose_linear, p_k_multinomial, p_k_residue
 from divvar.constants import a_k_const, a_k_of_q_bulk, a_tilde_k
 from divvar.gammapoly import (
@@ -138,7 +138,6 @@ def test_criterion_6_decomposition_identities():
                     assert_within_budget(
                         bd, delta_binned(table, Q, X, psi, phi))
         # sharp variance vs an integer-exact double-sum oracle
-        from divvar.variance import sharp_variance
         table = sieve_dk(2, 2000)
         X = 2000
         d = [0] + [int(v) for v in table.values]

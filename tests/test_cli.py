@@ -11,7 +11,7 @@ import pytest
 from sieve_oracle import v2_file
 
 from divvar import constants as consts
-from divvar import gammapoly, sieve, variance
+from divvar import gammapoly, rmt, sieve, variance
 from divvar.cli import (
     ConfigError,
     _get_table,
@@ -35,6 +35,19 @@ def test_selftest_passes(tmp_path):
     assert code == 0
     assert "FAIL" not in text
     assert "secular_total_mass,ok" in text
+
+
+def test_selftest_fails_on_a_perturbed_offdiagonal(tmp_path, monkeypatch):
+    # the pair-sum reference shares no lag sums with delta_k
+    real = variance._lag_sums
+    monkeypatch.setattr(variance, "_lag_sums",
+                        lambda *args: real(*args) * (1 + 1e-6))
+    code, text = run_cli(["selftest"], tmp_path)
+    assert code == 2
+    status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(text))
+              if not r["check"].startswith("#ERROR")}
+    assert status.pop("variance_decomposition") == "FAIL"
+    assert set(status.values()) == {"ok"}
 
 
 def test_gamma_csv(tmp_path):
@@ -223,13 +236,20 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     # an X whose window [X, 2X + H] the sieve's memory budget refuses
     ["variance", "--k", "2", "--q", "1000000", "--c-grid", "1.9"],
     ["variance", "--k", "2", "--q", "1000000", "--c-grid", "0.5,1.9"],
+    # a prime limit below the one the tail bounds are stated for
+    ["constants", "--k", "2", "--prime-limit", "50"],
+    ["variance", "--k", "2", "--q", "100", "--x", "1000", "--prime-limit", "50"],
+    # a k N the secular coefficients refuse
+    ["rmt", "--k", "8", "--n", "61"],
+    ["rmt", "--k", "1", "--n", "481"],
 ))
 def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch):
     def unreachable(*args):
         raise AssertionError("computed before refusing")
 
     for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
-                         (gammapoly, "gamma_exact"), (consts, "a_k_const")):
+                         (gammapoly, "gamma_exact"), (consts, "a_k_const"),
+                         (rmt, "secular_coefficients")):
         monkeypatch.setattr(module, name, unreachable)
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
@@ -439,6 +459,23 @@ def test_rmt_shift_average_mismatch_is_an_error(tmp_path, monkeypatch):
     assert code == 2
     errors = [line for line in text.splitlines() if line.startswith("#ERROR")]
     assert len(errors) == 3 and "Heine" in errors[0]
+
+
+@pytest.mark.parametrize("n, sizes", ((1, [1]), (2, [1, 2]), (3, [1, 3]),
+                                      (4, [2, 4]), (9, [4, 9])))
+def test_rmt_gamma_deviation_at_half_and_full_n(n, sizes, tmp_path,
+                                                monkeypatch):
+    # one row per N // 2 >= 1 and N, each table built once
+    built = []
+    real = rmt.secular_coefficients
+    monkeypatch.setattr(rmt, "secular_coefficients",
+                        lambda k, N: built.append(N) or real(k, N))
+    code, text = run_cli(["rmt", "--k", "2", "--n", str(n)], tmp_path)
+    assert code == 0
+    rows = [r for r in csv.DictReader(io.StringIO(text))
+            if r["kind"] == "gamma_deviation"]
+    assert [int(r["N"]) for r in rows] == sizes
+    assert sorted(built) == sizes
 
 
 def test_rmt_beyond_shift_limit(tmp_path):

@@ -1,21 +1,24 @@
-"""Every function in src/divvar is reached by some `divvar` run.
+"""Every function and constant in src/divvar is used by the package.
 
 Code that only tests call belongs under tests/, so this runs the CLI
 under `sys.setprofile` on one small run of each subcommand (both cache
 paths, a config file, --out and a refused flag included) and requires
 each function and non-dunder method defined in a divvar module to have
-been called.
+been called.  A module-level constant (NAME or _NAME) must be read
+somewhere in src/divvar.
 """
 
+import ast
 import inspect
+import re
 import sys
 
 from divvar import cli, constants, gammapoly, rmt, sieve, variance, weights
 
 MODULES = (cli, constants, gammapoly, rmt, sieve, variance, weights)
 
-# Public API the CLI does not print: the exact sharp-cutoff variance v_k(q;X)
-ALLOWED = {"divvar.variance.sharp_variance"}
+# Functions the CLI may leave uncalled
+ALLOWED = set()
 
 
 def _defined_functions():
@@ -80,3 +83,27 @@ def test_every_function_is_reached_by_the_cli(tmp_path):
     unreached = sorted(name for name, code in defined.items()
                        if code not in called and name not in ALLOWED)
     assert unreached == [], f"only tests call {unreached}; move them to tests/"
+
+
+def test_every_module_constant_is_read():
+    trees = {m.__name__: ast.parse(inspect.getsource(m)) for m in MODULES}
+    defined = {
+        f"{module}.{target.id}"
+        for module, tree in trees.items()
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name)
+        and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    }
+    assert "divvar.variance._BATCH" in defined
+    # read by name (in its module, or where it is imported) or as module.NAME
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(qualified for qualified in defined
+                    if qualified.rpartition(".")[2] not in read)
+    assert unread == [], f"nothing in src/divvar reads {unread}"

@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from binning_oracle import assert_within_budget, delta_binned
+from binning_oracle import (
+    assert_within_budget,
+    delta_binned,
+    sharp_variance,
+    smooth_variance_Vk,
+)
 
 from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
@@ -17,14 +22,13 @@ from divvar.variance import (
     _autocorrelation,
     _exact_sums,
     _fft_size,
+    _lag_sums,
     _smooth_window,
     Regime,
     classify_regime,
     conjectured_values,
     delta_k,
-    sharp_variance,
     short_interval_variance,
-    smooth_variance_Vk,
 )
 
 
@@ -182,6 +186,43 @@ def test_batched_autocorrelation_matches_correlate(lengths):
         # the padded row's lags: its own, then 0 from n on
         want = np.correlate(u[i], u[i], "full")[u.shape[1] - 1:]
         assert np.all(np.abs(got[i] - want) <= 1e-13 * np.sum(row * row))
+
+
+def test_lag_sums_match_a_direct_sum():
+    # zero-padded rows of lengths 9, 4, 1; row 0's pairs have m = 1, 2, the
+    # worst case of the 1.5 * r.size bound: (n - 1)(1 + 1/2) = 12 lags
+    rng = np.random.default_rng(5)
+    r = np.zeros((3, 9))
+    for i, n in enumerate((9, 4, 1)):
+        r[i, :n] = rng.standard_normal(n)
+    row = np.array([0, 0, 1, 1, 2])
+    m = np.array([1, 2, 1, 3, 1])
+    count = np.array([8, 4, 3, 1, 1])
+    want = [math.fsum(r[i, t * mi] for t in range(1, c + 1))
+            for i, mi, c in zip(row.tolist(), m.tolist(), count.tolist())]
+    assert np.allclose(_lag_sums(r, row, m, count), want, rtol=1e-14, atol=0)
+
+
+_SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.8)]
+
+
+def test_lag_gathers_stay_within_the_stated_bound(oracle_tables, psi, phi,
+                                                  monkeypatch):
+    # every _lag_sums call of delta_k gathers at most 1.5 r.size lags, on the
+    # oracle grid and the sweep-k2 points
+    ratios = []
+
+    def spy(r, row, m, count):
+        ratios.append(count.sum() / r.size)
+        return _lag_sums(r, row, m, count)
+
+    monkeypatch.setattr(variance, "_lag_sums", spy)
+    sweep = sieve_dk(2, 2 * max(round(Q**c) for Q, c in _SWEEP_K2))
+    points = [(oracle_tables[k], Q, c) for k in (2, 3) for Q, c in _ORACLE_GRID]
+    points += [(sweep, Q, c) for Q, c in _SWEEP_K2]
+    for table, Q, c in points:
+        delta_k(table, Q, round(Q**c), psi, phi)
+    assert ratios and max(ratios) <= 1.5
 
 
 def _transform_shapes(monkeypatch, table, Q, X, psi, phi):
