@@ -337,23 +337,29 @@ def cmd_selftest(cfg: dict) -> dict:
     def variance_check():
         # Delta_k against the pair-sum definition of each V_q, which bins
         # nothing: sum over m = n (q) with (mn, q) = 1 of w_m w_n, minus
-        # (sum over (n, q) = 1 of w_n)^2 / phi(q)
-        t = sieve.sieve_dk(2, 500)
+        # (sum over (n, q) = 1 of w_n)^2 / phi(q), within 1e-12 of the
+        # same-residue part A.  At (Q, X) = (40, 150) every row of delta_k
+        # takes the FFT route; at (5, 2000) most rows fold.
+        t = sieve.sieve_dk(2, 4000)
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
-        bd = variance.delta_k(t, 40, 150, psi, phi)
-        ns = np.arange(150, 301)
-        w = t.window(150, 300) * psi.eval_array(ns / 150)
-        same_class = ns[:, None] - ns[None, :]
-        qs = np.arange(40, 81)
-        direct = []
-        for q, pw in zip(qs.tolist(), phi.eval_array(qs / 40).tolist()):
-            wq = np.where(np.gcd(ns, q) == 1, w, 0.0)
-            pairs = np.outer(wq, wq)[same_class % q == 0].sum()
-            totient = np.count_nonzero(np.gcd(np.arange(q), q) == 1)
-            direct.append(pw * (pairs - wq.sum() ** 2 / totient))
-        direct = math.fsum(direct)
-        assert abs(bd.delta - direct) <= 1e-9 * abs(direct), (bd.delta, direct)
+        for Q, X in ((40, 150), (5, 2000)):
+            bd = variance.delta_k(t, Q, X, psi, phi)
+            ns = np.arange(X, 2 * X + 1)
+            w = t.window(X, 2 * X) * psi.eval_array(ns / X)
+            qs = np.arange(Q, 2 * Q + 1)
+            same, direct = [], []
+            for q, pw in zip(qs.tolist(), phi.eval_array(qs / Q).tolist()):
+                wq = np.where(np.gcd(ns, q) == 1, w, 0.0)
+                # the pairs n, n + tq: t = 0 once, each t >= 1 twice
+                pairs = wq @ wq + 2 * sum(wq[:-j] @ wq[j:]
+                                          for j in range(q, wq.size, q))
+                totient = np.count_nonzero(np.gcd(np.arange(q), q) == 1)
+                same.append(pw * pairs)
+                direct.append(pw * (pairs - wq.sum() ** 2 / totient))
+            direct = math.fsum(direct)
+            assert abs(bd.delta - direct) <= 1e-12 * math.fsum(same), (
+                Q, X, bd.delta, direct)
 
     record("sieve_matches_pointwise", sieve_check)
     record("gamma_exact_identities", gamma_check)

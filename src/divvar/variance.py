@@ -6,15 +6,18 @@ together with its exact decomposition into same-residue (A), mean-square
 variance, and the predicted values for each of these quantities in the
 different ranges of c = log X / log Q.
 
-Delta_k is the only route to the per-modulus variances V_k(q;X); it
-never bins by residue class.  Pairs m = n (mod q) are shifts m - n = tq,
-so every modulus is served by the autocorrelations of d_k(n) psi(n/X)
-along the multiples of each squarefree d <= 2Q (Möbius inversion removes
-the condition (n, q) = 1).  Those come from real FFTs, blocked for long
-sequences and batched into 2-D transforms for short ones, for
-O(X log X log Q) work instead of O(QX); `delta_k` states the derivation
-and the error budget against residue binning, which lives under tests/
-as the oracle.
+Delta_k is the only route to the per-modulus variances V_k(q;X).  Pairs
+m = n (mod q) are shifts m - n = tq, so every modulus is served by the
+lag sums of the sequence u_d of d_k(n) psi(n/X) along the multiples of
+each squarefree d <= 2Q (Möbius inversion removes the condition
+(n, q) = 1).  Each u_d gets them the cheaper of two ways: by its class
+sums modulo each of its |M_d| moduli m = q/d, about |M_d| n_d work for
+a sequence of length n_d, or from its whole autocorrelation by real
+FFTs, blocked for long sequences and batched into 2-D transforms for
+short ones, about n_d log n_d.  That is sum_d min(|M_d| n_d, n_d log n_d)
+work, at most O(X log X log Q), instead of the O(QX) of binning every
+modulus by residue class; `delta_k` states the derivation and the error
+budget against that binning, which lives under tests/ as the oracle.
 """
 
 from __future__ import annotations
@@ -240,6 +243,60 @@ def _lag_sums(r: np.ndarray, row, m, count) -> np.ndarray:
     return np.add.reduceat(r.reshape(-1)[at], np.cumsum(count) - count)
 
 
+# Each product of a fold has at most this many entries (or m, if m is
+# larger): OpenBLAS splits a gemv of 9216 entries or more across two
+# threads, and on a loaded 2-vCPU box such a call stalled for 4-8 ms (a
+# scheduler tick) in most calls of some runs, against 5 us on one thread.
+_FOLD_ENTRIES = 2**13
+
+
+def _fold_lag_sums(u: np.ndarray, ms) -> np.ndarray:
+    """sum_{t>=1} R(t m) for each m of ms, R the autocorrelation of the 1-D u.
+
+    With S_a the sum of u_j over j = a (mod m), sum_a S_a^2 counts each
+    pair j, j' = j + t m once for t = 0 and twice for t >= 1, so the lag sum
+    is (sum_a S_a^2 - sum u^2) / 2.  u is folded into rows of length m and
+    the rows are summed by BLAS products with a vector of ones, stacked in
+    products of at most _FOLD_ENTRIES entries each, then the rows left over:
+    about len(u) multiply-adds for each m, whatever m is.
+    """
+    u = np.ascontiguousarray(u)
+    n = u.size
+    ones = np.ones(min(n, _FOLD_ENTRIES))
+    out = np.empty(len(ms))
+    for i, m in enumerate(ms.tolist()):
+        k = n // m  # whole rows; the first `stacked` go in products of `rows`
+        rows = max(1, _FOLD_ENTRIES // m)
+        stacked = k // rows * rows
+        s = ones[: k - stacked] @ u[stacked * m : k * m].reshape(-1, m)
+        if stacked:
+            s += (ones[:rows] @ u[: stacked * m].reshape(-1, rows, m)).sum(axis=0)
+        s[: n - k * m] += u[k * m :]
+        out[i] = np.dot(s, s)
+    return (out - np.einsum("i,i", u, u)) / 2
+
+
+# The lag sums of a row of length n with |M| live moduli cost about
+# |M| (n + _FOLD_OVERHEAD) folded entries by `_fold_lag_sums` and the time
+# of _FFT_COST n log2 n folded entries by `_autocorrelation` and
+# `_lag_sums`.  Measured on a 2-vCPU x86-64 box (numpy 2.4, OpenBLAS
+# 0.3.31), best of 7: a fold costs 0.41 ns per entry and modulus plus
+# 6.5 us per modulus (least squares over n = 50 ... 398108 and
+# |M| = 2 ... 1026), and 6.5 us / 0.41 ns = 16000.  The FFT route costs
+# 2.2-4.4 ns per n log2 n on batched short rows and 2.6-5.0 ns on blocked
+# long rows, 5.5 to 12 folded entries; with _FFT_COST = 6, 8 or 11,
+# `delta_k` took the same time within noise on the cache-k3 and sweep-k2
+# points.
+_FFT_COST = 8.0
+_FOLD_OVERHEAD = 16000
+
+
+def _folds(n, moduli):
+    """Whether folding beats the FFT route, elementwise, for rows of length n
+    with the given numbers of live moduli."""
+    return moduli * (n + _FOLD_OVERHEAD) < _FFT_COST * n * np.log2(np.maximum(n, 1))
+
+
 def delta_k(
     table: DivisorTable,
     Q: int,
@@ -268,33 +325,53 @@ def delta_k(
         phi(q) = sum_{d|q} mu(d) q/d.
 
     So one pass over the squarefree d <= 2Q serves every modulus: u_d has
-    length about X/d, and every sum over d | q is one np.bincount over the
-    pairs (d, m) with q = dm in range, built once.  That is O(X log X log Q)
-    work in all, where binning every modulus separately costs O(QX).
+    length n_d, about X/d, and every sum over d | q is one np.bincount over
+    the pairs (d, m) with q = dm in range, built once.
 
-    The sequences are read from w as the rows of 2-D arrays.  A row longer
-    than 2^14 is a batch of its own, with blocked transforms
-    (`_autocorrelation`), so the d = 1 row, of length X, never needs a
+    The sequences are read from w as the rows of 2-D arrays.  A row's lag
+    sums are needed at its live moduli M_d, the m with m < n_d, and each
+    row with lags takes the cheaper of two routes to them:
+
+    - folding (`_fold_lag_sums`): the class sums of u_d mod m by BLAS
+      products, about |M_d| n_d work;
+    - the FFT route: the whole autocorrelation R_d (`_autocorrelation`),
+      about n_d log n_d work, and its lags t m gathered (`_lag_sums`).
+
+    `_folds` picks the fold when |M_d| (n_d + _FOLD_OVERHEAD) is below
+    _FFT_COST n_d log2 n_d, two costs measured as stated beside them.  So
+    the work is sum_d min(|M_d| n_d, n_d log n_d), at most O(X log X log Q),
+    where binning every modulus separately costs O(QX).  At (k, Q, X) =
+    (3, 100, 398107) all 122 rows with lags fold, the d = 1 row with its 101
+    moduli among them; at (2, 1025, 262605) 527 of 1246 do, but none of the
+    rows d <= 23, such as the d = 1 row with its 1026 moduli.
+
+    On the FFT route a row longer than 2^14 is a batch of its own, with
+    blocked transforms, so the d = 1 row, of length X, never needs a
     transform of length 2X and its temporaries.  Shorter rows are grouped
     by transform size, and each group is cut into batches of at most
-    _BATCH = 2^17 entries (rows times size), one 2-D transform each; rows
-    with no lag t m < len(u_d) are only summed.  T_d and T2_d are the row
-    sums of u and u^2.  The lags t m of all pairs of a batch are gathered
-    at once (`_lag_sums`), at most 1.5 times as many as the batch's R has
-    entries.  So the peak is set by the d = 1 row's blocked transforms,
-    not by the batches: a second call at (k, Q, X) = (2, 1025, 262605)
-    peaks at 10.6 MiB of traced allocations, w (2 MiB) included.  Each
+    _BATCH = 2^17 entries (rows times size), one 2-D transform each.  Rows
+    that fold or have no lags are batched by length alone and only summed
+    before their folds.  T_d and T2_d are the row sums of u and u^2.  The
+    lags t m of all pairs of an FFT batch are gathered at once, at most 1.5
+    times as many as the batch's R has entries.  So the peak is set by the
+    d = 1 row's blocked transforms when it takes the FFT route, not by the
+    batches: a second call at (2, 1025, 262605) peaks at 10.6 MiB of traced
+    allocations, w (2 MiB) included.  A fold allocates O(m), and a
+    contiguous copy of a strided row; at (3, 100, 398107) a second call
+    peaks at 9.1 MiB, all of it from evaluating psi on the window.  Each
     piece is summed against Phi(q/Q) with compensated summation.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
-    100, 200 and c = 0.5 to 2.8: a_term, b_term and d_term agree to 1e-12
-    relative, g_term to 1e-12 * a_term absolute and delta to 1e-14 *
+    100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds`, forced
+    to fold and forced to the FFT: a_term, b_term and d_term agree to
+    1e-12 relative, g_term to 1e-12 * a_term absolute and delta to 1e-14 *
     a_term absolute.  delta = A - B cancels as c grows (a_term / delta is
     1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at k = 2), so its relative
-    error may reach a_term / delta times that budget.  The largest error
-    seen on the grid is 1.5e-15 * a_term for delta and 8.6e-15 relative
-    for d_term (the Möbius sum of T2_d cancels most).  The batch cap
-    changes only the rounding, not this budget.
+    error may reach a_term / delta times that budget.  The largest errors
+    seen on the grid are, for delta, 1.5e-15 * a_term on the FFT route
+    and 8.2e-16 * a_term folded, and 9.1e-15 relative for d_term (the
+    Möbius sum of T2_d cancels most).  The batch cap changes only the
+    rounding, not this budget.
     """
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
@@ -304,18 +381,20 @@ def delta_k(
     qs, phi_w = _moduli(Q, phi)
     q_lo = int(qs[0])
     d, m, sign = _divisor_pairs(q_lo, int(qs[-1]))
-    # one row u_d = w[start::d] of length n per d; its pairs are the
-    # `pairs` consecutive ones from index `first`
+    # one row u_d = w[start::d] of length n per d; its pairs are consecutive
+    # from index `first`, by increasing m, so those with lags (m < n) are
+    # the first `moduli` of them
     ds, first, row = np.unique(d, return_index=True, return_inverse=True)
-    pairs = np.diff(first, append=d.size)
     start = -(-lo // ds) * ds - lo
     n = np.maximum(-(-(w.size - start) // ds), 0)
     lags = np.maximum((n[row] - 1) // m, 0)  # the t >= 1 with t m < n
+    moduli = np.bincount(row[lags > 0], minlength=ds.size)
+    fold = (moduli > 0) & _folds(n, moduli)
 
     # batch key: the transform size of a short row, a key of its own for a
-    # long row, 0 for a row without lags
+    # long row, 0 for a row that is folded or has no lags
     key = np.zeros(ds.size, dtype=np.int64)
-    fft = n > m[first]
+    fft = (moduli > 0) & ~fold
     short = fft & (n <= _MIN_BLOCK)
     key[short] = _fft_size(2 * n[short] - 1)
     key[fft & ~short] = -1 - np.flatnonzero(fft & ~short)
@@ -330,13 +409,13 @@ def delta_k(
             u = _rows(w, start[batch], ds[batch], n[batch])
             t[batch] = u.sum(axis=1)
             t2[batch] = np.einsum("ij,ij->i", u, u)
-            if not key[batch[0]]:
-                continue
-            p = _progressions(first[batch], 1, pairs[batch])
-            pos = np.repeat(np.arange(batch.size), pairs[batch])
-            live = lags[p] > 0
-            p, pos = p[live], pos[live]
-            lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags[p])
+            if key[batch[0]]:
+                p = _progressions(first[batch], 1, moduli[batch])
+                pos = np.repeat(np.arange(batch.size), moduli[batch])
+                lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags[p])
+            for i in np.flatnonzero(fold[batch]).tolist():
+                p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
+                lag_sum[p] = _fold_lag_sums(u[i, : n[batch[i]]], m[p])
 
     at = d * m - q_lo
     coprime_sum = np.bincount(at, sign * t[row], qs.size)

@@ -50,6 +50,32 @@ def test_selftest_fails_on_a_perturbed_offdiagonal(tmp_path, monkeypatch):
     assert set(status.values()) == {"ok"}
 
 
+def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
+    # the pair-sum reference shares no class sums with delta_k
+    real = variance._fold_lag_sums
+    monkeypatch.setattr(variance, "_fold_lag_sums",
+                        lambda *args: real(*args) * (1 + 1e-6))
+    code, text = run_cli(["selftest"], tmp_path)
+    assert code == 2
+    status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(text))
+              if not r["check"].startswith("#ERROR")}
+    assert status.pop("variance_decomposition") == "FAIL"
+    assert set(status.values()) == {"ok"}
+
+
+def test_selftest_checks_both_routes_of_delta_k(tmp_path, monkeypatch):
+    # variance_decomposition folds some rows and autocorrelates others
+    calls = []
+    for name in ("_fold_lag_sums", "_autocorrelation"):
+        def spy(*args, real=getattr(variance, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(variance, name, spy)
+    code, _ = run_cli(["selftest"], tmp_path)
+    assert code == 0
+    assert set(calls) == {"_fold_lag_sums", "_autocorrelation"}
+
+
 def test_gamma_csv(tmp_path):
     code, text = run_cli(["gamma", "--k", "2"], tmp_path)
     assert code == 0

@@ -22,6 +22,7 @@ from divvar.variance import (
     _autocorrelation,
     _exact_sums,
     _fft_size,
+    _fold_lag_sums,
     _lag_sums,
     _smooth_window,
     Regime,
@@ -203,6 +204,88 @@ def test_lag_sums_match_a_direct_sum():
     assert np.allclose(_lag_sums(r, row, m, count), want, rtol=1e-14, atol=0)
 
 
+def _strided(n, d):
+    """A row of n values read at stride d from a longer array (a view)."""
+    return np.random.default_rng(n + d).standard_normal(n * d + 3)[3::d]
+
+
+# (row, moduli): m = 1 and 2, n = m + 1, n a multiple of every m, rows past
+# one stacked product (2^13 entries) and strided d > 1 rows
+_FOLD_CASES = [
+    (np.random.default_rng(1).standard_normal(2), [1]),
+    (np.random.default_rng(2).standard_normal(3), [1, 2]),
+    (np.random.default_rng(3).standard_normal(101), [100]),
+    (np.random.default_rng(4).standard_normal(1000), [1, 2, 4, 5, 8, 250, 500]),
+    (np.random.default_rng(5).standard_normal(20000),
+     [1, 2, 3, 7, 4096, 8191, 8192, 8193, 19999]),
+    (np.random.default_rng(6).standard_normal(2**16), [1, 2, 2**13, 2**15]),
+    (_strided(5001, 7), [1, 2, 13, 100, 5000]),
+    (_strided(40000, 2), [1, 2, 3, 1025, 9000]),
+]
+
+
+@pytest.mark.parametrize("u, ms", _FOLD_CASES, ids=(
+    "n2", "n3", "n101", "n1000", "n20000", "n65536", "stride7", "stride2"))
+def test_fold_lag_sums_match_the_autocorrelation(u, ms):
+    ms = np.array(ms)
+    got = _fold_lag_sums(u, ms)
+    r = _autocorrelation(np.ascontiguousarray(u)[None, :])
+    want = _lag_sums(r, np.zeros_like(ms), ms, (u.size - 1) // ms)
+    assert got.shape == ms.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
+
+
+def _route(monkeypatch, fold):
+    """Force every row with lags to fold (fold=True) or to take the FFT
+    route; the other route then fails if it is reached."""
+    def refuse(*args):
+        raise AssertionError("the other route was taken")
+
+    monkeypatch.setattr(variance, "_folds",
+                        lambda n, moduli: np.full(np.shape(n), fold))
+    monkeypatch.setattr(variance, "_autocorrelation" if fold else "_fold_lag_sums",
+                        refuse)
+
+
+@pytest.mark.parametrize("fold", (True, False))
+@pytest.mark.parametrize("k", (2, 3))
+def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
+                                                 monkeypatch, k, fold):
+    _route(monkeypatch, fold)
+    for Q, c in _ORACLE_GRID:
+        X = round(Q**c)
+        table = oracle_tables[k]
+        assert_within_budget(delta_k(table, Q, X, psi, phi),
+                             delta_binned(table, Q, X, psi, phi))
+
+
+def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
+                                              monkeypatch):
+    # cache-k3's c = 2.8 point: every row with lags folds, the d = 1 row
+    # (101 moduli) too; sweep-k2's (1025, 1.8): the d = 1 row (1026 moduli)
+    # is autocorrelated by FFT
+    choices, rows = [], []
+    real = variance._folds
+
+    def folds(n, moduli):
+        choices.append((real(n, moduli), moduli))
+        return choices[-1][0]
+
+    def autocorrelation(u):
+        rows.append(u.shape)
+        return _autocorrelation(u)
+
+    monkeypatch.setattr(variance, "_folds", folds)
+    monkeypatch.setattr(variance, "_autocorrelation", autocorrelation)
+    delta_k(oracle_tables[3], 100, round(100**2.8), psi, phi)
+    (choice, moduli), = choices
+    assert moduli.max() == 101 and np.all(choice[moduli > 0]) and rows == []
+
+    X = round(1025**1.8)
+    delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
+    assert (1, X + 1) in rows
+
+
 _SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.8)]
 
 
@@ -299,6 +382,21 @@ def test_delta_k_memory_peak(psi, phi):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+def test_delta_k_memory_peak_when_rows_fold(psi, phi):
+    # every row folds here; a second call peaked at 9.1 MiB, all of it from
+    # evaluating psi on the 3 MiB window (16.4 MiB with every row on FFTs)
+    X = 398107
+    table = sieve_dk(3, 2 * X, X)
+    delta_k(table, 100, X, psi, phi)
+    tracemalloc.start()
+    try:
+        delta_k(table, 100, X, psi, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
 
 
 def test_fft_size_is_short_and_smooth():
