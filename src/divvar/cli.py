@@ -8,7 +8,8 @@ Subcommands:
   variance   empirical Delta_k / short-interval sweeps compared against
              the predicted values, with ratio columns
   rmt        exact secular coefficients I_k(m;N) and their scaled
-             deviation from gamma_k at N // 2 (when N >= 2) and at N,
+             deviation from gamma_k, relative to max_m gamma_k(m/N), at
+             N // 2 (when N >= 2) and at N,
              plus an exact shift-average check on rational shifts
              (k <= 6; a nonzero gap is an error row)
   selftest   fast end-to-end invariant suite
@@ -37,7 +38,11 @@ window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
 --prime-limit below constants.MIN_PRIME_LIMIT, rmt with k N above
 rmt.KN_BOUND, or an unreadable config file; one "invalid config:" line
 on stderr, before anything is computed), 2 computation error (including
-a report with any error row), 3 I/O error.
+a report with any error row, and a constants --q whose primes up to
+sqrt(q) would need more than sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an
+--out that cannot be written, or a --cache-dir that cannot be made or
+written, such as a regular file or a path under one; one "i/o error"
+line on stderr).
 """
 
 from __future__ import annotations
@@ -179,10 +184,10 @@ def cmd_constants(cfg: dict) -> dict:
     report["rows"].append({"name": "a_tilde_k", "k": k, "prime_limit": limit,
                            "value": tilde.value, "tail_bound": tilde.tail_bound})
     if cfg["q"]:
+        value = float(consts.a_k_of_q(k, cfg["q"], cfg["q"], base)[0])
         report["rows"].append({
             "name": "a_k_of_q", "k": k, "q": cfg["q"], "prime_limit": limit,
-            "value": consts.a_k_of_q(k, cfg["q"], base),
-            "tail_bound": base.tail_bound,
+            "value": value, "tail_bound": base.tail_bound * value / base.value,
         })
     return report
 
@@ -310,9 +315,12 @@ def cmd_selftest(cfg: dict) -> dict:
             report["errors"].append(f"{name}: {exc}")
 
     def sieve_check():
+        # d_3(n) counts the pairs a | n, b | n/a: no primes, no binomials
         t = sieve.sieve_dk(3, 1000)
         for n in (1, 6, 12, 64, 997):
-            assert int(t.values[n - 1]) == sieve.dk_single(3, n)
+            pairs = sum(n // a % b == 0 for a in range(1, n + 1) if n % a == 0
+                        for b in range(1, n // a + 1))
+            assert int(t.values[n - 1]) == pairs, (n, int(t.values[n - 1]), pairs)
 
     def gamma_check():
         g = gammapoly.gamma_exact(2)
@@ -521,6 +529,9 @@ def main(argv: Optional[list] = None) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # a --cache-dir that cannot be made or written
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return 3
     except Exception as exc:  # noqa: BLE001 - map to computation-error code
         print(f"computation error: {exc}", file=sys.stderr)
         return 2

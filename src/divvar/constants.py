@@ -14,7 +14,9 @@ Every factor is evaluated in closed form.  Truncating a product at p <= P
 drops factors whose logs are at most a constant over p^2 in size; the
 constants are proved from elementary inequalities (see _factor_log_bound
 and _tilde_log_bound), and sum_{p > P} p^-2 < 1/P turns them into the
-certified tail bounds.
+certified tail bounds.  a_k(q) comes from one sieve.sieve_multiplicative
+over a window of moduli, [q, q] for the `constants` report or [Q, 2Q] for
+the exact-q prediction; it inherits a_k's relative truncation error.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sieve import factorize, primes
+from .sieve import primes, sieve_multiplicative
 
 DEFAULT_PRIME_LIMIT = 10**6
 # The least truncation point P the tail bounds are stated for
@@ -151,22 +153,17 @@ def a_tilde_k(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantRe
     return EulerConstantResult(value, abs(value) * math.expm1(theta), prime_limit)
 
 
-def a_k_of_q(k: int, q: int, base: EulerConstantResult) -> float:
-    """a_k(q) = a_k * prod_{p | q} 1/frak_a_p, by factoring q."""
-    if q < 1:
-        raise ValueError(f"need q >= 1, got {q}")
-    value = base.value
-    for p, _ in factorize(q):
-        value /= _frak_a(k, 1.0 / p)
-    return value
+def a_k_of_q(k: int, q_lo: int, q_hi: int, base: EulerConstantResult) -> np.ndarray:
+    """a_k(q) = a_k * prod_{p | q} 1/frak_a_p for q_lo <= q <= q_hi.
 
+    One sieve_multiplicative over the window, with the local factor
+    1/frak_a_p = (1 - 1/p)^{2k-1} / S(1/p) at every exponent; that form is
+    0, not a division by zero, at the masked cofactor p = 1.  The
+    truncation error of `base` carries over relatively: a_k(q) is off by
+    at most base.tail_bound * a_k(q) / base.value.
+    """
+    def local(p, e):
+        x = 1.0 / p
+        return (1.0 - x) ** (2 * k - 1) / (1.0 + _s_minus_one(k, x))
 
-def a_k_of_q_bulk(k: int, q_max: int, base: EulerConstantResult) -> np.ndarray:
-    """a_k(q) for every q <= q_max (index 0 unused), in O(q_max log log q_max)."""
-    out = np.full(q_max + 1, base.value, dtype=np.float64)
-    out[0] = 0.0
-    ps = primes(q_max)
-    fa = _frak_a(k, 1.0 / ps.astype(np.float64))
-    for p, f in zip(ps.tolist(), fa.tolist()):
-        out[p::p] /= f
-    return out
+    return base.value * sieve_multiplicative(q_lo, q_hi, local, np.float64)

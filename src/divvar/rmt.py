@@ -173,19 +173,17 @@ def secular_coefficients(k: int, N: int) -> SecularTable:
 
 
 def rmt_gamma_deviation(table: SecularTable) -> tuple[float, int]:
-    """max_m |I_k(m;N)/N^{k^2-1} - gamma_k(m/N)| and the argmax m.
+    """The relative deviation of the scaled coefficients from gamma_k, and its m.
 
-    k and N are the table's.  The deviation per m is computed in exact
+    That is max_m |I_k(m;N)/N^{k^2-1} - gamma_k(m/N)| / max_m gamma_k(m/N),
+    with k and N the table's and m over 0..kN, so the deviation is relative
+    to the largest gamma_k on the same grid.  It is computed in exact
     rational arithmetic before the single final float conversion.
     """
     k, N = table.k, table.N
     gamma = gamma_exact(k)
     power = N ** (k * k - 1)
-    best = Fraction(-1)
-    best_m = 0
-    for m, coeff in enumerate(table.coefficients):
-        dev = abs(Fraction(coeff, power) - gamma.eval(Fraction(m, N)))
-        if dev > best:
-            best = dev
-            best_m = m
-    return float(best), best_m
+    grid = [gamma.eval(Fraction(m, N)) for m in range(len(table.coefficients))]
+    devs = [abs(Fraction(coeff, power) - g) for coeff, g in zip(table.coefficients, grid)]
+    best = max(devs)
+    return float(best / max(grid)), devs.index(best)

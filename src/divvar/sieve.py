@@ -1,20 +1,23 @@
-"""Bulk and single-value computation of the k-fold divisor function d_k.
+"""Multiplicative functions on a window by one prime-power sieve; d_k tables.
 
-d_k(n) counts ordered k-tuples of positive integers with product n.  It is
-multiplicative with d_k(p^e) = C(e + k - 1, k - 1), and the bulk sieve
-builds it from that on a window [x_min, x_max]: for each prime
-p <= sqrt(x_max) it marks the exponent of p on the multiples of p in the
-window, multiplies in the binomial at that exponent and divides the p-part
-out of a running cofactor.  What is left of the cofactor is 1 or a single
-prime > sqrt(x_max), which contributes d_k(p) = k.  The work is
-O(L log log x_max) for a window of length L = x_max - x_min + 1, plus one
-step per prime, the same for every k; a full table is the window
-[1, x_max].  The values are stored in the narrowest unsigned dtype that
-holds their maximum: 1 byte per n for d_2 below 1081080 (the least n with
-256 divisors), 2 bytes for d_2 up to 10^7 and for d_3 up to 2 * 10^7.
+`sieve_multiplicative` computes any multiplicative f with local factors
+f(p^e) on a window [x_min, x_max]: for each prime p <= sqrt(x_max) with a
+multiple in the window it marks the exponent of p on those multiples,
+multiplies in f(p^e) and divides the p-part out of a running cofactor.
+What is left of the cofactor is 1 or a single prime > sqrt(x_max), which
+contributes f(p).  The work is O(L log log x_max) for a window of length
+L = x_max - x_min + 1, plus one step per prime kept; a full table is the
+window [1, x_max], and a window of one n costs what trial division does.
+The package's d_k(n), mu(d) and a_k(q) all come from it.
 
-`primes` (Eratosthenes) and `factorize` (trial division) are the package's
-one prime sieve and one factoriser.  Tables are cached on disk by
+d_k(n) counts ordered k-tuples of positive integers with product n, and
+d_k(p^e) = C(e + k - 1, k - 1).  `sieve_dk` stores it in the narrowest
+unsigned dtype that holds its maximum: 1 byte per n for d_2 below 1081080
+(the least n with 256 divisors), 2 bytes for d_2 up to 10^7 and for d_3
+up to 2 * 10^7.
+
+`primes` (Eratosthenes) and `sieve_multiplicative` are the package's one
+prime sieve and one factoriser.  d_k tables are cached on disk by
 `dump_table`/`load_table`, in a checksummed format.
 """
 
@@ -102,48 +105,43 @@ def sieve_bytes(x_min: int, x_max: int) -> int:
     return n * (8 + np.min_scalar_type(x_max).itemsize) + (n // 2 + 1) * (1 + 8)
 
 
-def sieve_dk(k: int, x_max: int, x_min: int = 1) -> DivisorTable:
-    """Sieve d_k(n) for x_min <= n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
+def sieve_multiplicative(x_min: int, x_max: int, local, dtype) -> np.ndarray:
+    """f(n) for x_min <= n <= x_max, f multiplicative with f(p^e) = local(p, e).
 
-    For each prime p <= sqrt(x_max), the exponent e of p in every multiple
-    of p in the window is marked into a uint8 array, the values are
-    multiplied there by C(e + k - 1, k - 1), and p^e is divided out of a
-    running cofactor rem(n), which starts at n.  Each prime power's first
-    multiple is offset to x_min, and a prime with no multiple in the window
-    is a step that touches nothing.  Afterwards rem(n) is 1 or the one
-    prime factor of n above sqrt(x_max), so the values are multiplied by k
-    wherever rem(n) > 1.  That is pi(sqrt(x_max)) vectorised steps and
-    O(L log log x_max) work on a window of L = x_max - x_min + 1 values,
-    whatever k is.
+    For each prime p <= sqrt(x_max) with a multiple in the window, the
+    exponent e of p in every such multiple is marked into a uint8 array,
+    the values there are multiplied by local(p, e) (p an int, e that
+    array), and p^e is divided out of a running cofactor rem(n), which
+    starts at n.  Each prime power's first multiple is offset to x_min.
+    Afterwards rem(n) is 1 or the one prime factor of n above
+    sqrt(x_max), so the values are multiplied by local(rem, 1) wherever
+    rem(n) > 1; local gets the whole rem array there and must not warn
+    at rem = 1, where its value is masked.  One vectorised filter keeps
+    the primes with a multiple in the window, so the work is
+    O(L log log x_max) on a window of L = x_max - x_min + 1 values plus
+    one step per prime kept: a full window takes pi(sqrt(x_max)) steps,
+    a single n one per prime factor below sqrt(n), besides the memoised
+    primes(isqrt(x_max)).
 
-    Memory per n of the window, while sieving: 8 bytes of uint64 values,
-    the itemsize of np.min_scalar_type(x_max) for rem (4 bytes below
-    2^32), and at p = 2, on every other n, one byte of exponent and 8 bytes
-    of gathered binomials: about 16.5 bytes per n below 2^32
-    (`sieve_bytes`, checked against MEMORY_BUDGET_BYTES before anything is
-    allocated).  The table keeps np.min_scalar_type(max value) per n: the
-    values are narrowed once, after sieving.
+    Memory per n of the window: the itemsize of dtype for the values,
+    that of np.min_scalar_type(x_max) for rem (4 bytes below 2^32), and
+    at p = 2, on every other n, one byte of exponent and the bytes of
+    local's result.  MemoryBudgetError, before anything is allocated,
+    if the primes up to sqrt(x_max) would need more than
+    MEMORY_BUDGET_BYTES (a byte per integer to sieve them, 8 per prime).
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    if k > MAX_K:
-        raise ValueError(f"k={k} exceeds the 64-bit overflow guard (k <= {MAX_K})")
     if not 1 <= x_min <= x_max:
         raise ValueError(f"need 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
-    required = sieve_bytes(x_min, x_max)
-    if required > MEMORY_BUDGET_BYTES:
+    root = math.isqrt(x_max)
+    if 9 * root > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
-            f"sieve needs {required} bytes, budget is {MEMORY_BUDGET_BYTES} bytes")
-
+            f"the primes up to {root} need more than {MEMORY_BUDGET_BYTES} bytes")
     size = x_max - x_min + 1
-    vals = np.ones(size, dtype=np.uint64)
+    vals = np.ones(size, dtype=dtype)
     rem = np.arange(x_min, x_max + 1, dtype=np.min_scalar_type(x_max))
-    binom = np.array(
-        [math.comb(e + k - 1, k - 1) for e in range(x_max.bit_length())],
-        dtype=np.uint64,
-    )
     exps = np.empty(size // 2 + 1, dtype=np.uint8)
-    for p in primes(math.isqrt(x_max)).tolist():
+    ps = primes(root)
+    for p in ps[x_max // ps * ps >= x_min].tolist():
         first = -(-x_min // p) * p - x_min  # index of the first multiple of p
         # e[i] is the exponent of p in the multiple at index first + i p
         e = exps[: len(range(first, size, p))]
@@ -155,44 +153,36 @@ def sieve_dk(k: int, x_max: int, x_min: int = 1) -> DivisorTable:
             e[(at - first) // p :: q // p] += 1
             rem[at::q] //= p
             q *= p
-        vals[first::p] *= binom[e]
-    np.multiply(vals, k, out=vals, where=rem > 1)
-    del rem  # freed before the narrowed copy is allocated
-    return DivisorTable(k, x_min, x_max, vals.astype(np.min_scalar_type(vals.max())))
+        vals[first::p] *= local(p, e)
+    np.multiply(vals, local(rem, 1), out=vals, where=rem > 1)
+    return vals
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs.
+def sieve_dk(k: int, x_max: int, x_min: int = 1) -> DivisorTable:
+    """Sieve d_k(n) for x_min <= n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
 
-    Primes come in increasing order; factorize(1) is empty, and n is prime
-    exactly when factorize(n) == [(n, 1)].
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    out = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
-def dk_single(k: int, n: int) -> int:
-    """Exact d_k(n) by factorization and per-prime binomials.
-
-    Uses d_k(p^l) = C(l + k - 1, k - 1) and multiplicativity.
+    sieve_multiplicative into uint64, the binomials gathered from a table
+    by exponent, then narrowed once to np.min_scalar_type(max value).
+    Memory per n while sieving: 8 bytes of values, the itemsize of
+    np.min_scalar_type(x_max) for rem (4 bytes below 2^32), and at p = 2,
+    on every other n, one byte of exponent and 8 bytes of gathered
+    binomials: about 16.5 bytes per n below 2^32 (`sieve_bytes`, checked
+    against MEMORY_BUDGET_BYTES before anything is allocated).
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return math.prod(math.comb(e + k - 1, k - 1) for _, e in factorize(n))
+    if k > MAX_K:
+        raise ValueError(f"k={k} exceeds the 64-bit overflow guard (k <= {MAX_K})")
+    required = sieve_bytes(x_min, x_max)
+    if required > MEMORY_BUDGET_BYTES:
+        raise MemoryBudgetError(
+            f"sieve needs {required} bytes, budget is {MEMORY_BUDGET_BYTES} bytes")
+    binom = np.array(
+        [math.comb(e + k - 1, k - 1) for e in range(x_max.bit_length() + 1)],
+        dtype=np.uint64,
+    )
+    vals = sieve_multiplicative(x_min, x_max, lambda p, e: binom[e], np.uint64)
+    return DivisorTable(k, x_min, x_max, vals.astype(np.min_scalar_type(vals.max())))
 
 
 @contextlib.contextmanager

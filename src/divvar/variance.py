@@ -10,13 +10,14 @@ Delta_k is the only route to the per-modulus variances V_k(q;X).  Pairs
 m = n (mod q) are shifts m - n = tq, so every modulus is served by the
 lag sums of the sequence u_d of d_k(n) psi(n/X) along the multiples of
 each squarefree d <= 2Q (Möbius inversion removes the condition
-(n, q) = 1).  Each u_d gets them the cheaper of two ways: by its class
-sums modulo each of its |M_d| moduli m = q/d, about |M_d| n_d work for
-a sequence of length n_d, or from its whole autocorrelation by real
-FFTs, blocked for long sequences and batched into 2-D transforms for
-short ones, about n_d log n_d.  That is sum_d min(|M_d| n_d, n_d log n_d)
-work, at most O(X log X log Q), instead of the O(QX) of binning every
-modulus by residue class; `delta_k` states the derivation and the error
+(n, q) = 1; mu comes from sieve.sieve_multiplicative on [1, 2Q]).  Each
+u_d gets them the cheaper of two ways: by its class sums modulo each of
+its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence of length
+n_d, or from its whole autocorrelation by real FFTs, blocked for long
+sequences and batched into 2-D transforms for short ones, about
+n_d log n_d.  That is sum_d min(|M_d| n_d, n_d log n_d) work, at most
+O(X log X log Q), instead of the O(QX) of binning every modulus by
+residue class; `delta_k` states the derivation and the error
 budget against that binning, which lives under tests/ as the oracle.
 """
 
@@ -29,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import EulerConstantResult, a_k_of_q_bulk
+from .constants import EulerConstantResult, a_k_of_q
 from .gammapoly import gamma_exact, p_k
-from .sieve import DivisorTable, primes
+from .sieve import DivisorTable, sieve_multiplicative
 from .weights import Normalization, SmoothWeight
 
 
@@ -189,30 +190,20 @@ def _progressions(first, step, count) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _mobius(n: int) -> np.ndarray:
-    """mu(d) for 0 <= d <= n (mu(0) = 0)."""
-    mu = np.ones(n + 1, dtype=np.int64)
-    mu[0] = 0
-    for p in primes(n).tolist():
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-    return mu
-
-
 def _divisor_pairs(q_lo: int, q_hi: int):
     """The pairs (d, m), d squarefree, with q = dm in [q_lo, q_hi].
 
     Returns (d, m, mu(d)) as int64 arrays ordered by d and then m, so the
     pairs of one d are consecutive and the first of them has the least m.
     """
-    mu = _mobius(q_hi)
-    ds = np.flatnonzero(mu)
+    mu = sieve_multiplicative(1, q_hi, lambda p, e: np.where(e == 1, -1, 0), np.int64)
+    ds = np.flatnonzero(mu) + 1
     m_lo = -(-q_lo // ds)
     count = q_hi // ds - m_lo + 1
     live = count > 0
     ds, m_lo, count = ds[live], m_lo[live], count[live]
     d = np.repeat(ds, count)
-    return d, _progressions(m_lo, 1, count), mu[d]
+    return d, _progressions(m_lo, 1, count), mu[d - 1]
 
 
 def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
@@ -492,7 +483,8 @@ def conjectured_values(
     variant; gamma_k and the off-diagonal polynomial P_k are the memoised
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
     sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) is filled
-    in only when `phi` is given.  Each gamma_k and P_k value is exact
+    in only when `phi` is given, with a_k(q) from one constants.a_k_of_q
+    sieve over the moduli window.  Each gamma_k and P_k value is exact
     before its one rounding to float.
     """
     c = math.log(X) / math.log(Q)
@@ -515,7 +507,7 @@ def conjectured_values(
     exact_q = float("nan")
     if phi is not None:
         qs, pw = _moduli(Q, phi)
-        aq = a_k_of_q_bulk(k, int(qs[-1]), base)[qs]
+        aq = a_k_of_q(k, int(qs[0]), int(qs[-1]), base)
         lq = np.log(qs)
         g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
         exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())

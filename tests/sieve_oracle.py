@@ -1,14 +1,20 @@
-"""d_k(n) by iterated Dirichlet convolution: the reference `sieve_dk` is checked against.
+"""Reference values of d_k(n) that `sieve_dk` is checked against.
 
+`harmonic_tables` builds d_k by iterated Dirichlet convolution:
 d_k = 1 * d_{k-1}, and each fold is the harmonic double loop
 d_k(a b) += d_{k-1}(b), vectorised over b for each a <= x_max.  This costs
 O(k x_max log x_max) with x_max Python iterations per fold, and shares no
 arithmetic with `divvar.sieve.sieve_dk` (no primes, no binomials).
 
+`factorize` (trial division) and `dk_single` (per-prime binomials) give
+single values: d_k(n) beyond a harmonic table, and the primes p | q of
+the a_k(q) reference.
+
 `v2_file` writes a table in the cache format that version 3 replaced, for
 the tests that a version-2 file is rejected and rebuilt.
 """
 
+import math
 import struct
 import zlib
 
@@ -27,6 +33,40 @@ def harmonic_tables(k_max, x_max):
         cur = nxt
         tables.append(cur)
     return tables
+
+
+def factorize(n):
+    """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs.
+
+    Primes come in increasing order; factorize(1) is empty, and n is prime
+    exactly when factorize(n) == [(n, 1)].
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    out = []
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1 if p == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def dk_single(k, n):
+    """Exact d_k(n) by factorization and per-prime binomials.
+
+    Uses d_k(p^l) = C(l + k - 1, k - 1) and multiplicativity.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    return math.prod(math.comb(e + k - 1, k - 1) for _, e in factorize(n))
 
 
 def v2_file(table):

@@ -16,7 +16,7 @@ import numpy as np
 
 from binning_oracle import assert_within_budget, delta_binned, sharp_variance
 from pk_oracle import compose_linear, p_k_multinomial, p_k_residue
-from divvar.constants import a_k_const, a_k_of_q_bulk, a_tilde_k
+from divvar.constants import a_k_const, a_k_of_q, a_tilde_k
 from divvar.gammapoly import (
     RationalPolynomial,
     barnes_g,
@@ -167,8 +167,7 @@ def test_criterion_7_constants_self_consistency():
         tilde = a_tilde_k(2, 10**6).value
         errs = []
         for Q in (10**4, 10**5):
-            bulk = a_k_of_q_bulk(2, Q, base)
-            errs.append(abs(float(np.mean(bulk[1:])) - tilde))
+            errs.append(abs(float(np.mean(a_k_of_q(2, 1, Q, base))) - tilde))
         assert errs[1] <= errs[0] / 2
 
 

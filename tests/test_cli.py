@@ -76,6 +76,25 @@ def test_selftest_checks_both_routes_of_delta_k(tmp_path, monkeypatch):
     assert set(calls) == {"_fold_lag_sums", "_autocorrelation"}
 
 
+def test_selftest_fails_on_a_perturbed_sieve(tmp_path, monkeypatch):
+    # the pointwise reference counts divisor pairs, sharing nothing with the sieve
+    real = sieve.sieve_dk
+
+    def perturbed(*args):
+        table = real(*args)
+        values = table.values.copy()
+        values[11] += 1  # d_3(12)
+        return sieve.DivisorTable(table.k, table.x_min, table.x_max, values)
+
+    monkeypatch.setattr(sieve, "sieve_dk", perturbed)
+    code, text = run_cli(["selftest"], tmp_path)
+    assert code == 2
+    status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(text))
+              if not r["check"].startswith("#ERROR")}
+    assert status.pop("sieve_matches_pointwise") == "FAIL"
+    assert set(status.values()) == {"ok"}
+
+
 def test_gamma_csv(tmp_path):
     code, text = run_cli(["gamma", "--k", "2"], tmp_path)
     assert code == 0
@@ -96,6 +115,18 @@ def test_constants_json(tmp_path):
     assert names == ["a_k", "a_tilde_k", "a_k_of_q"]
     # JSON round-trips
     assert json.loads(json.dumps(report)) == report
+
+
+def test_a_k_of_q_tail_bound_is_relative_to_a_k_of_q(tmp_path):
+    # a_k(q) = a_k * prod_{p | 12} 1/frak_a_p inherits a_k's relative error
+    code, text = run_cli(["constants", "--k", "2", "--q", "12"], tmp_path)
+    assert code == 0
+    rows = {r["name"]: r for r in csv.DictReader(io.StringIO(text))}
+    base, at_q = rows["a_k"], rows["a_k_of_q"]
+    ratio = float(at_q["value"]) / float(base["value"])
+    assert ratio == pytest.approx(1 / 54, rel=1e-15)  # frak_a_2 = 12, frak_a_3 = 9/2
+    assert float(at_q["tail_bound"]) == pytest.approx(
+        float(base["tail_bound"]) * ratio, rel=1e-15)
 
 
 def test_variance_rows_and_regime(tmp_path):
@@ -441,6 +472,19 @@ def test_gamma_k8(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(text)))
     assert sum(r["kind"] == "gamma_piece" for r in rows) == 8
+
+
+@pytest.mark.parametrize("under", ("", "sub"))
+def test_cache_dir_on_a_file_exit_code(tmp_path, capsys, under):
+    # a --cache-dir that is a regular file, or lies under one, is an i/o error
+    blocker = tmp_path / "cache"
+    blocker.write_text("not a directory")
+    code = main(["variance", "--k", "2", "--q", "10", "--x", "50",
+                 "--cache-dir", str(blocker / under)])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("i/o error: ")
+    assert blocker.read_text() == "not a directory"
 
 
 def test_unwritable_out_exit_code(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -12,11 +13,11 @@ from divvar.constants import (
     _tilde_log_bound,
     a_k_const,
     a_k_of_q,
-    a_k_of_q_bulk,
     a_tilde_k,
     primes,
 )
-from divvar.sieve import factorize
+from divvar.sieve import MEMORY_BUDGET_BYTES, MemoryBudgetError
+from sieve_oracle import factorize
 
 
 def test_primes_small():
@@ -88,15 +89,46 @@ def test_tail_bound_shrinks():
 
 def test_a_k_of_q_depends_on_radical_only():
     base = a_k_const(2, 10**6)
-    assert a_k_of_q(2, 12, base) == pytest.approx(a_k_of_q(2, 6, base), rel=1e-14)
-    assert a_k_of_q(2, 1, base) == base.value
+    assert a_k_of_q(2, 12, 12, base)[0] == pytest.approx(
+        a_k_of_q(2, 6, 6, base)[0], rel=1e-14)
+    assert a_k_of_q(2, 1, 1, base)[0] == base.value
 
 
 def test_bulk_matches_single():
     base = a_k_const(2, 10**6)
-    bulk = a_k_of_q_bulk(2, 500, base)
+    bulk = a_k_of_q(2, 1, 500, base)
     for q in (1, 2, 30, 97, 441, 500):
-        assert bulk[q] == pytest.approx(a_k_of_q(2, q, base), rel=1e-12)
+        assert bulk[q - 1] == pytest.approx(a_k_of_q(2, q, q, base)[0], rel=1e-12)
+
+
+_A_K_OF_Q_WINDOWS = ((1, 500), (1025, 2050), (46416, 92832),
+                     (1, 1), (12, 12), (2**40, 2**40), (10**12 + 39, 10**12 + 39))
+
+
+@functools.cache
+def _radicals(q_lo, q_hi):
+    """The primes p | q, by trial division, for q_lo <= q <= q_hi."""
+    return [[p for p, _ in factorize(q)] for q in range(q_lo, q_hi + 1)]
+
+
+@pytest.mark.parametrize("k", (2, 3, 8))
+@pytest.mark.parametrize("q_lo, q_hi", _A_K_OF_Q_WINDOWS)
+def test_a_k_of_q_matches_factorization(k, q_lo, q_hi):
+    # windows of the CLI's exact-q prediction at Q = 1025 and 46416, and
+    # single moduli: 1, a prime power past 2^32 and a prime past 10^12
+    base = a_k_const(k, 10**5)
+    got = a_k_of_q(k, q_lo, q_hi, base)
+    assert got.shape == (q_hi - q_lo + 1,)
+    want = np.array([base.value * math.prod(1.0 / _frak_a(k, 1.0 / p) for p in ps)
+                     for ps in _radicals(q_lo, q_hi)])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+def test_a_k_of_q_refuses_a_prime_table_past_the_budget():
+    # sqrt(q) > MEMORY_BUDGET_BYTES / 9: refused before any allocation
+    q = (MEMORY_BUDGET_BYTES // 9 + 1) ** 2
+    with pytest.raises(MemoryBudgetError):
+        a_k_of_q(2, q, q, a_k_const(2, 100))
 
 
 def test_mean_of_a_q_approaches_a_tilde():
@@ -104,8 +136,7 @@ def test_mean_of_a_q_approaches_a_tilde():
     tilde = a_tilde_k(2, 10**6).value
     errs = []
     for Q in (10**3, 10**4):
-        bulk = a_k_of_q_bulk(2, Q, base)
-        errs.append(abs(float(np.mean(bulk[1:])) - tilde))
+        errs.append(abs(float(np.mean(a_k_of_q(2, 1, Q, base))) - tilde))
     assert errs[1] < errs[0]
 
 

@@ -96,9 +96,9 @@ def test_deviation_decays():
 
 
 def test_deviation_times_n_falls_and_settles():
-    # measured N * deviation at N = 20, 40, 80, 160: k = 2 gives 1.094,
-    # 1.046, 1.023, 1.012 with argmax m = N (c = 1); k = 3 gives 0.00735,
-    # 0.00561, 0.00492, 0.00460 with argmax m = 3N/2 (c = 3/2)
+    # measured N * deviation (relative to max gamma_k) at N = 20, 40, 80,
+    # 160: k = 2 gives 6.565, 6.279, 6.138, 6.069 with argmax m = N (c = 1);
+    # k = 3 gives 40.94, 31.26, 27.37, 25.62 with argmax m = 3N/2 (c = 3/2)
     ns = (20, 40, 80, 160)
     for k, argmax_c in ((2, 1), (3, Fraction(3, 2))):
         scaled = []
@@ -109,6 +109,16 @@ def test_deviation_times_n_falls_and_settles():
         steps = [a - b for a, b in zip(scaled, scaled[1:])]
         assert all(s > 0 for s in steps), scaled  # N * deviation falls ...
         assert all(b < a for a, b in zip(steps, steps[1:])), scaled  # ... and settles
+
+
+def test_deviation_is_relative_to_the_largest_gamma():
+    # gamma_2 peaks on the grid at gamma_2(1) = 1/6; at k = 8 the absolute
+    # gap, 3.0e-46, is 1.1e9 times max gamma_8 = gamma_8(4) = 2.77e-55
+    table = secular_coefficients(2, 20)
+    gap = abs(Fraction(table.coefficients[20], 20**3) - Fraction(1, 6))
+    assert rmt_gamma_deviation(table) == (float(gap * 6), 20)
+    dev, arg = rmt_gamma_deviation(secular_coefficients(8, 20))
+    assert arg == 80 and 1.0e9 < dev < 1.2e9
 
 
 def test_scaled_coefficients_near_gamma():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sieve_oracle import harmonic_tables, v2_file
+from sieve_oracle import dk_single, factorize, harmonic_tables, v2_file
 
 from divvar.sieve import (
     MAX_K,
@@ -14,13 +14,12 @@ from divvar.sieve import (
     CoverageError,
     DivisorTable,
     MemoryBudgetError,
-    dk_single,
     dump_table,
-    factorize,
     load_table,
     primes,
     sieve_bytes,
     sieve_dk,
+    sieve_multiplicative,
 )
 
 
@@ -94,6 +93,21 @@ def test_window_covers_both_ends():
     for lo, hi in ((99, 120), (120, 301), (1, 300)):
         with pytest.raises(CoverageError):
             t.window(lo, hi)
+
+
+def test_sieve_multiplicative_steps_only_on_primes_with_a_multiple():
+    # one n takes a step per prime factor below sqrt(n), then its cofactor
+    # above sqrt(n) with exponent 1; here f = d_2, f(p^e) = e + 1
+    calls = []
+
+    def local(p, e):
+        calls.append((p if isinstance(p, int) else p.tolist(),
+                      e if isinstance(e, int) else e.tolist()))
+        return e + 1
+
+    n = 2**3 * 3 * 10007
+    assert sieve_multiplicative(n, n, local, np.int64).tolist() == [16]
+    assert calls == [(2, [3]), (3, [1]), ([10007], 1)]
 
 
 def test_k_out_of_range():

@@ -20,6 +20,7 @@ from divvar import variance
 from divvar.sieve import CoverageError, sieve_dk
 from divvar.variance import (
     _autocorrelation,
+    _divisor_pairs,
     _exact_sums,
     _fft_size,
     _fold_lag_sums,
@@ -397,6 +398,21 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+def test_divisor_pairs_sum_mobius_to_the_indicator_of_one():
+    # sum_{d | n} mu(d) = [n = 1] for every n <= 10^5 determines mu; the
+    # pairs (d, m) with d squarefree are every d | n with mu(d) != 0
+    N = 10**5
+    d, m, mu = _divisor_pairs(1, N)
+    assert set(np.unique(mu).tolist()) == {-1, 1}
+    sums = np.bincount(d * m, weights=mu, minlength=N + 1)
+    assert sums[1] == 1 and not np.any(sums[2:])
+    # q_lo cuts the pairs without changing mu
+    d2, m2, mu2 = _divisor_pairs(N // 2, N)
+    keep = d * m >= N // 2
+    assert np.array_equal(d2, d[keep]) and np.array_equal(m2, m[keep])
+    assert np.array_equal(mu2, mu[keep])
 
 
 def test_fft_size_is_short_and_smooth():
