@@ -14,7 +14,7 @@ Subcommands:
              (k <= 6; a nonzero gap is an error row)
   selftest   fast end-to-end invariant suite
 
-Each subcommand takes only the flags it reads (the table _KEYS), plus
+Each subcommand takes only the flags it reads (the table _COMMANDS), plus
 --config, --format and --out; any other flag, or an abbreviated one, is
 an invalid config.  Configuration comes from flags, optionally seeded by
 a flat key=value config file (flags override the file).  Each file line
@@ -398,20 +398,21 @@ _SETTINGS = {
     "out": (None, {}),
 }
 
-# the settings each subcommand reads; every one also takes --config and these
+# each subcommand: (its function, the settings it reads); every one also
+# takes --config and _COMMON
 _COMMON = ("format", "out")
-_KEYS = {
-    "gamma": ("k", "c_grid", "samples", "seed"),
-    "constants": ("k", "q", "prime_limit"),
-    "variance": ("k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir"),
-    "rmt": ("k", "n", "seed"),
-    "selftest": (),
+_COMMANDS = {
+    "gamma": (cmd_gamma, ("k", "c_grid", "samples", "seed")),
+    "constants": (cmd_constants, ("k", "q", "prime_limit")),
+    "variance": (cmd_variance, ("k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir")),
+    "rmt": (cmd_rmt, ("k", "n", "seed")),
+    "selftest": (cmd_selftest, ()),
 }
 
 
 def _config_file_args(path: str, command: str) -> list:
     """The key = value lines of a config file as --key=value arguments."""
-    keys = (*_KEYS[command], *_COMMON)
+    keys = (*_COMMANDS[command][1], *_COMMON)
     out = []
     with open(path) as fh:
         for raw in fh:
@@ -441,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="divvar", allow_abbrev=False,
         description="Variance of k-fold divisor sums in progressions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, keys in _KEYS.items():
+    for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config")
         for key in (*keys, *_COMMON):
@@ -458,7 +459,7 @@ def build_config(args: argparse.Namespace) -> dict:
 
     The result holds the settings the subcommand reads, plus "command".
     """
-    keys = (*_KEYS[args.command], *_COMMON)
+    keys = (*_COMMANDS[args.command][1], *_COMMON)
     layers = [args]
     if args.config:
         argv = [args.command, *_config_file_args(args.config, args.command)]
@@ -507,15 +508,6 @@ def build_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-_COMMANDS = {
-    "gamma": cmd_gamma,
-    "constants": cmd_constants,
-    "variance": cmd_variance,
-    "rmt": cmd_rmt,
-    "selftest": cmd_selftest,
-}
-
-
 def main(argv: Optional[list] = None) -> int:
     try:
         cfg = build_config(_build_parser().parse_args(argv))
@@ -525,7 +517,7 @@ def main(argv: Optional[list] = None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     try:
-        report = _COMMANDS[cfg["command"]](cfg)
+        report = _COMMANDS[cfg["command"]][0](cfg)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1

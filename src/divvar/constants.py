@@ -49,9 +49,13 @@ def _s_minus_one(k: int, x):
     return u
 
 
-def _frak_a(k: int, x):
-    """The local series frak_a_p = sum_l C(k+l-1, k-1)^2 x^l at x = 1/p, in closed form."""
-    return (1.0 + _s_minus_one(k, x)) / (1.0 - x) ** (2 * k - 1)
+def _inv_frak_a(k: int, x):
+    """1/frak_a_p = (1 - x)^{2k-1} / S(x) at x = 1/p, for floats or arrays.
+
+    The reciprocal of the local series frak_a_p = sum_l C(k+l-1, k-1)^2 x^l
+    in closed form; it is 0, not a division by zero, at x = 1.
+    """
+    return (1.0 - x) ** (2 * k - 1) / (1.0 + _s_minus_one(k, x))
 
 
 def _factor_logs(k: int, ps: np.ndarray) -> np.ndarray:
@@ -96,7 +100,7 @@ def _factor_log_bound(k: int, prime_limit: int) -> float:
 def _tilde_factor_logs(k: int, ps: np.ndarray) -> np.ndarray:
     """log of the a~_k/a_k factor 1 - x (1 - 1/frak_a_p), x = 1/p, for each prime."""
     x = 1.0 / ps.astype(np.float64)
-    return np.log1p(-x * (1.0 - 1.0 / _frak_a(k, x)))
+    return np.log1p(-x * (1.0 - _inv_frak_a(k, x)))
 
 
 def _tilde_log_bound(k: int, prime_limit: int) -> float:
@@ -157,13 +161,9 @@ def a_k_of_q(k: int, q_lo: int, q_hi: int, base: EulerConstantResult) -> np.ndar
     """a_k(q) = a_k * prod_{p | q} 1/frak_a_p for q_lo <= q <= q_hi.
 
     One sieve_multiplicative over the window, with the local factor
-    1/frak_a_p = (1 - 1/p)^{2k-1} / S(1/p) at every exponent; that form is
-    0, not a division by zero, at the masked cofactor p = 1.  The
-    truncation error of `base` carries over relatively: a_k(q) is off by
-    at most base.tail_bound * a_k(q) / base.value.
+    _inv_frak_a(k, 1/p) at every exponent, which is 0 at the masked
+    cofactor p = 1.  The truncation error of `base` carries over
+    relatively: a_k(q) is off by at most base.tail_bound * a_k(q) / base.value.
     """
-    def local(p, e):
-        x = 1.0 / p
-        return (1.0 - x) ** (2 * k - 1) / (1.0 + _s_minus_one(k, x))
-
-    return base.value * sieve_multiplicative(q_lo, q_hi, local, np.float64)
+    return base.value * sieve_multiplicative(
+        q_lo, q_hi, lambda p, e: _inv_frak_a(k, 1.0 / p), np.float64)

@@ -5,7 +5,11 @@ integers 0..k, defined by the delta-slice integral of the squared Vandermonde
 density over the unit cube, normalized by k! and the square of a Barnes-G
 value.  It is computed from its Laplace transform, a k x k Hankel
 determinant of moment transforms (Heine/Andreief), expanded exactly in
-integers and inverted termwise.  No bound on k is needed here; the CLI caps
+integers and inverted termwise.  Each term e^{-ts} s^{-m} of the transform
+is written as one int exponent m (k + 1) + t (a Kronecker substitution), so
+that determinant is taken in the ring of sparse integer-exponent
+polynomials (sparse_mul, laplace_det) that also holds rmt's secular
+coefficients and Heine averages.  No bound on k is needed here; the CLI caps
 k at sieve.MAX_K = 8.  Everything in this module is exact rational
 arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
 oracle.  ``eval`` takes an int, a Fraction or a float (read as its exact
@@ -15,7 +19,7 @@ same exact value once to a float, without building the Fraction.
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
 
-Only what gamma_k, P_k and the secular coefficients use lives here.
+Only what gamma_k, P_k and rmt's determinants use lives here.
 Polynomial products and composition, and the delta-slice densities of
 single monomials, serve the tests alone and live in tests/.
 """
@@ -152,15 +156,27 @@ def barnes_g(n: int) -> int:
     return out
 
 
-def laplace_det(n: int, entry: Callable[[int, int], dict],
-                mul: Callable[[dict, dict], dict]) -> dict:
-    """Determinant of an n x n matrix over a ring of sparse dicts {key: coeff}.
+def sparse_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse polynomials {int exponent: coeff}; exponents add.
 
-    ``entry(i, j)`` returns entry (i, j) (empty or None when zero) and
-    ``mul`` multiplies two ring elements; sums are taken key by key.  The
-    Laplace expansion runs along the first unused row, so the minor is fixed
-    by its set of remaining columns alone and is memoised on that mask: at
-    most 2^n minors, far fewer for a banded matrix.
+    The one product of the package, and the one laplace_det multiplies by.
+    """
+    out: dict = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[i + j] = out.get(i + j, 0) + ca * cb
+    return out
+
+
+def laplace_det(n: int, entry: Callable[[int, int], dict]) -> dict:
+    """Determinant of an n x n matrix over the sparse polynomials of sparse_mul.
+
+    ``entry(i, j)`` returns entry (i, j) as a dict {exponent: coeff} (empty
+    or None when zero); products are sparse_mul's and sums are taken
+    exponent by exponent.  The Laplace expansion runs along the first
+    unused row, so the minor is fixed by its set of remaining columns alone
+    and is memoised on that mask: at most 2^n minors, far fewer for a
+    banded matrix.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -182,7 +198,7 @@ def laplace_det(n: int, entry: Callable[[int, int], dict],
             if e:
                 sub = det(cols & ~(1 << col))
                 if sub:
-                    for key, c in mul(e, sub).items():
+                    for key, c in sparse_mul(e, sub).items():
                         total[key] = total.get(key, 0) + sign * c
             sign = -sign
         total = {key: c for key, c in total.items() if c}
@@ -192,34 +208,32 @@ def laplace_det(n: int, entry: Callable[[int, int], dict],
     return det((1 << n) - 1)
 
 
-# Laplace transforms of functions on [0, k] are kept in the ring Z[1/s, e^{-s}]
-# as sparse dicts {(t, m): coeff}, meaning sum coeff * e^{-t s} s^{-m}.
+# Laplace transforms of functions on [0, k] lie in Z[1/s, e^{-s}].  For a
+# product of at most k moment transforms the term coeff * e^{-ts} s^{-m} is
+# the sparse_mul term {m (k + 1) + t: coeff}: each factor has t <= 1, so a
+# product has t <= k < k + 1 and the shift never carries into m (each factor
+# has 1 <= m <= 2k - 1, so k <= m <= k (2k - 1) in gamma_k's transform).
 
-def _transform_mul(a: dict, b: dict) -> dict:
-    out: dict[tuple[int, int], int] = {}
-    for (t1, m1), c1 in a.items():
-        for (t2, m2), c2 in b.items():
-            key = (t1 + t2, m1 + m2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return out
+def _moment_transform(k: int, r: int) -> dict:
+    """m_r(s) = int_0^1 w^r e^{-sw} dw = r!/s^{r+1} - e^{-s} sum_{j<=r} (r!/j!) s^{j-r-1}.
 
-
-def _moment_transform(r: int) -> dict:
-    """m_r(s) = int_0^1 w^r e^{-sw} dw = r!/s^{r+1} - e^{-s} sum_{j<=r} (r!/j!) s^{j-r-1}."""
-    out = {(0, r + 1): math.factorial(r)}
+    Keyed for a product of at most k factors, m (k + 1) + t.
+    """
+    out = {(r + 1) * (k + 1): math.factorial(r)}
     for j in range(r + 1):
-        out[(1, r + 1 - j)] = -(math.factorial(r) // math.factorial(j))
+        out[(r + 1 - j) * (k + 1) + 1] = -(math.factorial(r) // math.factorial(j))
     return out
 
 
 def _invert(k: int, transform: dict, scale: Fraction) -> PiecewisePolynomial:
     """scale times the inverse Laplace transform, as pieces on [0,1), ..., [k-1,k).
 
-    Termwise, s^{-m} e^{-ts} -> (c - t)_+^{m-1}/(m-1)!; piece j is the sum
-    of the terms with shift t <= j.
+    Each key m (k + 1) + t is the term s^{-m} e^{-ts}, inverted termwise to
+    (c - t)_+^{m-1}/(m-1)!; piece j is the sum of the terms with shift t <= j.
     """
     by_shift = [RationalPolynomial() for _ in range(k)]
-    for (t, m), coeff in transform.items():
+    for key, coeff in transform.items():
+        m, t = divmod(key, k + 1)
         if t < k and coeff:
             by_shift[t] = by_shift[t] + _shifted_monomial(
                 t, m - 1, scale * Fraction(coeff, math.factorial(m - 1)))
@@ -245,8 +259,8 @@ def gamma_exact(k: int) -> PiecewisePolynomial:
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    moments = [_moment_transform(r) for r in range(2 * k - 1)]
-    transform = laplace_det(k, lambda i, j: moments[i + j], _transform_mul)
+    moments = [_moment_transform(k, r) for r in range(2 * k - 1)]
+    transform = laplace_det(k, lambda i, j: moments[i + j])
     return _invert(k, transform, Fraction(1, barnes_g(k + 1) ** 2))
 
 

@@ -16,6 +16,10 @@ are computed exactly as integers from a k x k Hankel determinant of integer
 polynomials (dual Cauchy, Schur orthogonality, the Weyl dimension formula
 and Andreief; see secular_coefficients), the discrete twin of the one
 behind gammapoly.gamma_exact, and compared against the gamma_k limit.
+
+The symbol, the Toeplitz and the Hankel determinants and gamma_k's
+transform share one ring: sparse polynomials {int exponent: coeff},
+multiplied by gammapoly.sparse_mul and expanded by gammapoly.laplace_det.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gammapoly import barnes_g, gamma_exact, laplace_det
+from .gammapoly import barnes_g, gamma_exact, laplace_det, sparse_mul
 
 # k and N come from the command line.  On a 2-vCPU machine
 # secular_coefficients(8, 30) took 1.1 s and (8, 60), kN = 480, took
@@ -41,15 +45,6 @@ class SingularShiftError(ValueError):
     """A zero shift or a pairing alpha*beta = 1 makes a CFKRS factor singular."""
 
 
-def _poly_mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two Laurent polynomials as sparse dicts {exponent: coeff}."""
-    out: dict[int, int] = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            out[i + j] = out.get(i + j, 0) + ca * cb
-    return out
-
-
 def symbol_coeffs(A: Sequence[Fraction], B: Sequence[Fraction]) -> dict[int, Fraction]:
     """Laurent coefficients of f(z) = prod_A (1 - a z) * prod_B (1 - b / z).
 
@@ -57,9 +52,9 @@ def symbol_coeffs(A: Sequence[Fraction], B: Sequence[Fraction]) -> dict[int, Fra
     """
     out = {0: Fraction(1)}
     for a in A:
-        out = _poly_mul(out, {0: 1, 1: -Fraction(a)})
+        out = sparse_mul(out, {0: 1, 1: -Fraction(a)})
     for b in B:
-        out = _poly_mul(out, {0: 1, -1: -Fraction(b)})
+        out = sparse_mul(out, {0: 1, -1: -Fraction(b)})
     return {i: c for i, c in out.items() if c}
 
 
@@ -67,10 +62,10 @@ def haar_average_heine(A: Sequence[Fraction], B: Sequence[Fraction], N: int) -> 
     """Haar average of prod_A det(1 - a g) prod_B det(1 - b g^{-1}) over U(N).
 
     Computed as the N x N Toeplitz determinant of the symbol coefficients,
-    with scalar entries {0: c} in laplace_det's ring of sparse dicts.
+    with scalar entries {0: c} in laplace_det's ring of sparse polynomials.
     """
     entries = {d: {0: c} for d, c in symbol_coeffs(A, B).items()}
-    det = laplace_det(N, lambda i, j: entries.get(i - j), _poly_mul)
+    det = laplace_det(N, lambda i, j: entries.get(i - j))
     return Fraction(det.get(0, 0))
 
 
@@ -155,7 +150,7 @@ def secular_coefficients(k: int, N: int) -> SecularTable:
     if k * N > KN_BOUND:
         raise ValueError(f"kN = {k * N} exceeds bound {KN_BOUND}")
     moments = [{l: l**r for l in range(N + k)} for r in range(2 * k - 1)]
-    det = laplace_det(k, lambda i, j: moments[i + j], _poly_mul)
+    det = laplace_det(k, lambda i, j: moments[i + j])
     low = k * (k - 1) // 2
     if any(not low <= d <= low + k * N for d in det):
         raise ArithmeticError(

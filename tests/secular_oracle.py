@@ -18,7 +18,6 @@ import itertools
 import math
 
 from divvar.gammapoly import barnes_g, laplace_det
-from divvar.rmt import _poly_mul
 
 
 def _symbol_poly_coeffs(k: int) -> dict[int, dict[int, int]]:
@@ -43,7 +42,7 @@ def toeplitz_secular(k: int, N: int) -> tuple[int, ...]:
     the memoised Laplace expansion to O(N * 4^k) distinct column states.
     """
     sym = _symbol_poly_coeffs(k)
-    d = laplace_det(N, lambda i, j: sym.get(i - j), _poly_mul)
+    d = laplace_det(N, lambda i, j: sym.get(i - j))
     return tuple(d.get(m, 0) for m in range(k * N + 1))
 
 

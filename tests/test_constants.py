@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from divvar.constants import (
     _factor_log_bound,
     _factor_logs,
-    _frak_a,
+    _inv_frak_a,
     _tilde_factor_logs,
     _tilde_log_bound,
     a_k_const,
@@ -36,7 +36,7 @@ def test_is_prime_agrees_with_sieve(n):
 def test_frak_a_p_k1():
     # k=1: sum of p^-l = geometric series
     for p in (2, 3, 11):
-        assert _frak_a(1, 1 / p) == pytest.approx(1 / (1 - 1 / p), rel=1e-14)
+        assert 1 / _inv_frak_a(1, 1 / p) == pytest.approx(1 / (1 - 1 / p), rel=1e-14)
 
 
 def test_frak_a_p_matches_series():
@@ -45,7 +45,7 @@ def test_frak_a_p_matches_series():
         for p in (2, 3, 101):
             series = math.fsum(math.comb(k + l - 1, k - 1) ** 2 * float(p) ** -l
                                for l in range(400))
-            assert _frak_a(k, 1 / p) == pytest.approx(series, rel=1e-13)
+            assert 1 / _inv_frak_a(k, 1 / p) == pytest.approx(series, rel=1e-13)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -119,7 +119,7 @@ def test_a_k_of_q_matches_factorization(k, q_lo, q_hi):
     base = a_k_const(k, 10**5)
     got = a_k_of_q(k, q_lo, q_hi, base)
     assert got.shape == (q_hi - q_lo + 1,)
-    want = np.array([base.value * math.prod(1.0 / _frak_a(k, 1.0 / p) for p in ps)
+    want = np.array([base.value * math.prod(_inv_frak_a(k, 1.0 / p) for p in ps)
                      for ps in _radicals(q_lo, q_hi)])
     assert np.all(np.abs(got - want) <= 1e-15 * want)
 
@@ -144,4 +144,4 @@ def test_mean_of_a_q_approaches_a_tilde():
 @given(st.integers(min_value=2, max_value=5), st.sampled_from([2, 3, 5, 7, 11, 13]))
 def test_frak_a_p_exceeds_one(k, p):
     # the local factor is a sum of positive terms starting at 1
-    assert _frak_a(k, 1 / p) > 1.0
+    assert 1 / _inv_frak_a(k, 1 / p) > 1.0

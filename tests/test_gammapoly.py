@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -9,11 +10,12 @@ from divvar.gammapoly import (
     RationalPolynomial,
     _invert,
     _moment_transform,
-    _transform_mul,
     barnes_g,
     gamma_exact,
     gamma_mc_oracle,
+    laplace_det,
     p_k,
+    sparse_mul,
 )
 from divvar.cli import _default_c_grid
 from mc_oracle import gamma_mc_reference
@@ -27,10 +29,11 @@ def slice_integral(a):
     m_{a_i}(s) = int_0^1 w^{a_i} e^{-sw} dw, inverted termwise: the route
     that gamma_exact takes for its Hankel determinant.
     """
-    transform = _moment_transform(a[0])
+    k = len(a)
+    transform = _moment_transform(k, a[0])
     for ai in a[1:]:
-        transform = _transform_mul(transform, _moment_transform(ai))
-    return _invert(len(a), transform, Fraction(1))
+        transform = sparse_mul(transform, _moment_transform(k, ai))
+    return _invert(k, transform, Fraction(1))
 
 
 def test_barnes_g_values():
@@ -150,6 +153,56 @@ def test_slice_integral_is_irwin_hall_density():
     assert den.eval(Fraction(3, 2)) == Fraction(1, 2)
     assert den.eval(1) == 1
     assert den.integral() == 1
+
+
+def _tuple_keyed_transform(k):
+    """gamma_k's transform times G(k+1)^2 as {(t, m): coeff}, e^{-ts} s^{-m}.
+
+    Its own cofactor expansion of det[m_{i+j}(s)]_{i,j<k}, over moment
+    transforms keyed by the pair (t, m); no Kronecker substitution.
+    """
+    def moment(r):
+        out = {(0, r + 1): math.factorial(r)}
+        for j in range(r + 1):
+            out[(1, r + 1 - j)] = -(math.factorial(r) // math.factorial(j))
+        return out
+
+    def mul(a, b):
+        out = {}
+        for (t1, m1), c1 in a.items():
+            for (t2, m2), c2 in b.items():
+                key = (t1 + t2, m1 + m2)
+                out[key] = out.get(key, 0) + c1 * c2
+        return out
+
+    moments = [moment(r) for r in range(2 * k - 1)]
+
+    @functools.cache
+    def det(cols):  # the minor on rows k - len(cols).. and columns cols
+        if not cols:
+            return {(0, 0): 1}
+        row = k - len(cols)
+        total = {}
+        for i, col in enumerate(sorted(cols)):
+            for key, c in mul(moments[row + col], det(cols - {col})).items():
+                total[key] = total.get(key, 0) + (-1) ** i * c
+        return {key: c for key, c in total.items() if c}
+
+    return det(frozenset(range(k)))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_kronecker_keys_never_carry(k):
+    # each key m (k + 1) + t decodes to 0 <= t <= k and the stated
+    # k <= m <= k (2k - 1), and to the tuple-keyed expansion's terms
+    moments = [_moment_transform(k, r) for r in range(2 * k - 1)]
+    transform = laplace_det(k, lambda i, j: moments[i + j])
+    decoded = {}
+    for key, c in transform.items():
+        m, t = divmod(key, k + 1)
+        assert 0 <= t <= k and k <= m <= k * (2 * k - 1), (key, t, m)
+        decoded[(t, m)] = c
+    assert decoded == _tuple_keyed_transform(k)
 
 
 @pytest.mark.parametrize("k", [6, 7, 8])

@@ -74,6 +74,34 @@ def test_secular_nonnegative_and_symmetric():
     assert coeffs == tuple(reversed(coeffs))  # functional equation m <-> kN - m
 
 
+def test_one_product_serves_every_determinant(monkeypatch):
+    # every divvar binding of gammapoly.sparse_mul is replaced by one spy
+    from divvar import cli, constants, gammapoly, rmt, sieve, variance, weights
+
+    real = gammapoly.sparse_mul
+    a, b = Fraction(1, 3), Fraction(2, 7)
+    want = gamma_exact(3), secular_coefficients(2, 5), haar_average_heine([a], [b], 3)
+    calls = []
+
+    def spy(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    bound = [(module, name)
+             for module in (cli, constants, gammapoly, rmt, sieve, variance, weights)
+             for name, obj in vars(module).items() if obj is real]
+    assert (gammapoly, "sparse_mul") in bound
+    for module, name in bound:
+        monkeypatch.setattr(module, name, spy)
+    gamma_exact.cache_clear()
+    assert gamma_exact(3) == want[0] and calls
+    calls.clear()
+    assert secular_coefficients(2, 5) == want[1] and calls
+    calls.clear()
+    # more products than the symbol's two factors: the Toeplitz determinant's too
+    assert haar_average_heine([a], [b], 3) == want[2] and len(calls) > 2
+
+
 def test_secular_inexact_results_raise(monkeypatch):
     import divvar.rmt as rmt
 
@@ -83,7 +111,7 @@ def test_secular_inexact_results_raise(monkeypatch):
         secular_coefficients(2, 3)
     monkeypatch.undo()
     # a determinant with a term below degree k(k-1)/2 = 1
-    monkeypatch.setattr(rmt, "laplace_det", lambda n, entry, mul: {0: 1, 1: 1})
+    monkeypatch.setattr(rmt, "laplace_det", lambda n, entry: {0: 1, 1: 1})
     with pytest.raises(ArithmeticError, match="degrees outside"):
         secular_coefficients(2, 3)
 
