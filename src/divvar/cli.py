@@ -20,9 +20,13 @@ an invalid config.  Configuration comes from flags, optionally seeded by
 a flat key=value config file (flags override the file).  Each file line
 is read as the flag --key=value, by the same parser as the command line,
 so the file takes the same keys.  A JSON report echoes under "config"
-only the settings the subcommand read.  Reports are emitted as CSV with
-a fixed column order or as JSON with stable key order; floats are
-printed with 17 significant digits, exact rationals as "num/den" strings.
+only the settings the subcommand read.  Reports are emitted as CSV or as
+JSON, each row's values in the report's column order (a JSON row holds
+only the columns it fills); floats are printed with 17 significant
+digits, exact rationals as "num/den" strings and enums by their value.
+A variance row is its two records, variance.VarianceBreakdown and
+variance.Prediction, whose fields are named as their columns, plus the
+ratio and short-interval columns.
 
 The Monte-Carlo check of gamma draws its uniforms once for the whole
 c-grid (gammapoly.gamma_mc_oracle), so its rows share their samples.
@@ -30,19 +34,20 @@ c-grid (gammapoly.gamma_mc_oracle), so its rows share their samples.
 Exit codes: 0 success, 1 invalid config (a flag or config-file key the
 subcommand does not read, a value its flag refuses, --x given with
 --c-grid, gamma's --seed or --c-grid without --samples, a c-grid value
-that is not finite and positive, gamma's --samples with k = 1, below 10^4
-or with a c-grid value not below k, variance with --q below 2, a Q^c
-that overflows a float, or an X (given, or round(Q^c) from --c-grid)
-whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
-window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
---prime-limit below constants.MIN_PRIME_LIMIT, rmt with k N above
-rmt.KN_BOUND, or an unreadable config file; one "invalid config:" line
-on stderr, before anything is computed), 2 computation error (including
-a report with any error row, and a constants --q whose primes up to
-sqrt(q) would need more than sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an
---out that cannot be written, or a --cache-dir that cannot be made or
-written, such as a regular file or a path under one; one "i/o error"
-line on stderr).
+that is not finite and positive, gamma's --samples with k = 1, below
+10^4 or with a c-grid value not below k, variance with --q below 2, a
+Q^c that overflows a float, a --q whose moduli [Q, 2Q] may need more
+than sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes), or an X (given,
+or round(Q^c) from --c-grid) whose c = log X/log Q is outside (0, k),
+X = 1 included, or whose sieve window [X, 2X + H] needs more than
+sieve.MEMORY_BUDGET_BYTES, a --prime-limit below
+constants.MIN_PRIME_LIMIT, rmt with k N above rmt.KN_BOUND, or an
+unreadable config file; one "invalid config:" line on stderr, before
+anything is computed), 2 computation error (including a report with any
+error row, and a constants --q whose primes up to sqrt(q) would need
+more than sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an --out that cannot
+be written, or a --cache-dir that cannot be made or written, such as a
+regular file or a path under one; one "i/o error" line on stderr).
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ import json
 import math
 import os
 import sys
+from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
@@ -77,27 +83,33 @@ def _fmt(v):
         return f"{v:.17g}"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, Enum):
+        return v.value
     return v
 
 
 def emit_report(report: dict, fmt: str, out) -> None:
-    """Write a report as CSV (fixed column order) or JSON (stable keys)."""
+    """Write a report as CSV or JSON, each row in report["columns"] order.
+
+    A JSON row holds only the columns its row has; CSV leaves the others
+    empty.
+    """
+    columns = report["columns"]
     if fmt == "json":
         formatted = {
             "config": report["config"],
-            "columns": report["columns"],
-            "rows": [
-                {k: _fmt(v) for k, v in row.items()} for row in report["rows"]
-            ],
+            "columns": columns,
+            "rows": [{c: _fmt(row[c]) for c in columns if c in row}
+                     for row in report["rows"]],
             "errors": report["errors"],
         }
         json.dump(formatted, out, indent=2)
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(report["columns"])
+    writer.writerow(columns)
     for row in report["rows"]:
-        writer.writerow([_fmt(row.get(c, "")) for c in report["columns"]])
+        writer.writerow([_fmt(row.get(c, "")) for c in columns])
     for err in report["errors"]:
         writer.writerow(["#ERROR"] + [err])
 
@@ -215,6 +227,12 @@ def cmd_variance(cfg: dict) -> dict:
         except OverflowError:
             raise ConfigError("Q^c overflows a float for a c in the grid") from None
     h = cfg["h"] or 0
+    # phi, made on (1, 2) below, weights the moduli q in [Q, 2Q]
+    need = variance.modulus_bytes(Q, 2 * Q)
+    if need > sieve.MEMORY_BUDGET_BYTES:
+        raise ConfigError(
+            f"Q = {Q}: the moduli [{Q}, {2 * Q}] need up to {need} bytes, "
+            f"budget is {sieve.MEMORY_BUDGET_BYTES} bytes")
     # the c that conjectured_values checks; X = 1 gives c = 0
     for X in xs:
         c = math.log(X) / math.log(Q)
@@ -239,22 +257,10 @@ def cmd_variance(cfg: dict) -> dict:
             bd = variance.delta_k(table, Q, X, psi, phi)
             pred = variance.conjectured_values(
                 k, Q, X, base, tilde, phi=phi)
-            row = {
-                "k": k, "Q": Q, "X": X, "c": pred.c,
-                "regime": pred.regime.value,
-                "delta": bd.delta, "a_term": bd.a_term, "b_term": bd.b_term,
-                "d_term": bd.d_term, "g_term": bd.g_term,
-                "prediction_leading": pred.smooth_prediction_leading,
-                "prediction_exact_q": pred.smooth_prediction_exact_q,
-                "prediction_diagonal": pred.diagonal_prediction,
-                "prediction_offdiagonal": pred.offdiagonal_prediction,
-                "ratio_delta_leading":
-                    bd.delta / pred.smooth_prediction_leading
-                    if pred.smooth_prediction_leading else float("nan"),
-                "ratio_delta_exact_q":
-                    bd.delta / pred.smooth_prediction_exact_q
-                    if pred.smooth_prediction_exact_q else float("nan"),
-            }
+            row = {"k": k, "Q": Q, "X": X, **vars(bd), **vars(pred)}
+            for name in ("leading", "exact_q"):
+                p = row[f"prediction_{name}"]
+                row[f"ratio_delta_{name}"] = bd.delta / p if p else float("nan")
             if h:
                 row["short_interval_H"] = h
                 row["short_interval_variance"] = (

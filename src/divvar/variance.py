@@ -84,42 +84,10 @@ class Prediction:
 
     c: float
     regime: Regime
-    smooth_prediction_exact_q: float
-    smooth_prediction_leading: float
-    diagonal_prediction: float
-    offdiagonal_prediction: float
-
-
-def _smooth_window(table: DivisorTable, X: int, psi: SmoothWeight):
-    """The weighted values d_k(n) psi(n/X) on the support of psi(n/X).
-
-    Returns (lo, w) where w[i] = d_k(lo + i) * psi((lo + i)/X) for the
-    integers lo + i in the closed support, which the table's window must
-    cover.  Only w and one float grid of the same length are allocated
-    (psi is evaluated on the grid, then multiplied by the table in place),
-    never an integer index array.
-    """
-    lo = max(int(math.ceil(psi.support_lo * X)), 1)
-    hi = int(math.floor(psi.support_hi * X))
-    values = table.window(lo, hi)
-    grid = np.arange(lo, hi + 1, dtype=np.float64)
-    grid /= X
-    w = psi.eval_array(grid)
-    w *= values
-    return lo, w
-
-
-def _moduli(Q: int, phi: SmoothWeight):
-    """The moduli q >= 2 with q/Q in the support of phi, and phi(q/Q).
-
-    Returns (qs, weights), qs consecutive integers; the ends of the closed
-    support get weight 0.
-    """
-    qs = np.arange(max(2, math.ceil(phi.support_lo * Q)),
-                   math.floor(phi.support_hi * Q) + 1)
-    if qs.size == 0:
-        raise ValueError(f"no modulus q >= 2 has q/Q in the support of phi, Q={Q}")
-    return qs, phi.eval_array(qs / float(Q))
+    prediction_leading: float
+    prediction_exact_q: float
+    prediction_diagonal: float
+    prediction_offdiagonal: float
 
 
 # Blocks of the autocorrelation are never shorter than this, so short
@@ -204,6 +172,33 @@ def _divisor_pairs(q_lo: int, q_hi: int):
     ds, m_lo, count = ds[live], m_lo[live], count[live]
     d = np.repeat(ds, count)
     return d, _progressions(m_lo, 1, count), mu[d - 1]
+
+
+def modulus_bytes(q_lo: int, q_hi: int) -> int:
+    """An upper bound on the bytes `delta_k` and `conjectured_values` take
+    for the moduli q_lo <= q <= q_hi, found in O(1).
+
+    Pairs: L = q_hi - q_lo + 1 consecutive integers hold at most L/d + 1
+    multiples of d, at most one when d > L and none when d > q_hi, so the
+    pairs (d, m) of `_divisor_pairs` number at most L H_L + q_hi, where
+    H_L <= ln L + 1 < floor(ln L) + 2.  Per pair, `delta_k` holds fewer
+    than 11 words at once: the int64 d, m and mu(d), then inside np.unique
+    a flat copy of d, its stable sort's permutation and buffer (half a
+    permutation), the sorted copy, a bool mask, the running count of new
+    values, that count minus 1 and the inverse.  Per modulus,
+    `conjectured_values` holds at most 12 words: a_k(q), log q and
+    phi(q/Q), two Python lists of floats (4 words an entry), a float array
+    and temporaries.  Per integer of [1, q_hi], the mu sieve holds at most
+    3 words: int64 values, cofactors and exponent bytes.  The three are
+    summed, although they are not live together.
+
+    At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
+    `delta_k` plus that of `conjectured_values` is 84.8 MB at Q = 10^5 and
+    942 MB at Q = 10^6; this bound reads 146 MB and 1.64 GB there.
+    """
+    span = q_hi - q_lo + 1
+    pairs = span * (int(math.log(span)) + 2) + q_hi
+    return 8 * (11 * pairs + 12 * span + 3 * q_hi)
 
 
 def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
@@ -368,10 +363,10 @@ def delta_k(
         raise ValueError("psi must be normalized to unit square integral")
     if phi.normalization is not Normalization.INTEGRAL_ONE:
         raise ValueError("phi must be normalized to unit integral")
-    lo, w = _smooth_window(table, X, psi)
-    qs, phi_w = _moduli(Q, phi)
-    q_lo = int(qs[0])
-    d, m, sign = _divisor_pairs(q_lo, int(qs[-1]))
+    lo, w = psi.sample(X, 1)
+    w *= table.window(lo, lo + w.size - 1)
+    q_lo, phi_w = phi.sample(Q, 2)
+    d, m, sign = _divisor_pairs(q_lo, q_lo + phi_w.size - 1)
     # one row u_d = w[start::d] of length n per d; its pairs are consecutive
     # from index `first`, by increasing m, so those with lags (m < n) are
     # the first `moduli` of them
@@ -409,10 +404,10 @@ def delta_k(
                 lag_sum[p] = _fold_lag_sums(u[i, : n[batch[i]]], m[p])
 
     at = d * m - q_lo
-    coprime_sum = np.bincount(at, sign * t[row], qs.size)
-    d_q = np.bincount(at, sign * t2[row], qs.size)
-    g_q = 2 * np.bincount(at, sign * lag_sum, qs.size)
-    totient = np.bincount(at, sign * m, qs.size)
+    coprime_sum = np.bincount(at, sign * t[row], phi_w.size)
+    d_q = np.bincount(at, sign * t2[row], phi_w.size)
+    g_q = 2 * np.bincount(at, sign * lag_sum, phi_w.size)
+    totient = np.bincount(at, sign * m, phi_w.size)
     a_q = d_q + g_q
     b_q = coprime_sum * coprime_sum / totient
 
@@ -506,17 +501,17 @@ def conjectured_values(
 
     exact_q = float("nan")
     if phi is not None:
-        qs, pw = _moduli(Q, phi)
-        aq = a_k_of_q(k, int(qs[0]), int(qs[-1]), base)
-        lq = np.log(qs)
+        q_lo, pw = phi.sample(Q, 2)
+        aq = a_k_of_q(k, q_lo, q_lo + pw.size - 1, base)
+        lq = np.log(np.arange(q_lo, q_lo + pw.size))
         g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
         exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
 
     return Prediction(
         c=c,
         regime=classify_regime(k, c),
-        smooth_prediction_exact_q=exact_q,
-        smooth_prediction_leading=leading,
-        diagonal_prediction=diagonal,
-        offdiagonal_prediction=offdiag,
+        prediction_leading=leading,
+        prediction_exact_q=exact_q,
+        prediction_diagonal=diagonal,
+        prediction_offdiagonal=offdiag,
     )

@@ -8,7 +8,8 @@ instances of the classical bump
 
 which is infinitely differentiable on all of R.  The multiplier C is fixed at
 construction so that either the integral of the weight or the integral of its
-square equals 1.
+square equals 1.  `SmoothWeight.sample` samples either weight on the
+integers, psi at n/X and phi at q/Q.
 """
 
 from __future__ import annotations
@@ -59,6 +60,25 @@ class SmoothWeight:
         np.exp(out, out=out)
         out *= self.norm_constant
         return out
+
+    def sample(self, scale: int, least: int):
+        """The weight at m/scale for the integers m >= least with m/scale in
+        the closed support.
+
+        Returns (first, w): the m are consecutive from `first`, and
+        w[i] = self(m/scale) at m = first + i, 0 at an integer end of the
+        support.  The grid m/scale is one float array, divided in place and
+        then evaluated; no integer index array is allocated.  ValueError
+        if no such m exists.
+        """
+        first = max(math.ceil(self.support_lo * scale), least)
+        last = math.floor(self.support_hi * scale)
+        if last < first:
+            raise ValueError(f"no integer m >= {least} has m/{scale} in "
+                             f"[{self.support_lo}, {self.support_hi}]")
+        grid = np.arange(first, last + 1, dtype=np.float64)
+        grid /= scale
+        return first, self.eval_array(grid)
 
 
 def make_bump(lo: float, hi: float, normalization: Normalization) -> SmoothWeight:

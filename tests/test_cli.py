@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,6 +14,7 @@ from sieve_oracle import v2_file
 from divvar import constants as consts
 from divvar import gammapoly, rmt, sieve, variance
 from divvar.cli import (
+    _VARIANCE_COLUMNS,
     ConfigError,
     _get_table,
     build_config,
@@ -329,6 +331,32 @@ def test_variance_refuses_q_or_x_below_2_before_computing(argv, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("invalid config:")
 
 
+def test_variance_refuses_a_q_whose_moduli_exceed_the_budget(capsys,
+                                                              monkeypatch):
+    # the bound at Q = 10^5 is about 1.5e8 bytes: under a 10^8-byte budget
+    # that Q is refused before any table is built, and Q = 60 still runs
+    def unreachable(*args):
+        raise AssertionError("computed before refusing")
+
+    assert variance.modulus_bytes(10**5, 2 * 10**5) > 10**8
+    monkeypatch.setattr(sieve, "MEMORY_BUDGET_BYTES", 10**8)
+    for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
+                         (consts, "a_k_const")):
+        monkeypatch.setattr(module, name, unreachable)
+    assert main(["variance", "--k", "2", "--q", "100000", "--x", "100"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("invalid config: Q = ")
+    monkeypatch.undo()
+    monkeypatch.setattr(sieve, "MEMORY_BUDGET_BYTES", 10**8)
+    assert main(["variance", "--k", "2", "--q", "60", "--x", "500"]) == 0
+
+
+@pytest.mark.parametrize("Q", (100, 1050, 46416))
+def test_variance_moduli_of_the_benchmark_and_research_q_fit_the_budget(Q):
+    assert variance.modulus_bytes(Q, 2 * Q) <= sieve.MEMORY_BUDGET_BYTES
+
+
 def test_config_key_of_another_subcommand_is_invalid_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("k = 2\nq = 60\nx = 500\nseed = 5\n")
@@ -574,3 +602,30 @@ def test_build_config_defaults():
     assert cfg["k"] == 2 and cfg["format"] == "csv"
     with pytest.raises(ConfigError):
         build_config(argparse.Namespace(**{**vars(ns), "k": 0}))
+
+
+def test_record_fields_are_variance_columns():
+    # a variance row is {k, Q, X, **breakdown, **prediction} plus ratios
+    for record in (variance.VarianceBreakdown, variance.Prediction):
+        for field in dataclasses.fields(record):
+            assert field.name in _VARIANCE_COLUMNS, (record, field.name)
+
+
+@pytest.mark.parametrize("argv", (
+    ["gamma", "--k", "2", "--samples", "10000", "--c-grid", "0.5,1.5"],
+    ["constants", "--k", "2", "--q", "12", "--prime-limit", "1000"],
+    ["variance", "--k", "2", "--q", "12", "--c-grid", "0.5,1.5", "--h", "3"],
+    ["rmt", "--k", "2", "--n", "4"],
+    ["selftest"],
+))
+def test_json_rows_follow_the_csv_header(argv, tmp_path):
+    code, text = run_cli(argv, tmp_path, "csv")
+    assert code == 0
+    header = next(csv.reader(io.StringIO(text)))
+    code, text = run_cli(argv + ["--format", "json"], tmp_path, "json")
+    assert code == 0
+    report = json.loads(text)
+    assert report["columns"] == header and report["rows"]
+    for row in report["rows"]:
+        assert list(row) == [c for c in header if c in row], row
+        assert set(row) <= set(header)

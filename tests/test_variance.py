@@ -25,7 +25,6 @@ from divvar.variance import (
     _fft_size,
     _fold_lag_sums,
     _lag_sums,
-    _smooth_window,
     Regime,
     classify_regime,
     conjectured_values,
@@ -343,7 +342,8 @@ def test_smooth_window_is_the_indexed_formula(table_k3, psi):
     # w is bit-identical to d_k(n) psi(n/X) built from an int64 index array,
     # psi = C exp(-1/((x - 1)(2 - x))) evaluated on the open support only
     for X in (2, 3, 17, 1000, 4101, 16384, 24999):
-        lo, w = _smooth_window(table_k3, X, psi)
+        lo, w = psi.sample(X, 1)
+        w *= table_k3.window(lo, lo + w.size - 1)
         ns = np.arange(X, 2 * X + 1, dtype=np.int64)
         x = ns / float(X)
         inside = (x > 1) & (x < 2)
@@ -398,6 +398,26 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+@pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
+def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
+    # at X = 100 the moduli set the peak: 7.8 MB and 16.2 MB were traced
+    # against bounds of 12.9 MB and 25.8 MB
+    X = 100
+    table = sieve_dk(2, 2 * X, X)
+    delta_k(table, Q, X, psi, phi)  # first call: one-off allocations
+    peaks = []
+    tracemalloc.start()
+    try:
+        delta_k(table, Q, X, psi, phi)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        conjectured_values(2, Q, X, _BASE, _TILDE, phi=phi)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert sum(peaks) <= variance.modulus_bytes(Q, 2 * Q)
 
 
 def test_divisor_pairs_sum_mobius_to_the_indicator_of_one():
@@ -500,14 +520,14 @@ def test_regime_boundaries():
 
 def test_prediction_small_c_is_diagonal_only():
     p = conjectured_values(2, 10**4, 500, _BASE, _TILDE)
-    assert p.offdiagonal_prediction == 0.0
-    assert p.diagonal_prediction > 0
+    assert p.prediction_offdiagonal == 0.0
+    assert p.prediction_diagonal > 0
 
 
 def test_prediction_leading_form_value():
     p = conjectured_values(2, 10**4, 10**6, _BASE, _TILDE)
     expect = _TILDE.value * (1 / 48) * 10**4 * 10**6 * math.log(10**4) ** 3
-    assert p.smooth_prediction_leading == pytest.approx(expect, rel=1e-9)
+    assert p.prediction_leading == pytest.approx(expect, rel=1e-9)
 
 
 def test_prediction_gamma3_at_one():
@@ -525,7 +545,7 @@ def test_exact_q_form_approaches_leading(phi):
     for Q in (100, 1000, 10000):
         X = int(round(Q**1.3))
         p = conjectured_values(2, Q, X, _BASE, _TILDE, phi=phi)
-        ratios.append(p.smooth_prediction_exact_q / p.smooth_prediction_leading)
+        ratios.append(p.prediction_exact_q / p.prediction_leading)
     assert abs(ratios[2] - 1) < abs(ratios[1] - 1) < abs(ratios[0] - 1)
 
 

@@ -85,3 +85,29 @@ def test_symmetry_of_bump(eps):
     # the bump on (1,2) is symmetric about 1.5
     w = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     assert at(w, 1.5 - eps) == pytest.approx(at(w, 1.5 + eps), rel=1e-12)
+
+
+@pytest.mark.parametrize("Q", (2, 3, 17, 1025, 46416))
+def test_sample_phi_is_the_direct_formula(phi, Q):
+    # the moduli q >= 2 with q/Q in [1, 2] are Q..2Q; both ends weigh 0
+    first, w = phi.sample(Q, 2)
+    assert first == Q and w.size == Q + 1 and w.dtype == np.float64
+    assert w[0] == 0.0 and w[-1] == 0.0
+    qs = np.arange(first, first + w.size)
+    assert w.tobytes() == phi.eval_array(qs / Q).tobytes()
+
+
+def test_sample_least_cuts_the_window(phi):
+    # at scale 1 the support [1, 2] holds m = 1 and 2; least 2 keeps m = 2
+    assert phi.sample(1, 1)[0] == 1 and phi.sample(1, 1)[1].size == 2
+    first, w = phi.sample(1, 2)
+    assert first == 2 and w.tolist() == [0.0]
+
+
+def test_sample_of_an_empty_window_raises(phi):
+    with pytest.raises(ValueError, match="no integer m >= 3"):
+        phi.sample(1, 3)
+    # no integer lies in [1.2, 1.4]
+    narrow = make_bump(1.2, 1.4, Normalization.INTEGRAL_ONE)
+    with pytest.raises(ValueError, match="no integer"):
+        narrow.sample(1, 1)
