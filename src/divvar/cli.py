@@ -58,6 +58,7 @@ import io
 import json
 import math
 import os
+import random
 import sys
 from enum import Enum
 from fractions import Fraction
@@ -288,10 +289,9 @@ def cmd_rmt(cfg: dict) -> dict:
         return report
     # shifts m/1024 in (e^-0.3, e^0.3), with m odd (so ab != 1) and distinct
     # on each side: no CFKRS term is singular, and the two sides agree exactly
-    rng = np.random.default_rng(cfg["seed"])
+    rng = random.Random(cfg["seed"])
     for trial in range(3):
-        A, B = ([Fraction(int(m), 1024) for m in
-                 rng.choice(np.arange(759, 1382, 2), size=k, replace=False)]
+        A, B = ([Fraction(m, 1024) for m in rng.sample(range(759, 1382, 2), k)]
                 for _ in range(2))
         lhs = rmt.haar_average_heine(A, B, min(N, 6))
         rhs = rmt.cfkrs_rhs(A, B, min(N, 6))

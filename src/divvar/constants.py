@@ -10,18 +10,23 @@ via a_k = prod_p (1 - 1/p)^{k^2} frak_a_p = prod_p (1 - 1/p)^{(k-1)^2} S(1/p),
 its average version a~_k = a_k * prod_p (1 - (1/p)(1 - 1/frak_a_p)), and the
 modulus-local a_k(q) = a_k * prod_{p | q} 1/frak_a_p.
 
-Every factor is evaluated in closed form.  Truncating a product at p <= P
-drops factors whose logs are at most a constant over p^2 in size; the
-constants are proved from elementary inequalities (see _factor_log_bound
-and _tilde_log_bound), and sum_{p > P} p^-2 < 1/P turns them into the
-certified tail bounds.  a_k(q) comes from one sieve.sieve_multiplicative
-over a window of moduli, [q, q] for the `constants` report or [Q, 2Q] for
-the exact-q prediction; it inherits a_k's relative truncation error.
+Every factor is evaluated in closed form, and the logs of the factors for
+p <= P are summed by one correctly rounded math.fsum, fed a cache-sized
+chunk of primes at a time (`_log_sum`), so the value does not depend on
+the chunk size and no list of all the logs is built.  Truncating a
+product at p <= P drops factors whose logs are at most a constant over
+p^2 in size; the constants are proved from elementary inequalities (see
+_factor_log_bound and _tilde_log_bound), and sum_{p > P} p^-2 < 1/P turns
+them into the certified tail bounds.  a_k(q) comes from one
+sieve.sieve_multiplicative over a window of moduli, [q, q] for the
+`constants` report or [Q, 2Q] for the exact-q prediction; it inherits
+a_k's relative truncation error.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +37,14 @@ from .sieve import primes, sieve_multiplicative
 DEFAULT_PRIME_LIMIT = 10**6
 # The least truncation point P the tail bounds are stated for
 MIN_PRIME_LIMIT = 100
+
+# Primes per chunk of the Euler-product log sums, so that a chunk's float64
+# temporaries (128 KiB each) stay in cache and no list of all the logs is
+# built.  a_k_const plus a_tilde_k at k = 3, P = 10^7, median of 7 runs:
+# 0.108 s unchunked, 0.068 / 0.062 / 0.069 / 0.071 s with chunks of 2^12 /
+# 2^13 / 2^14 / 2^16 primes; the unchunked sums also held two 664,579-entry
+# lists of floats.
+_CHUNK_PRIMES = 2**14
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,20 @@ def _tilde_log_bound(k: int, prime_limit: int) -> float:
     return b / (1.0 - b / float(prime_limit) ** 2)
 
 
+def _log_sum(factor_logs, k: int, prime_limit: int) -> float:
+    """math.fsum of factor_logs(k, ps) over the primes ps <= prime_limit.
+
+    The logs are formed _CHUNK_PRIMES primes at a time and fed to one fsum.
+    Each log is an elementwise function of its prime, and fsum rounds the
+    exact sum of its addends once, so the result does not depend on the
+    chunking.
+    """
+    ps = primes(prime_limit)
+    return math.fsum(itertools.chain.from_iterable(
+        factor_logs(k, ps[i : i + _CHUNK_PRIMES]).tolist()
+        for i in range(0, ps.size, _CHUNK_PRIMES)))
+
+
 @functools.cache
 def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
     """Truncated Euler product for a_k with a certified tail bound.
@@ -137,8 +164,7 @@ def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantRe
     if prime_limit < MIN_PRIME_LIMIT:
         raise ValueError(
             f"need prime_limit >= {MIN_PRIME_LIMIT}, got {prime_limit}")
-    logs = _factor_logs(k, primes(prime_limit))
-    value = math.exp(math.fsum(logs.tolist()))
+    value = math.exp(_log_sum(_factor_logs, k, prime_limit))
     c = _factor_log_bound(k, prime_limit)
     return EulerConstantResult(value, abs(value) * math.expm1(c / prime_limit), prime_limit)
 
@@ -151,8 +177,7 @@ def a_tilde_k(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantRe
     the omitted a~_k/a_k factors (_tilde_log_bound).
     """
     base = a_k_const(k, prime_limit)
-    logs = _tilde_factor_logs(k, primes(prime_limit))
-    value = base.value * math.exp(math.fsum(logs.tolist()))
+    value = base.value * math.exp(_log_sum(_tilde_factor_logs, k, prime_limit))
     theta = (_factor_log_bound(k, prime_limit) + _tilde_log_bound(k, prime_limit)) / prime_limit
     return EulerConstantResult(value, abs(value) * math.expm1(theta), prime_limit)
 

@@ -16,8 +16,9 @@ unsigned dtype that holds its maximum: 1 byte per n for d_2 below 1081080
 (the least n with 256 divisors), 2 bytes for d_2 up to 10^7 and for d_3
 up to 2 * 10^7.
 
-`primes` (Eratosthenes) and `sieve_multiplicative` are the package's one
-prime sieve and one factoriser.  d_k tables are cached on disk by
+`primes` (a segmented odd-only Eratosthenes sieve, one cache-sized window
+of flags at a time) and `sieve_multiplicative` are the package's one prime
+sieve and one factoriser.  d_k tables are cached on disk by
 `dump_table`/`load_table`, in a checksummed format.
 """
 
@@ -39,6 +40,12 @@ MAX_K = 8
 
 # sieve_dk refuses, before allocating, a window that needs more than this
 MEMORY_BUDGET_BYTES = 2**34
+
+# Odd integers per window of `primes`: a 512 KiB bool buffer, a quarter
+# of the 2 MiB per-core L2 of the machine it was tuned on.  primes(10^7),
+# median of 7 runs: 0.060 s unsegmented, 0.035 / 0.021 / 0.019 / 0.018 /
+# 0.022 s with windows of 2^16 / 2^18 / 2^19 / 2^20 / 2^21 flags.
+_PRIME_WINDOW = 2**19
 
 # Cache file (format v3): magic, format version, crc32 of the shape and the
 # values; the shape (k, x_min, x_max, itemsize); then the values
@@ -83,20 +90,36 @@ class DivisorTable:
 
 @functools.cache
 def primes(limit: int) -> np.ndarray:
-    """All primes <= limit, by a vectorized Eratosthenes sieve.
+    """All primes <= limit, by a segmented odd-only Eratosthenes sieve.
 
-    Memoised, and read-only because every caller shares the array.
+    Flag i of the sieve stands for the odd n = 2i + 1.  The flags are
+    sieved _PRIME_WINDOW at a time in one reused bool buffer, by the odd
+    primes of the memoised primes(isqrt(limit)): p crosses off the odd
+    multiples from max(p^2, the first in the window) with a stride of p
+    flags.  Memoised, and read-only because every caller shares the array.
     """
     if limit < 2:
-        return np.array([], dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    out = np.nonzero(is_prime)[0].astype(np.int64)
-    out.setflags(write=False)
-    return out
+        none = np.array([], dtype=np.int64)
+        none.setflags(write=False)
+        return none
+    base = primes(math.isqrt(limit))[1:]
+    size = (limit + 1) // 2  # the odd n <= limit
+    square = base * base // 2  # the flag of p^2
+    flags = np.empty(min(_PRIME_WINDOW, size), dtype=bool)
+    out = [np.array([2], dtype=np.int64)]
+    for lo in range(0, size, _PRIME_WINDOW):
+        window = flags[: min(_PRIME_WINDOW, size - lo)]
+        window.fill(True)
+        if lo == 0:
+            window[0] = False  # n = 1
+        # the flags of the odd multiples of p are those = (p - 1) / 2 (mod p)
+        starts = np.maximum(square, lo + (base // 2 - lo) % base) - lo
+        for start, p in zip(starts.tolist(), base.tolist()):
+            window[start::p] = False
+        out.append(2 * (np.flatnonzero(window) + lo) + 1)
+    result = np.concatenate(out)
+    result.setflags(write=False)
+    return result
 
 
 def sieve_bytes(x_min: int, x_max: int) -> int:

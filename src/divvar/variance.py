@@ -181,20 +181,24 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     Pairs: L = q_hi - q_lo + 1 consecutive integers hold at most L/d + 1
     multiples of d, at most one when d > L and none when d > q_hi, so the
     pairs (d, m) of `_divisor_pairs` number at most L H_L + q_hi, where
-    H_L <= ln L + 1 < floor(ln L) + 2.  Per pair, `delta_k` holds fewer
-    than 11 words at once: the int64 d, m and mu(d), then inside np.unique
-    a flat copy of d, its stable sort's permutation and buffer (half a
-    permutation), the sorted copy, a bool mask, the running count of new
-    values, that count minus 1 and the inverse.  Per modulus,
-    `conjectured_values` holds at most 12 words: a_k(q), log q and
-    phi(q/Q), two Python lists of floats (4 words an entry), a float array
-    and temporaries.  Per integer of [1, q_hi], the mu sieve holds at most
-    3 words: int64 values, cofactors and exponent bytes.  The three are
-    summed, although they are not live together.
+    H_L <= ln L + 1 < floor(ln L) + 2.  `delta_k` peaks at its last
+    np.bincount, holding 9.1 words a pair: the int64 d, m and mu(d), the
+    row index, the lag count, the lag sum and q - q_lo, the byte that marks
+    where d changes, and mu(d) m with its float64 copy in np.bincount.
+    Beside them it holds about 11 words per squarefree d (start, length,
+    sums, batch keys) and 4 per modulus.  11 words a pair of the count
+    above cover all of it: only squarefree d have pairs, so on [Q, 2Q] the
+    pairs are 0.55 to 0.59 of that count for Q = 10^2 ... 10^6.  Per
+    modulus, `conjectured_values` holds at most 12 words: a_k(q), log q
+    and phi(q/Q), two Python lists of floats (4 words an entry), a float
+    array and temporaries.  Per integer of [1, q_hi], the mu sieve holds
+    at most 3 words: int64 values, cofactors and exponent bytes.  The
+    three are summed, although they are not live together.
 
     At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
-    `delta_k` plus that of `conjectured_values` is 84.8 MB at Q = 10^5 and
-    942 MB at Q = 10^6; this bound reads 146 MB and 1.64 GB there.
+    `delta_k` plus that of `conjectured_values` is 7.9 MB at Q = 10^4,
+    85.7 MB at Q = 10^5 and 952 MB at Q = 10^6; this bound reads 12.9 MB,
+    146 MB and 1.64 GB there.
     """
     span = q_hi - q_lo + 1
     pairs = span * (int(math.log(span)) + 2) + q_hi
@@ -369,8 +373,14 @@ def delta_k(
     d, m, sign = _divisor_pairs(q_lo, q_lo + phi_w.size - 1)
     # one row u_d = w[start::d] of length n per d; its pairs are consecutive
     # from index `first`, by increasing m, so those with lags (m < n) are
-    # the first `moduli` of them
-    ds, first, row = np.unique(d, return_index=True, return_inverse=True)
+    # the first `moduli` of them.  The pairs come ordered by d, so a new d
+    # starts wherever d changes, and a pair's row is the running count of
+    # those changes.
+    new = d[1:] != d[:-1]
+    first = np.concatenate(([0], np.flatnonzero(new) + 1))
+    ds = d[first]
+    row = np.zeros(d.size, dtype=np.int64)
+    np.cumsum(new, out=row[1:])
     start = -(-lo // ds) * ds - lo
     n = np.maximum(-(-(w.size - start) // ds), 0)
     lags = np.maximum((n[row] - 1) // m, 0)  # the t >= 1 with t m < n

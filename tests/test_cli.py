@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 from sieve_oracle import v2_file
 
+import divvar
 from divvar import constants as consts
 from divvar import gammapoly, rmt, sieve, variance
 from divvar.cli import (
@@ -574,6 +577,23 @@ def test_rmt_gamma_deviation_at_half_and_full_n(n, sizes, tmp_path,
             if r["kind"] == "gamma_deviation"]
     assert [int(r["N"]) for r in rows] == sizes
     assert sorted(built) == sizes
+
+
+def test_rmt_does_not_import_numpy_random(tmp_path):
+    # the shifts come from the standard library's random, so a fresh
+    # interpreter that runs rmt never loads numpy.random
+    src = os.path.dirname(os.path.dirname(os.path.abspath(divvar.__file__)))
+    script = ("import sys\n"
+              "from divvar.cli import main\n"
+              "code = main(['rmt', '--k', '3', '--n', '6', '--out', 'out.csv'])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
+    rows = csv.DictReader(io.StringIO((tmp_path / "out.csv").read_text()))
+    checks = [r["value"] for r in rows if r["kind"] == "shift_average_check"]
+    assert checks == ["0"] * 3
 
 
 def test_rmt_beyond_shift_limit(tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divvar import constants
 from divvar.constants import (
+    _CHUNK_PRIMES,
     _factor_log_bound,
     _factor_logs,
     _inv_frak_a,
@@ -58,6 +60,40 @@ def test_factor_log_bounds_hold(k):
     assert np.all(np.abs(_factor_logs(k, ps)) * p2 <= _factor_log_bound(k, P))
     tilde = -_tilde_factor_logs(k, ps) * p2
     assert np.all(tilde >= 0) and np.all(tilde <= _tilde_log_bound(k, P))
+
+
+def _unchunked(k, P):
+    """a_k and a~_k at P from one fsum over every prime's log at once."""
+    ps = primes(P)
+    a_k = math.exp(math.fsum(_factor_logs(k, ps).tolist()))
+    return a_k, a_k * math.exp(math.fsum(_tilde_factor_logs(k, ps).tolist()))
+
+
+def _chunk_edges():
+    """P with pi(P) one below, at and one above 1 and 2 chunks of primes."""
+    ps = primes(10**6)  # pi(ps[i]) = i + 1
+    return [int(ps[j * _CHUNK_PRIMES + off - 1]) for j in (1, 2) for off in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_chunked_sums_equal_the_unchunked_formula(k):
+    for P in [100, 10**4, *_chunk_edges(), 10**6]:
+        assert (a_k_const(k, P).value, a_tilde_k(k, P).value) == _unchunked(k, P), P
+
+
+@pytest.fixture
+def fresh_a_k():
+    a_k_const.cache_clear()
+    yield
+    a_k_const.cache_clear()
+
+
+@pytest.mark.parametrize("chunk", (1, 7, 1000))
+def test_chunk_size_does_not_move_the_constants(chunk, monkeypatch, fresh_a_k):
+    # 1229 primes up to 10^4: chunks of 7 leave a partial one of 4
+    monkeypatch.setattr(constants, "_CHUNK_PRIMES", chunk)
+    for k in range(1, 9):
+        assert (a_k_const(k, 10**4).value, a_tilde_k(k, 10**4).value) == _unchunked(k, 10**4)
 
 
 def test_a1_is_one():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divvar.gammapoly import (
+    _MC_BATCH,
     RationalPolynomial,
     _invert,
     _moment_transform,
@@ -231,8 +232,9 @@ def test_mc_oracle_seeded_and_close():
     assert abs(est1 - float(g.eval(1.2))) < 4 * err1
 
 
-# two batches of 2^18 samples, the second one partial
-MC_SAMPLES = (1 << 18) + 10**4
+# four full batches and a partial fifth; the reference sums in batches of
+# 2^18, so the two group their sums differently
+MC_SAMPLES = 4 * _MC_BATCH + 10**4
 
 
 @pytest.mark.parametrize("k", range(2, 9))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sieve_oracle import dk_single, factorize, harmonic_tables, v2_file
 
+from divvar import sieve
 from divvar.sieve import (
     MAX_K,
     MEMORY_BUDGET_BYTES,
@@ -42,6 +43,48 @@ def test_dk_single_prime_power():
     # d_k(p^e) = C(e+k-1, k-1)
     assert dk_single(3, 2**4) == math.comb(6, 2)
     assert dk_single(4, 3**5) == math.comb(8, 3)
+
+
+@functools.cache
+def _primes_by_divisor_count(limit):
+    """The n <= limit with exactly two divisors, from the harmonic d_2 table."""
+    return np.flatnonzero(harmonic_tables(2, limit)[1] == 2)
+
+
+@pytest.fixture
+def fresh_primes():
+    # primes is memoised: what a test computes with a patched window must
+    # not outlive it, and what earlier tests computed must not stand in
+    sieve.primes.cache_clear()
+    yield
+    sieve.primes.cache_clear()
+
+
+def _check_primes(limit, oracle):
+    got = primes(limit)
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert np.array_equal(got, oracle[oracle <= limit]), limit
+
+
+@pytest.mark.parametrize("window", (1, 2, 3, 7))
+def test_primes_across_many_windows(window, monkeypatch, fresh_primes):
+    # windows of a few odd integers put a window edge next to every limit,
+    # every prime square p^2 <= 19^2 and its neighbours included
+    monkeypatch.setattr(sieve, "_PRIME_WINDOW", window)
+    oracle = _primes_by_divisor_count(19**2 + 2)
+    for limit in range(-1, 19**2 + 3):
+        _check_primes(limit, oracle)
+
+
+def test_primes_at_the_real_window_edges(fresh_primes):
+    # one window holds the odd n < 2W; 1021 is the largest prime below
+    # sqrt(2W), so 1021^2 is the last prime square of the first window
+    edge = 2 * sieve._PRIME_WINDOW
+    oracle = _primes_by_divisor_count(edge + 2)
+    for limit in (edge - 2, edge - 1, edge, edge + 1, edge + 2,
+                  1021**2 - 1, 1021**2, 1021**2 + 1):
+        _check_primes(limit, oracle)
+    assert 1021**2 < edge < 1031**2 and factorize(1021) == [(1021, 1)]
 
 
 _SMALL = {k: sieve_dk(k, 2000) for k in (1, 2, 3, 4)}

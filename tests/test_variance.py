@@ -402,7 +402,7 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
 
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
-    # at X = 100 the moduli set the peak: 7.8 MB and 16.2 MB were traced
+    # at X = 100 the moduli set the peak: 7.9 MB and 16.4 MB were traced
     # against bounds of 12.9 MB and 25.8 MB
     X = 100
     table = sieve_dk(2, 2 * X, X)
