@@ -256,8 +256,7 @@ def cmd_variance(cfg: dict) -> dict:
             # read up to 2X + H
             table = _get_table(k, X, 2 * X + h, cfg["cache_dir"])
             bd = variance.delta_k(table, Q, X, psi, phi)
-            pred = variance.conjectured_values(
-                k, Q, X, base, tilde, phi=phi)
+            pred = variance.conjectured_values(k, Q, X, base, tilde, phi)
             row = {"k": k, "Q": Q, "X": X, **vars(bd), **vars(pred)}
             for name in ("leading", "exact_q"):
                 p = row[f"prediction_{name}"]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -159,10 +158,12 @@ def _progressions(first, step, count) -> np.ndarray:
 
 
 def _divisor_pairs(q_lo: int, q_hi: int):
-    """The pairs (d, m), d squarefree, with q = dm in [q_lo, q_hi].
+    """The pairs (d, m), d squarefree, with q = dm in [q_lo, q_hi], by d.
 
-    Returns (d, m, mu(d)) as int64 arrays ordered by d and then m, so the
-    pairs of one d are consecutive and the first of them has the least m.
+    Returns (ds, mu(ds), count, m) as int64 arrays: the d that have pairs,
+    increasing, with mu(d) and their numbers of pairs, and the m of every
+    pair, ordered by d and then m.  So the pairs of ds[i] are count[i]
+    consecutive entries of m, the first of them the least.
     """
     mu = sieve_multiplicative(1, q_hi, lambda p, e: np.where(e == 1, -1, 0), np.int64)
     ds = np.flatnonzero(mu) + 1
@@ -170,8 +171,7 @@ def _divisor_pairs(q_lo: int, q_hi: int):
     count = q_hi // ds - m_lo + 1
     live = count > 0
     ds, m_lo, count = ds[live], m_lo[live], count[live]
-    d = np.repeat(ds, count)
-    return d, _progressions(m_lo, 1, count), mu[d - 1]
+    return ds, mu[ds - 1], count, _progressions(m_lo, 1, count)
 
 
 def modulus_bytes(q_lo: int, q_hi: int) -> int:
@@ -182,23 +182,23 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     multiples of d, at most one when d > L and none when d > q_hi, so the
     pairs (d, m) of `_divisor_pairs` number at most L H_L + q_hi, where
     H_L <= ln L + 1 < floor(ln L) + 2.  `delta_k` peaks at its last
-    np.bincount, holding 9.1 words a pair: the int64 d, m and mu(d), the
-    row index, the lag count, the lag sum and q - q_lo, the byte that marks
-    where d changes, and mu(d) m with its float64 copy in np.bincount.
-    Beside them it holds about 11 words per squarefree d (start, length,
-    sums, batch keys) and 4 per modulus.  11 words a pair of the count
-    above cover all of it: only squarefree d have pairs, so on [Q, 2Q] the
-    pairs are 0.55 to 0.59 of that count for Q = 10^2 ... 10^6.  Per
-    modulus, `conjectured_values` holds at most 12 words: a_k(q), log q
-    and phi(q/Q), two Python lists of floats (4 words an entry), a float
-    array and temporaries.  Per integer of [1, q_hi], the mu sieve holds
-    at most 3 words: int64 values, cofactors and exponent bytes.  The
-    three are summed, although they are not live together.
+    np.bincount, holding 6 words a pair: m, the row index, the lag sum and
+    q - q_lo, and mu(d) m with its float64 copy in np.bincount.  Beside
+    them it holds about 11 words per squarefree d (d, mu(d), pair count,
+    first pair, start, length, sums, batch keys) and 4 per modulus.  11
+    words a pair of the count above cover all of it: only squarefree d
+    have pairs, so on [Q, 2Q] the pairs are 0.55 to 0.59 of that count for
+    Q = 10^2 ... 10^6.  Per modulus, `conjectured_values` holds at most 12
+    words: a_k(q), log q and phi(q/Q), two Python lists of floats (4 words
+    an entry), a float array and temporaries.  Per integer of [1, q_hi],
+    the mu sieve holds at most 3 words: int64 values, cofactors and
+    exponent bytes.  The three are summed, although they are not live
+    together.
 
     At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
-    `delta_k` plus that of `conjectured_values` is 7.9 MB at Q = 10^4,
-    85.7 MB at Q = 10^5 and 952 MB at Q = 10^6; this bound reads 12.9 MB,
-    146 MB and 1.64 GB there.
+    `delta_k` plus that of `conjectured_values` is 6.3 MB at Q = 10^4,
+    66.1 MB at Q = 10^5 and 721 MB at Q = 10^6 (`delta_k` alone: 74, 66
+    and 63 B a pair); this bound reads 12.9 MB, 146 MB and 1.64 GB there.
     """
     span = q_hi - q_lo + 1
     pairs = span * (int(math.log(span)) + 2) + q_hi
@@ -316,7 +316,10 @@ def delta_k(
 
     So one pass over the squarefree d <= 2Q serves every modulus: u_d has
     length n_d, about X/d, and every sum over d | q is one np.bincount over
-    the pairs (d, m) with q = dm in range, built once.
+    the pairs (d, m) with q = dm in range.  `_divisor_pairs` groups them by
+    d, with one mu(d) and one pair count per d, so a pair holds only its m,
+    its row and its lag sum: mu(d) multiplies T_d and T2_d per d before
+    they are gathered to the pairs.
 
     The sequences are read from w as the rows of 2-D arrays.  A row's lag
     sums are needed at its live moduli M_d, the m with m < n_d, and each
@@ -348,8 +351,12 @@ def delta_k(
     batches: a second call at (2, 1025, 262605) peaks at 10.6 MiB of traced
     allocations, w (2 MiB) included.  A fold allocates O(m), and a
     contiguous copy of a strided row; at (3, 100, 398107) a second call
-    peaks at 9.1 MiB, all of it from evaluating psi on the window.  Each
-    piece is summed against Phi(q/Q) with compensated summation.
+    peaks at 9.1 MiB, all of it from evaluating psi on the window.  When
+    the moduli outnumber the window, the pairs set the peak instead, at
+    the closing np.bincount calls (`modulus_bytes` states what is live
+    there): a second call at (2, 10^5, 100) peaks at 57.3 MB, 66 B for each
+    of its 862,844 pairs.  Each piece is summed against Phi(q/Q) with
+    compensated summation.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds`, forced
@@ -370,21 +377,15 @@ def delta_k(
     lo, w = psi.sample(X, 1)
     w *= table.window(lo, lo + w.size - 1)
     q_lo, phi_w = phi.sample(Q, 2)
-    d, m, sign = _divisor_pairs(q_lo, q_lo + phi_w.size - 1)
+    ds, mu, count, m = _divisor_pairs(q_lo, q_lo + phi_w.size - 1)
     # one row u_d = w[start::d] of length n per d; its pairs are consecutive
     # from index `first`, by increasing m, so those with lags (m < n) are
-    # the first `moduli` of them.  The pairs come ordered by d, so a new d
-    # starts wherever d changes, and a pair's row is the running count of
-    # those changes.
-    new = d[1:] != d[:-1]
-    first = np.concatenate(([0], np.flatnonzero(new) + 1))
-    ds = d[first]
-    row = np.zeros(d.size, dtype=np.int64)
-    np.cumsum(new, out=row[1:])
+    # the first `moduli` of them
+    first = np.cumsum(count) - count
+    row = np.repeat(np.arange(ds.size), count)
     start = -(-lo // ds) * ds - lo
     n = np.maximum(-(-(w.size - start) // ds), 0)
-    lags = np.maximum((n[row] - 1) // m, 0)  # the t >= 1 with t m < n
-    moduli = np.bincount(row[lags > 0], minlength=ds.size)
+    moduli = np.bincount(row[m < n[row]], minlength=ds.size)
     fold = (moduli > 0) & _folds(n, moduli)
 
     # batch key: the transform size of a short row, a key of its own for a
@@ -397,7 +398,7 @@ def delta_k(
     order = np.lexsort((n, key))
     t = np.empty(ds.size)
     t2 = np.empty(ds.size)
-    lag_sum = np.zeros(d.size)
+    lag_sum = np.zeros(m.size)
     for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         per = max(1, _BATCH // max(int(key[group[0]]), int(n[group[-1]]), 1))
         for b in range(0, group.size, per):
@@ -408,16 +409,17 @@ def delta_k(
             if key[batch[0]]:
                 p = _progressions(first[batch], 1, moduli[batch])
                 pos = np.repeat(np.arange(batch.size), moduli[batch])
-                lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags[p])
+                lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
+                lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags)
             for i in np.flatnonzero(fold[batch]).tolist():
                 p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
                 lag_sum[p] = _fold_lag_sums(u[i, : n[batch[i]]], m[p])
 
-    at = d * m - q_lo
-    coprime_sum = np.bincount(at, sign * t[row], phi_w.size)
-    d_q = np.bincount(at, sign * t2[row], phi_w.size)
-    g_q = 2 * np.bincount(at, sign * lag_sum, phi_w.size)
-    totient = np.bincount(at, sign * m, phi_w.size)
+    at = ds[row] * m - q_lo
+    coprime_sum = np.bincount(at, (mu * t)[row], phi_w.size)
+    d_q = np.bincount(at, (mu * t2)[row], phi_w.size)
+    g_q = 2 * np.bincount(at, mu[row] * lag_sum, phi_w.size)
+    totient = np.bincount(at, mu[row] * m, phi_w.size)
     a_q = d_q + g_q
     b_q = coprime_sum * coprime_sum / totient
 
@@ -480,17 +482,16 @@ def conjectured_values(
     X: int,
     base: EulerConstantResult,
     a_tilde: EulerConstantResult,
-    phi: Optional[SmoothWeight] = None,
+    phi: SmoothWeight,
 ) -> Prediction:
     """Predicted variance sizes at (k, Q, X), classified by range of c.
 
     `base` is the Euler product constant a_k and `a_tilde` its diagonal
     variant; gamma_k and the off-diagonal polynomial P_k are the memoised
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
-    sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) is filled
-    in only when `phi` is given, with a_k(q) from one constants.a_k_of_q
-    sieve over the moduli window.  Each gamma_k and P_k value is exact
-    before its one rounding to float.
+    sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) takes
+    a_k(q) from one constants.a_k_of_q sieve over the moduli window.  Each
+    gamma_k and P_k value is exact before its one rounding to float.
     """
     c = math.log(X) / math.log(Q)
     if not 0.0 < c < k:
@@ -509,13 +510,11 @@ def conjectured_values(
     else:
         offdiag = float("nan")
 
-    exact_q = float("nan")
-    if phi is not None:
-        q_lo, pw = phi.sample(Q, 2)
-        aq = a_k_of_q(k, q_lo, q_lo + pw.size - 1, base)
-        lq = np.log(np.arange(q_lo, q_lo + pw.size))
-        g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
-        exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
+    q_lo, pw = phi.sample(Q, 2)
+    aq = a_k_of_q(k, q_lo, q_lo + pw.size - 1, base)
+    lq = np.log(np.arange(q_lo, q_lo + pw.size))
+    g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
+    exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
 
     return Prediction(
         c=c,
