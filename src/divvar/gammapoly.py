@@ -4,24 +4,26 @@ gamma_k(c) is the degree k^2-1 piecewise polynomial, with knots at the
 integers 0..k, defined by the delta-slice integral of the squared Vandermonde
 density over the unit cube, normalized by k! and the square of a Barnes-G
 value.  It is computed from its Laplace transform, a k x k Hankel
-determinant of moment transforms (Heine/Andreief), expanded exactly in
+determinant of moment transforms (Heine/Andreief), taken exactly in
 integers and inverted termwise.  Each term e^{-ts} s^{-m} of the transform
 is written as one int exponent m (k + 1) + t (a Kronecker substitution), so
-that determinant is taken in the ring of sparse integer-exponent
-polynomials (sparse_mul, laplace_det) that also holds rmt's secular
-coefficients and Heine averages.  No bound on k is needed here; the CLI caps
-k at sieve.MAX_K = 8.  Everything in this module is exact rational
-arithmetic (``fractions.Fraction``); floats appear only in the Monte-Carlo
-oracle.  ``eval`` takes an int, a Fraction or a float (read as its exact
-dyadic value) and returns the exact Fraction; ``eval_float`` rounds the
-same exact value once to a float, without building the Fraction.
+that determinant is one of sparse integer-exponent polynomials, taken by
+poly_det: fraction-free elimination at a packed point, the one determinant
+that also gives rmt's secular coefficients and Heine averages.  No bound on
+k is needed here; the CLI caps k at sieve.MAX_K = 8.  Everything in this
+module is exact rational arithmetic (``fractions.Fraction``); floats appear
+only in the Monte-Carlo oracle.  ``eval`` takes an int, a Fraction or a
+float (read as its exact dyadic value) and returns the exact Fraction;
+``eval_float`` rounds the same exact value once to a float, without
+building the Fraction.
 
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
 
 Only what gamma_k, P_k and rmt's determinants use lives here.
-Polynomial products and composition, and the delta-slice densities of
-single monomials, serve the tests alone and live in tests/.
+Polynomial products and composition, the delta-slice densities of single
+monomials and the Laplace-expansion determinant poly_det replaced serve
+the tests alone and live in tests/.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ class PiecewisePolynomial:
 
 
 # ----------------------------------------------------------------------------
-# Barnes G, the Laplace-expansion determinant and Laplace inversion
+# Barnes G, the determinant and Laplace inversion
 # ----------------------------------------------------------------------------
 
 def barnes_g(n: int) -> int:
@@ -156,61 +158,58 @@ def barnes_g(n: int) -> int:
     return out
 
 
-def sparse_mul(a: dict, b: dict) -> dict:
-    """Product of two sparse polynomials {int exponent: coeff}; exponents add.
+def poly_det(n: int, entry: Callable[[int, int], dict]) -> dict:
+    """Determinant of an n x n matrix of sparse integer polynomials.
 
-    The one product of the package, and the one laplace_det multiplies by.
-    """
-    out: dict = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            out[i + j] = out.get(i + j, 0) + ca * cb
-    return out
+    ``entry(i, j)`` returns entry (i, j) as a dict {int exponent: int coeff}
+    (empty or None when zero); the result is such a dict, zeros dropped.
+    The one determinant of the package, in four steps:
 
-
-def laplace_det(n: int, entry: Callable[[int, int], dict]) -> dict:
-    """Determinant of an n x n matrix over the sparse polynomials of sparse_mul.
-
-    ``entry(i, j)`` returns entry (i, j) as a dict {exponent: coeff} (empty
-    or None when zero); products are sparse_mul's and sums are taken
-    exponent by exponent.  The Laplace expansion runs along the first
-    unused row, so the minor is fixed by its set of remaining columns alone
-    and is memoised on that mask: at most 2^n minors, far fewer for a
-    banded matrix.
+    * every entry, its exponents shifted down by the least one, is
+      evaluated at x = 2^b (Kronecker substitution).  gamma_k's keys start
+      at k + 1, and the shift makes gamma_8's elimination a third faster;
+    * the integer determinant is taken by fraction-free elimination
+      (Bareiss), swapping rows on a zero pivot: O(n^3) exact big-int steps;
+    * its coefficients are read back as balanced base-2^b digits;
+    * b comes from the entries alone.  Packing is a ring map, so only the
+      result's coefficients must fit, |c| < 2^(b-1), and |c| <= ||det||_1
+      <= 2^(sum s_j) prod_i sum_j ||a_ij||_1 2^(-s_j) for any column scales
+      2^s_j (l1 norms of the coefficients).  s_j is half the bit length of
+      ||a_jj||_1, and b is one more than the bit length of the bound:
+      b = 151 for gamma_8's Hankel determinant, whose coefficients need 83
+      bits, where the unscaled row-sum bound gives 209.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    memo: dict[int, dict] = {}
-
-    def det(cols: int) -> dict:
-        row = n - cols.bit_count()
-        if cols & (cols - 1) == 0:
-            return entry(row, cols.bit_length() - 1) or {}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        total: dict = {}
-        sign = 1
-        for col in range(n):
-            if not cols >> col & 1:
-                continue
-            e = entry(row, col)
-            if e:
-                sub = det(cols & ~(1 << col))
-                if sub:
-                    for key, c in sparse_mul(e, sub).items():
-                        total[key] = total.get(key, 0) + sign * c
-            sign = -sign
-        total = {key: c for key, c in total.items() if c}
-        memo[cols] = total
-        return total
-
-    return det((1 << n) - 1)
+    rows = [[entry(i, j) or {} for j in range(n)] for i in range(n)]
+    low = min((e for row in rows for a in row for e in a), default=0)
+    norms = [[sum(map(abs, a.values())) for a in row] for row in rows]
+    scale = [norms[j][j].bit_length() // 2 for j in range(n)]
+    top = max(scale)
+    bound = math.prod(sum(x << top - s for x, s in zip(row, scale)) for row in norms)
+    b = (-(-bound >> n * top - sum(scale))).bit_length() + 1
+    m = [[sum(c << b * (e - low) for e, c in a.items()) for a in row] for row in rows]
+    prev = 1
+    for k in range(n - 1):
+        if not m[k][k]:  # swap rows, negating one, so the determinant is kept
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return {}
+            m[k], m[swap] = m[swap], [-x for x in m[k]]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    value, digits, half = m[n - 1][n - 1], [], 1 << b - 1
+    while value:
+        digits.append((value + half & (1 << b) - 1) - half)
+        value = value - digits[-1] >> b
+    return {n * low + e: d for e, d in enumerate(digits) if d}
 
 
 # Laplace transforms of functions on [0, k] lie in Z[1/s, e^{-s}].  For a
 # product of at most k moment transforms the term coeff * e^{-ts} s^{-m} is
-# the sparse_mul term {m (k + 1) + t: coeff}: each factor has t <= 1, so a
+# the sparse term {m (k + 1) + t: coeff}: each factor has t <= 1, so a
 # product has t <= k < k + 1 and the shift never carries into m (each factor
 # has 1 <= m <= 2k - 1, so k <= m <= k (2k - 1) in gamma_k's transform).
 
@@ -260,7 +259,7 @@ def gamma_exact(k: int) -> PiecewisePolynomial:
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     moments = [_moment_transform(k, r) for r in range(2 * k - 1)]
-    transform = laplace_det(k, lambda i, j: moments[i + j])
+    transform = poly_det(k, lambda i, j: moments[i + j])
     return _invert(k, transform, Fraction(1, barnes_g(k + 1) ** 2))
 
 

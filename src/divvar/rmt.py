@@ -5,8 +5,8 @@ arithmetic (``fractions.Fraction``), so they must agree exactly:
 
 * the Heine identity: the average of prod_j f(e^{i theta_j}) over the
   eigenvalues of a Haar-random N x N unitary equals the N x N Toeplitz
-  determinant of the Fourier coefficients of the symbol f, expanded by
-  gammapoly.laplace_det;
+  determinant of the Fourier coefficients of the symbol f, taken by
+  gammapoly.poly_det once the coefficients are scaled to integers;
 * the CFKRS autocorrelation formula, a finite subset sum over swapped shift
   sets.
 
@@ -17,24 +17,26 @@ polynomials (dual Cauchy, Schur orthogonality, the Weyl dimension formula
 and Andreief; see secular_coefficients), the discrete twin of the one
 behind gammapoly.gamma_exact, and compared against the gamma_k limit.
 
-The symbol, the Toeplitz and the Hankel determinants and gamma_k's
-transform share one ring: sparse polynomials {int exponent: coeff},
-multiplied by gammapoly.sparse_mul and expanded by gammapoly.laplace_det.
+The Toeplitz and the Hankel determinants and gamma_k's transform share one
+determinant, gammapoly.poly_det, over sparse integer polynomials
+{int exponent: coeff}.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gammapoly import barnes_g, gamma_exact, laplace_det, sparse_mul
+from .gammapoly import barnes_g, gamma_exact, poly_det
 
 # k and N come from the command line.  On a 2-vCPU machine
-# secular_coefficients(8, 30) took 1.1 s and (8, 60), kN = 480, took
-# 4.3 s; the cost grows like N^2 at fixed k.
-KN_BOUND = 480
+# secular_coefficients(8, 60) took 1.9 s and (8, 80), kN = 640, took
+# 3.5-3.8 s, within the 4.3 s that (8, 60) took by the Laplace expansion
+# poly_det replaced; the cost grows like N^2.2 at fixed k.
+KN_BOUND = 640
 # cfkrs_rhs sums C(|A|+|B|, |A|) exact rational terms; it accepts at most
 # this many shifts on each side.  With |A| = |B| = k and N = 6 one call took
 # 0.31 s at k = 6, 1.7 s at k = 7 and 8 s at k = 8 on a 2-vCPU machine.
@@ -48,25 +50,30 @@ class SingularShiftError(ValueError):
 def symbol_coeffs(A: Sequence[Fraction], B: Sequence[Fraction]) -> dict[int, Fraction]:
     """Laurent coefficients of f(z) = prod_A (1 - a z) * prod_B (1 - b / z).
 
-    Nonzero indices lie in [-|B|, |A|].
+    Nonzero indices lie in [-|B|, |A|].  The dense product
+    z^|B| f(z) = prod_A (1 - a z) * prod_B (z - b) is built one linear
+    factor u + v z at a time; each shift is converted by Fraction, so a
+    float shift is read as its exact value.
     """
-    out = {0: Fraction(1)}
-    for a in A:
-        out = sparse_mul(out, {0: 1, 1: -Fraction(a)})
-    for b in B:
-        out = sparse_mul(out, {0: 1, -1: -Fraction(b)})
-    return {i: c for i, c in out.items() if c}
+    out = [Fraction(1)]
+    for u, v in [(1, -Fraction(a)) for a in A] + [(-Fraction(b), 1) for b in B]:
+        out = [u * x + v * y for x, y in zip(out + [0], [0] + out)]
+    return {i - len(B): c for i, c in enumerate(out) if c}
 
 
 def haar_average_heine(A: Sequence[Fraction], B: Sequence[Fraction], N: int) -> Fraction:
     """Haar average of prod_A det(1 - a g) prod_B det(1 - b g^{-1}) over U(N).
 
-    Computed as the N x N Toeplitz determinant of the symbol coefficients,
-    with scalar entries {0: c} in laplace_det's ring of sparse polynomials.
+    Computed as the N x N Toeplitz determinant of the symbol coefficients:
+    they are scaled by the lcm L of their denominators to scalar entries
+    {0: L c} of gammapoly.poly_det, whose integer determinant is L^N times
+    the average.
     """
-    entries = {d: {0: c} for d, c in symbol_coeffs(A, B).items()}
-    det = laplace_det(N, lambda i, j: entries.get(i - j))
-    return Fraction(det.get(0, 0))
+    coeffs = symbol_coeffs(A, B)
+    lcm = math.lcm(*(c.denominator for c in coeffs.values()))
+    entries = {d: {0: c.numerator * (lcm // c.denominator)} for d, c in coeffs.items()}
+    det = poly_det(N, lambda i, j: entries.get(i - j))
+    return Fraction(det.get(0, 0), lcm**N)
 
 
 def _z_factor(first: Sequence[Fraction], second: Sequence[Fraction]) -> Fraction:
@@ -138,19 +145,20 @@ def secular_coefficients(k: int, N: int) -> SecularTable:
 
         sum_m I_k(m; N) x^m = x^{-k(k-1)/2} det[M_{i+j}(x)] / G(k+1)^2.
 
-    laplace_det expands the determinant over its 2^k column subsets, each
-    step a product of polynomials with at most k(N+k) terms: O(k^2 2^k N^2)
-    integer products.  (8, 15) takes about 0.4 s on a 2-vCPU machine; the
-    N x N banded Toeplitz determinant in tests/secular_oracle.py takes about
-    8 s there.  The division by G(k+1)^2 and the degree range are checked,
-    not assumed.
+    poly_det takes the determinant in O(k^3) exact big-int steps at a
+    packed point, each on integers of up to about k(N+k) digits of a few
+    hundred bits; Bareiss's exact divisions, quadratic in CPython, set the
+    cost.  (8, 15) takes about 0.1 s and (8, 60) about 1.9 s on a 2-vCPU
+    machine; the N x N banded Toeplitz determinant in
+    tests/secular_oracle.py takes about 8 s at (8, 15) there.  The division
+    by G(k+1)^2 and the degree range are checked, not assumed.
     """
     if k < 1 or N < 1:
         raise ValueError(f"need k, N >= 1, got k={k}, N={N}")
     if k * N > KN_BOUND:
         raise ValueError(f"kN = {k * N} exceeds bound {KN_BOUND}")
     moments = [{l: l**r for l in range(N + k)} for r in range(2 * k - 1)]
-    det = laplace_det(k, lambda i, j: moments[i + j])
+    det = poly_det(k, lambda i, j: moments[i + j])
     low = k * (k - 1) // 2
     if any(not low <= d <= low + k * N for d in det):
         raise ArithmeticError(

@@ -10,14 +10,68 @@ divvar.rmt.secular_coefficients uses:
   prod_{i<j} (l_i - l_j)^2 / G(k+1)^2 summed over the k-subsets of
   {0, ..., N+k-1}, grouped by sum(l) - k(k-1)/2.  It costs C(N+k, k)
   terms, so it suits small N only.
+
+Both expand their determinants by laplace_det, the memoised Laplace
+expansion over sparse_mul products that divvar.gammapoly.poly_det
+replaced; the tests keep the pair as poly_det's oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Callable
 
-from divvar.gammapoly import barnes_g, laplace_det
+from divvar.gammapoly import barnes_g
+
+
+def sparse_mul(a: dict, b: dict) -> dict:
+    """Product of two sparse polynomials {int exponent: coeff}; exponents add."""
+    out: dict = {}
+    for i, ca in a.items():
+        for j, cb in b.items():
+            out[i + j] = out.get(i + j, 0) + ca * cb
+    return out
+
+
+def laplace_det(n: int, entry: Callable[[int, int], dict]) -> dict:
+    """Determinant of an n x n matrix over the sparse polynomials of sparse_mul.
+
+    ``entry(i, j)`` returns entry (i, j) as a dict {exponent: coeff} (empty
+    or None when zero); products are sparse_mul's and sums are taken
+    exponent by exponent.  The Laplace expansion runs along the first
+    unused row, so the minor is fixed by its set of remaining columns alone
+    and is memoised on that mask: at most 2^n minors, far fewer for a
+    banded matrix.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    memo: dict[int, dict] = {}
+
+    def det(cols: int) -> dict:
+        row = n - cols.bit_count()
+        if cols & (cols - 1) == 0:
+            return entry(row, cols.bit_length() - 1) or {}
+        cached = memo.get(cols)
+        if cached is not None:
+            return cached
+        total: dict = {}
+        sign = 1
+        for col in range(n):
+            if not cols >> col & 1:
+                continue
+            e = entry(row, col)
+            if e:
+                sub = det(cols & ~(1 << col))
+                if sub:
+                    for key, c in sparse_mul(e, sub).items():
+                        total[key] = total.get(key, 0) + sign * c
+            sign = -sign
+        total = {key: c for key, c in total.items() if c}
+        memo[cols] = total
+        return total
+
+    return det((1 << n) - 1)
 
 
 def _symbol_poly_coeffs(k: int) -> dict[int, dict[int, int]]:

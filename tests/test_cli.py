@@ -302,8 +302,8 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     ["constants", "--k", "2", "--prime-limit", "50"],
     ["variance", "--k", "2", "--q", "100", "--x", "1000", "--prime-limit", "50"],
     # a k N the secular coefficients refuse
-    ["rmt", "--k", "8", "--n", "61"],
-    ["rmt", "--k", "1", "--n", "481"],
+    ["rmt", "--k", "8", "--n", "81"],
+    ["rmt", "--k", "1", "--n", "641"],
 ))
 def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch):
     def unreachable(*args):

@@ -14,13 +14,13 @@ from divvar.gammapoly import (
     barnes_g,
     gamma_exact,
     gamma_mc_oracle,
-    laplace_det,
     p_k,
-    sparse_mul,
+    poly_det,
 )
 from divvar.cli import _default_c_grid
 from mc_oracle import gamma_mc_reference
 from pk_oracle import compose_linear, p_k_multinomial, p_k_residue, poly_mul
+from secular_oracle import laplace_det, sparse_mul
 
 
 def slice_integral(a):
@@ -194,16 +194,52 @@ def _tuple_keyed_transform(k):
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_kronecker_keys_never_carry(k):
-    # each key m (k + 1) + t decodes to 0 <= t <= k and the stated
-    # k <= m <= k (2k - 1), and to the tuple-keyed expansion's terms
+    # each key m (k + 1) + t of poly_det's transform, the route gamma_k
+    # takes, decodes to 0 <= t <= k and the stated k <= m <= k (2k - 1),
+    # and to the tuple-keyed expansion's terms
     moments = [_moment_transform(k, r) for r in range(2 * k - 1)]
-    transform = laplace_det(k, lambda i, j: moments[i + j])
+    transform = poly_det(k, lambda i, j: moments[i + j])
     decoded = {}
     for key, c in transform.items():
         m, t = divmod(key, k + 1)
         assert 0 <= t <= k and k <= m <= k * (2 * k - 1), (key, t, m)
         decoded[(t, m)] = c
     assert decoded == _tuple_keyed_transform(k)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_poly_det_matches_laplace_oracle(n):
+    # signed coefficients, exponents on both sides of 0 and empty entries
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        matrix = [[{int(e): int(rng.choice([-1, 1]) * rng.integers(1, 10**6))
+                    for e in rng.choice(np.arange(-3, 9), rng.integers(0, 4), replace=False)}
+                   for _ in range(n)] for _ in range(n)]
+        entry = lambda i, j: matrix[i][j]
+        assert poly_det(n, entry) == laplace_det(n, entry), matrix
+
+
+def test_poly_det_swaps_rows_on_a_zero_pivot():
+    assert poly_det(2, lambda i, j: {0: 1} if i != j else None) == {0: -1}
+    assert poly_det(3, lambda i, j: {2: 1} if i + j == 2 else {}) == {6: -1}
+
+
+def test_poly_det_singular_matrices_give_the_empty_dict():
+    rows = [{0: 1, 2: -3}, {1: 5}]
+    assert poly_det(2, lambda i, j: rows[j]) == {}  # two equal rows
+    assert poly_det(3, lambda i, j: {0: i + j, 1: 2} if i != 1 else None) == {}
+    assert poly_det(3, lambda i, j: {0: i + j, 1: 2} if j != 1 else None) == {}
+
+
+def test_poly_det_reaches_its_bound():
+    # one entry per row, so the bound is the product of the entries' norms
+    assert poly_det(2, lambda i, j: {0: (-1) ** i * 2**40} if i == j else None) == {0: -2**80}
+    assert poly_det(1, lambda i, j: {3: 2**40}) == {3: 2**40}
+
+
+def test_poly_det_needs_a_row():
+    with pytest.raises(ValueError):
+        poly_det(0, lambda i, j: {0: 1})
 
 
 @pytest.mark.parametrize("k", [6, 7, 8])

@@ -54,9 +54,9 @@ def test_secular_k2_total_mass():
 
 
 def test_secular_kn_bound_enforced():
-    # k and N come from the command line; kN = 481 is refused before any work
+    # k and N come from the command line; kN = 641 is refused before any work
     with pytest.raises(ValueError, match="exceeds bound"):
-        secular_coefficients(1, 481)
+        secular_coefficients(1, 641)
 
 
 def test_secular_matches_oracles():
@@ -74,32 +74,31 @@ def test_secular_nonnegative_and_symmetric():
     assert coeffs == tuple(reversed(coeffs))  # functional equation m <-> kN - m
 
 
-def test_one_product_serves_every_determinant(monkeypatch):
-    # every divvar binding of gammapoly.sparse_mul is replaced by one spy
+def test_one_determinant_serves_every_caller(monkeypatch):
+    # every divvar binding of gammapoly.poly_det is replaced by one spy
     from divvar import cli, constants, gammapoly, rmt, sieve, variance, weights
 
-    real = gammapoly.sparse_mul
+    real = gammapoly.poly_det
     a, b = Fraction(1, 3), Fraction(2, 7)
     want = gamma_exact(3), secular_coefficients(2, 5), haar_average_heine([a], [b], 3)
     calls = []
 
-    def spy(x, y):
-        calls.append(1)
-        return real(x, y)
+    def spy(n, entry):
+        calls.append(n)
+        return real(n, entry)
 
     bound = [(module, name)
              for module in (cli, constants, gammapoly, rmt, sieve, variance, weights)
              for name, obj in vars(module).items() if obj is real]
-    assert (gammapoly, "sparse_mul") in bound
+    assert (gammapoly, "poly_det") in bound and (rmt, "poly_det") in bound
     for module, name in bound:
         monkeypatch.setattr(module, name, spy)
     gamma_exact.cache_clear()
-    assert gamma_exact(3) == want[0] and calls
+    assert gamma_exact(3) == want[0] and calls == [3]
     calls.clear()
-    assert secular_coefficients(2, 5) == want[1] and calls
+    assert secular_coefficients(2, 5) == want[1] and calls == [2]
     calls.clear()
-    # more products than the symbol's two factors: the Toeplitz determinant's too
-    assert haar_average_heine([a], [b], 3) == want[2] and len(calls) > 2
+    assert haar_average_heine([a], [b], 3) == want[2] and calls == [3]
 
 
 def test_secular_inexact_results_raise(monkeypatch):
@@ -111,9 +110,25 @@ def test_secular_inexact_results_raise(monkeypatch):
         secular_coefficients(2, 3)
     monkeypatch.undo()
     # a determinant with a term below degree k(k-1)/2 = 1
-    monkeypatch.setattr(rmt, "laplace_det", lambda n, entry: {0: 1, 1: 1})
+    monkeypatch.setattr(rmt, "poly_det", lambda n, entry: {0: 1, 1: 1})
     with pytest.raises(ArithmeticError, match="degrees outside"):
         secular_coefficients(2, 3)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_secular_total_is_the_keating_snaith_moment(k):
+    # at x = 1 the generating polynomial is the unshifted moment
+    # E|det(1 - g)|^{2k} = prod_{j<N} j! (j+2k)! / ((j+k)!)^2
+    N = 20
+    moment = math.prod(Fraction(math.factorial(j) * math.factorial(j + 2 * k),
+                                math.factorial(j + k) ** 2) for j in range(N))
+    assert sum(secular_coefficients(k, N).coefficients) == moment
+
+
+def test_symbol_coeffs_reads_a_float_shift_exactly():
+    B = [Fraction(3, 8), Fraction(-5, 4)]
+    assert symbol_coeffs([0.5], B) == symbol_coeffs([Fraction(1, 2)], B)
+    assert symbol_coeffs(B, [0.5, 0.1]) == symbol_coeffs(B, [Fraction(1, 2), Fraction(0.1)])
 
 
 def test_deviation_decays():
