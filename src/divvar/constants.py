@@ -11,39 +11,39 @@ its average version a~_k = a_k * prod_p (1 - (1/p)(1 - 1/frak_a_p)), and the
 modulus-local a_k(q) = a_k * prod_{p | q} 1/frak_a_p.
 
 Every factor is evaluated in closed form, and the logs of the factors for
-p <= P are summed by one correctly rounded math.fsum, fed a cache-sized
-chunk of primes at a time (`_log_sum`), so the value does not depend on
-the chunk size and no list of all the logs is built.  Truncating a
-product at p <= P drops factors whose logs are at most a constant over
-p^2 in size; the constants are proved from elementary inequalities (see
-_factor_log_bound and _tilde_log_bound), and sum_{p > P} p^-2 < 1/P turns
-them into the certified tail bounds.  a_k(q) comes from one
-sieve.sieve_multiplicative over a window of moduli, [q, q] for the
-`constants` report or [Q, 2Q] for the exact-q prediction; it inherits
-a_k's relative truncation error.
+p <= P are summed exactly and rounded once (`summation.exact_sum`, which
+returns math.fsum's value), formed a cache-sized chunk of primes at a
+time (`_log_sum`), so the value does not depend on the chunk size.
+Truncating a product at p <= P drops factors whose logs are at most a
+constant over p^2 in size; the constants are proved from elementary
+inequalities (see _factor_log_bound and _tilde_log_bound), and
+sum_{p > P} p^-2 < 1/P turns them into the certified tail bounds.  a_k(q)
+comes from one sieve.sieve_multiplicative over a window of moduli, [q, q]
+for the `constants` report or [Q, 2Q] for the exact-q prediction; it
+inherits a_k's relative truncation error.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sieve import primes, sieve_multiplicative
+from .summation import exact_sum
 
 DEFAULT_PRIME_LIMIT = 10**6
 # The least truncation point P the tail bounds are stated for
 MIN_PRIME_LIMIT = 100
 
 # Primes per chunk of the Euler-product log sums, so that a chunk's float64
-# temporaries (128 KiB each) stay in cache and no list of all the logs is
-# built.  a_k_const plus a_tilde_k at k = 3, P = 10^7, median of 7 runs:
-# 0.108 s unchunked, 0.068 / 0.062 / 0.069 / 0.071 s with chunks of 2^12 /
-# 2^13 / 2^14 / 2^16 primes; the unchunked sums also held two 664,579-entry
-# lists of floats.
+# temporaries (128 KiB each) stay in cache.  a_k_const plus a_tilde_k at
+# k = 3, P = 10^7, median of 7 runs on a 2-vCPU x86-64 box: 0.051-0.105 s
+# unchunked (two runs), 0.032 / 0.031 / 0.033 / 0.039-0.046 s with chunks
+# of 2^12 / 2^13 / 2^14 / 2^16 primes; the unchunked runs peaked at 59.5 MiB
+# of RSS, the chunked ones at 39.4 MiB.
 _CHUNK_PRIMES = 2**14
 
 
@@ -137,17 +137,17 @@ def _tilde_log_bound(k: int, prime_limit: int) -> float:
 
 
 def _log_sum(factor_logs, k: int, prime_limit: int) -> float:
-    """math.fsum of factor_logs(k, ps) over the primes ps <= prime_limit.
+    """The sum of factor_logs(k, ps) over the primes ps <= prime_limit,
+    rounded once: math.fsum's value.
 
-    The logs are formed _CHUNK_PRIMES primes at a time and fed to one fsum.
-    Each log is an elementwise function of its prime, and fsum rounds the
-    exact sum of its addends once, so the result does not depend on the
-    chunking.
+    The logs are formed _CHUNK_PRIMES primes at a time and fed to one
+    exact_sum.  Each log is an elementwise function of its prime, and
+    exact_sum rounds the exact sum of all the chunks once, so the result
+    does not depend on the chunking.
     """
     ps = primes(prime_limit)
-    return math.fsum(itertools.chain.from_iterable(
-        factor_logs(k, ps[i : i + _CHUNK_PRIMES]).tolist()
-        for i in range(0, ps.size, _CHUNK_PRIMES)))
+    return exact_sum(factor_logs(k, ps[i : i + _CHUNK_PRIMES])
+                     for i in range(0, ps.size, _CHUNK_PRIMES))
 
 
 @functools.cache

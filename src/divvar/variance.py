@@ -19,6 +19,11 @@ n_d log n_d.  That is sum_d min(|M_d| n_d, n_d log n_d) work, at most
 O(X log X log Q), instead of the O(QX) of binning every modulus by
 residue class; `delta_k` states the derivation and the error
 budget against that binning, which lives under tests/ as the oracle.
+Rows u_d too short to have lags need only their sums, and are gathered
+flat.  No step holds a Python float per modulus: the weighted sums over
+the moduli are exact, rounded once (`summation.exact_sum`), and the
+exact-q prediction evaluates gamma_k at every modulus as one array
+(`PiecewisePolynomial.eval_floats`).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import numpy as np
 from .constants import EulerConstantResult, a_k_of_q
 from .gammapoly import gamma_exact, p_k
 from .sieve import DivisorTable, sieve_multiplicative
+from .summation import exact_sum
 from .weights import Normalization, SmoothWeight
 
 
@@ -189,20 +195,29 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     words a pair of the count above cover all of it: only squarefree d
     have pairs, so on [Q, 2Q] the pairs are 0.55 to 0.59 of that count for
     Q = 10^2 ... 10^6.  Per modulus, `conjectured_values` holds at most 12
-    words: a_k(q), log q and phi(q/Q), two Python lists of floats (4 words
-    an entry), a float array and temporaries.  Per integer of [1, q_hi],
-    the mu sieve holds at most 3 words: int64 values, cofactors and
-    exponent bytes.  The three are summed, although they are not live
+    words: a_k(q), log q, phi(q/Q), c_q and gamma_k(c_q), then two
+    temporaries of the weighted terms and exact_sum's frexp mantissas,
+    exponents (half a word) and mantissa halves.  The compensated Horner
+    of eval_floats adds about 2.5 MB whatever the number of moduli: it
+    works on a fixed-size batch of them at a time.  Per integer of
+    [1, q_hi], the mu sieve holds at most 3 words: int64 values, cofactors
+    and exponent bytes.  The three are summed, although they are not live
     together.
 
     At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
-    `delta_k` plus that of `conjectured_values` is 6.3 MB at Q = 10^4,
-    66.1 MB at Q = 10^5 and 721 MB at Q = 10^6 (`delta_k` alone: 74, 66
-    and 63 B a pair); this bound reads 12.9 MB, 146 MB and 1.64 GB there.
+    `delta_k` plus that of `conjectured_values` is 7.1 MB at Q = 10^4,
+    62.8 MB at Q = 10^5 and 691 MB at Q = 10^6 (`delta_k` alone: 68, 64
+    and 62 B a pair; `conjectured_values` 73 and 69 B a modulus at 10^5
+    and 10^6); this bound reads 12.9 MB, 146 MB and 1.64 GB there.
     """
     span = q_hi - q_lo + 1
     pairs = span * (int(math.log(span)) + 2) + q_hi
     return 8 * (11 * pairs + 12 * span + 3 * q_hi)
+
+
+def _runs(idx: np.ndarray, labels: np.ndarray) -> list:
+    """idx cut into runs of equal labels (labels sorted along idx); none if empty."""
+    return np.split(idx, np.flatnonzero(np.diff(labels)) + 1) if idx.size else []
 
 
 def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
@@ -343,20 +358,25 @@ def delta_k(
     transform of length 2X and its temporaries.  Shorter rows are grouped
     by transform size, and each group is cut into batches of at most
     _BATCH = 2^17 entries (rows times size), one 2-D transform each.  Rows
-    that fold or have no lags are batched by length alone and only summed
-    before their folds.  T_d and T2_d are the row sums of u and u^2.  The
-    lags t m of all pairs of an FFT batch are gathered at once, at most 1.5
-    times as many as the batch's R has entries.  So the peak is set by the
-    d = 1 row's blocked transforms when it takes the FFT route, not by the
-    batches: a second call at (2, 1025, 262605) peaks at 10.6 MiB of traced
-    allocations, w (2 MiB) included.  A fold allocates O(m), and a
-    contiguous copy of a strided row; at (3, 100, 398107) a second call
-    peaks at 9.1 MiB, all of it from evaluating psi on the window.  When
-    the moduli outnumber the window, the pairs set the peak instead, at
-    the closing np.bincount calls (`modulus_bytes` states what is live
-    there): a second call at (2, 10^5, 100) peaks at 57.3 MB, 66 B for each
-    of its 862,844 pairs.  Each piece is summed against Phi(q/Q) with
-    compensated summation.
+    that fold are batched by length alone and only summed before their
+    folds.  T_d and T2_d are the row sums of u and u^2.  The lags t m of
+    all pairs of an FFT batch are gathered at once, at most 1.5 times as
+    many as the batch's R has entries.  Rows with no lags take no batch:
+    their values are gathered flat by `_progressions`, in parts of at most
+    w.size entries plus one row, and summed row by row by np.add.reduceat;
+    rows with n_d = 0 are skipped.  At c < 1 no row has lags: at
+    (2, 10^6, 10^3), where 1,215 of the 1,215,877 rows hold any n, the
+    call takes about 1 s, most of it in passes over the 10^7 pairs.  So
+    the peak is set by the d = 1 row's blocked transforms when it takes
+    the FFT route, not by the batches: a second call at (2, 1025, 262605)
+    peaks at 10.6 MiB of traced allocations, w (2 MiB) included.  A fold
+    allocates O(m), and a contiguous copy of a strided row; at
+    (3, 100, 398107) a second call peaks at 9.1 MiB, all of it from
+    evaluating psi on the window.  When the moduli outnumber the window,
+    the pairs set the peak instead, at the closing np.bincount calls
+    (`modulus_bytes` states what is live there): a second call at
+    (2, 10^5, 100) peaks at 55.5 MB, 64 B for each of its 862,844 pairs.  Each piece is summed against Phi(q/Q) exactly
+    and rounded once by `exact_sum`, which returns math.fsum's value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds`, forced
@@ -388,18 +408,28 @@ def delta_k(
     moduli = np.bincount(row[m < n[row]], minlength=ds.size)
     fold = (moduli > 0) & _folds(n, moduli)
 
+    t = np.zeros(ds.size)
+    t2 = np.zeros(ds.size)
+    # rows without lags need only T_d and T2_d: gathered flat, at most about
+    # w.size entries at a time, and summed row by row
+    free = np.flatnonzero((moduli == 0) & (n > 0))
+    for part in _runs(free, (np.cumsum(n[free]) - 1) // w.size):
+        u = w[_progressions(start[part], ds[part], n[part])]
+        at = np.cumsum(n[part]) - n[part]
+        t[part] = np.add.reduceat(u, at)
+        t2[part] = np.add.reduceat(np.square(u, out=u), at)
+
     # batch key: the transform size of a short row, a key of its own for a
-    # long row, 0 for a row that is folded or has no lags
+    # long row, 0 for a row that is folded
+    live = np.flatnonzero(moduli)
     key = np.zeros(ds.size, dtype=np.int64)
     fft = (moduli > 0) & ~fold
     short = fft & (n <= _MIN_BLOCK)
     key[short] = _fft_size(2 * n[short] - 1)
     key[fft & ~short] = -1 - np.flatnonzero(fft & ~short)
-    order = np.lexsort((n, key))
-    t = np.empty(ds.size)
-    t2 = np.empty(ds.size)
+    order = live[np.lexsort((n[live], key[live]))]
     lag_sum = np.zeros(m.size)
-    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+    for group in _runs(order, key[order]):
         per = max(1, _BATCH // max(int(key[group[0]]), int(n[group[-1]]), 1))
         for b in range(0, group.size, per):
             batch = group[b : b + per]
@@ -422,16 +452,12 @@ def delta_k(
     totient = np.bincount(at, mu[row] * m, phi_w.size)
     a_q = d_q + g_q
     b_q = coprime_sum * coprime_sum / totient
-
-    def weighted(values):
-        return math.fsum((phi_w * values).tolist())
-
     return VarianceBreakdown(
-        delta=weighted(a_q - b_q),
-        a_term=weighted(a_q),
-        b_term=weighted(b_q),
-        d_term=weighted(d_q),
-        g_term=weighted(g_q),
+        delta=exact_sum(phi_w * (a_q - b_q)),
+        a_term=exact_sum(phi_w * a_q),
+        b_term=exact_sum(phi_w * b_q),
+        d_term=exact_sum(phi_w * d_q),
+        g_term=exact_sum(phi_w * g_q),
     )
 
 
@@ -490,8 +516,10 @@ def conjectured_values(
     variant; gamma_k and the off-diagonal polynomial P_k are the memoised
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
     sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) takes
-    a_k(q) from one constants.a_k_of_q sieve over the moduli window.  Each
-    gamma_k and P_k value is exact before its one rounding to float.
+    a_k(q) from one constants.a_k_of_q sieve over the moduli window and
+    gamma_k(c_q) for every modulus from one eval_floats call.  Each gamma_k
+    and P_k value is exact before its one rounding to float, and the sum
+    over the moduli is exact before its one rounding (`exact_sum`).
     """
     c = math.log(X) / math.log(Q)
     if not 0.0 < c < k:
@@ -513,8 +541,8 @@ def conjectured_values(
     q_lo, pw = phi.sample(Q, 2)
     aq = a_k_of_q(k, q_lo, q_lo + pw.size - 1, base)
     lq = np.log(np.arange(q_lo, q_lo + pw.size))
-    g = np.array([gamma.eval_float(c_q) for c_q in (math.log(X) / lq).tolist()])
-    exact_q = math.fsum((aq * X * g * lq ** (kk - 1) * pw).tolist())
+    g = gamma.eval_floats(math.log(X) / lq)
+    exact_q = exact_sum(aq * X * g * lq ** (kk - 1) * pw)
 
     return Prediction(
         c=c,

@@ -15,6 +15,7 @@ import numpy as np
 
 from divvar.variance import _exact_sums
 from divvar.weights import Normalization
+from sieve_oracle import factorize
 
 
 def _coprime_class_sums(lo, w, q):
@@ -23,13 +24,17 @@ def _coprime_class_sums(lo, w, q):
     w holds w_n for the consecutive n = lo, lo+1, ...  It is placed in rows
     of length q, padded with zeros, and the columns are summed; numpy sums
     unsigned integers of any width in uint64, so integer values give exact
-    integer class sums.
+    integer class sums.  The classes a sharing a prime p | q (trial
+    division) are struck out as the multiples of p.
     """
     head = lo % q
     rows = np.zeros(-(-(head + w.size) // q) * q, dtype=w.dtype)
     rows[head : head + w.size] = w
     class_sums = rows.reshape(-1, q).sum(axis=0)
-    return class_sums[np.gcd(np.arange(q), q) == 1]
+    coprime = np.ones(q, dtype=bool)
+    for p, _ in factorize(q):
+        coprime[::p] = False
+    return class_sums[coprime]
 
 
 def _weights(table, X, psi):

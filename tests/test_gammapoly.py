@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divvar.gammapoly import (
-    _MC_BATCH,
+    _BATCH,
+    PiecewisePolynomial,
     RationalPolynomial,
     _invert,
     _moment_transform,
@@ -19,7 +20,13 @@ from divvar.gammapoly import (
 )
 from divvar.cli import _default_c_grid
 from mc_oracle import gamma_mc_reference
-from pk_oracle import compose_linear, p_k_multinomial, p_k_residue, poly_mul
+from pk_oracle import (
+    _shifted_monomial,
+    compose_linear,
+    p_k_multinomial,
+    p_k_residue,
+    poly_mul,
+)
 from secular_oracle import laplace_det, sparse_mul
 
 
@@ -89,6 +96,97 @@ def test_eval_float_matches_float_of_eval(k, u):
     assert p_k(k).eval_float(c) == float(p_k(k).eval(c))
     with pytest.raises(ValueError):
         g.eval_float(k + 0.5)
+
+
+def _eval_floats_spied(g, cs, monkeypatch):
+    """(g.eval_floats(cs), the number of exact RationalPolynomial.eval_float
+    calls it made)."""
+    calls = []
+    exact = RationalPolynomial.eval_float
+
+    def spy(self, c):
+        calls.append(c)
+        return exact(self, c)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RationalPolynomial, "eval_float", spy)
+        out = g.eval_floats(cs)
+    return out, len(calls)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_eval_floats_is_eval_float_at_every_point(k):
+    g = gamma_exact(k)
+    rng = np.random.default_rng(100 + k)
+    knots = np.arange(k + 1.0)
+    cs = np.concatenate([j + rng.random(2000) for j in range(k)]
+                        + [knots, np.nextafter(knots[1:], 0), [float(k)]])
+    got = g.eval_floats(cs)
+    assert got.dtype == np.float64 and got.shape == cs.shape
+    want = [g.eval_float(c) for c in cs.tolist()]
+    assert got.tolist() == want
+    assert g.eval_floats(cs.tolist()).tolist() == want
+
+
+def test_eval_floats_falls_back_to_the_exact_value(monkeypatch):
+    # gamma_8 near c = 8 is (8 - c)^63 / 63!: subnormal, so no float bound
+    # settles its rounding and every such c takes the exact eval_float
+    g = gamma_exact(8)
+    near_end = 8 - np.geomspace(2.3e-4, 3e-4, 50)
+    cs = np.concatenate([7 + np.random.default_rng(8).random(2000), near_end])
+    got, calls = _eval_floats_spied(g, cs, monkeypatch)
+    assert calls >= near_end.size
+    assert np.all(got[-near_end.size :] > 0)
+    assert got.tolist() == [g.eval_float(c) for c in cs.tolist()]
+
+
+def test_eval_floats_settles_smooth_values_without_fallback(monkeypatch):
+    # the exact-q prediction's c at Q = 10^4, k = 3: no c needs the fallback
+    g = gamma_exact(3)
+    cs = math.log(10**6) / np.log(np.arange(10**4, 2 * 10**4 + 1))
+    got, calls = _eval_floats_spied(g, cs, monkeypatch)
+    assert calls == 0
+    assert got.tolist() == [g.eval_float(c) for c in cs.tolist()]
+
+
+@pytest.mark.parametrize("c", [-0.5, -5e-324, 3 + 2**-50, 4.0, math.nan, math.inf])
+def test_eval_floats_rejects_c_outside_the_range(c):
+    g = gamma_exact(3)
+    with pytest.raises(ValueError):
+        g.eval_floats([1.0, c])
+    if not math.isnan(c):
+        with pytest.raises(ValueError):
+            g.eval_float(c)
+
+
+def test_eval_floats_of_no_points():
+    assert gamma_exact(2).eval_floats([]).shape == (0,)
+    zero = PiecewisePolynomial(1, (RationalPolynomial(),))
+    assert zero.eval_floats([0.0, 0.5, 1.0]).tolist() == [0.0, 0.0, 0.0]
+
+
+def _invert_termwise(k, transform, scale):
+    """_invert with each term its own Fraction polynomial, summed one by one."""
+    by_shift = [RationalPolynomial() for _ in range(k)]
+    for key, coeff in transform.items():
+        m, t = divmod(key, k + 1)
+        if t < k and coeff:
+            by_shift[t] = by_shift[t] + _shifted_monomial(
+                t, m - 1, scale * Fraction(coeff, math.factorial(m - 1)))
+    pieces, running = [], RationalPolynomial()
+    for poly in by_shift:
+        running = running + poly
+        pieces.append(running)
+    return pieces
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_invert_is_the_termwise_sum(k):
+    moments = [_moment_transform(k, r) for r in range(2 * k - 1)]
+    transform = poly_det(k, lambda i, j: moments[i + j])
+    scale = Fraction(1, barnes_g(k + 1) ** 2)
+    assert list(gamma_exact(k).pieces) == _invert_termwise(k, transform, scale)
+    assert list(_invert(k, {}, scale).pieces) == [RationalPolynomial()] * k
 
 
 def test_compose_linear_reflection():
@@ -270,7 +368,7 @@ def test_mc_oracle_seeded_and_close():
 
 # four full batches and a partial fifth; the reference sums in batches of
 # 2^18, so the two group their sums differently
-MC_SAMPLES = 4 * _MC_BATCH + 10**4
+MC_SAMPLES = 4 * _BATCH + 10**4
 
 
 @pytest.mark.parametrize("k", range(2, 9))

@@ -259,6 +259,30 @@ def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
                              delta_binned(table, Q, X, psi, phi))
 
 
+def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
+    # c = 0.75 < 1: every modulus exceeds 2X, so no row has lags, and every
+    # T_d and T2_d comes from the flat gather, here in 6 parts of about
+    # w.size entries: the rows hold about 6 times as many as w
+    Q, X = 10**4, 10**3
+    parts = []
+    runs = variance._runs
+
+    def spy(idx, labels):
+        parts.append(len(runs(idx, labels)))
+        return runs(idx, labels)
+
+    def refuse(*args):
+        raise AssertionError("a lag-free row reached the batch loop")
+
+    monkeypatch.setattr(variance, "_runs", spy)
+    for name in ("_rows", "_autocorrelation", "_fold_lag_sums"):
+        monkeypatch.setattr(variance, name, refuse)
+    got = delta_k(table_k2, Q, X, psi, phi)
+    assert parts == [6, 0]
+    assert got.g_term == 0.0
+    assert_within_budget(got, delta_binned(table_k2, Q, X, psi, phi))
+
+
 def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
                                               monkeypatch):
     # cache-k3's c = 2.8 point: every row with lags folds, the d = 1 row
@@ -402,7 +426,7 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
 
 def test_delta_k_modulus_side_peak_per_pair(psi, phi):
     # at X = 100 the pairs (d, m) of the moduli [Q, 2Q] set the peak: a
-    # second call traced 57.3 MB at Q = 10^5, 66 B for each of 862,844 pairs
+    # second call traced 55.5 MB at Q = 10^5, 64 B for each of 862,844 pairs
     Q, X = 10**5, 100
     table = sieve_dk(2, 2 * X, X)
     pairs = _divisor_pairs(Q, 2 * Q)[3].size
@@ -418,7 +442,7 @@ def test_delta_k_modulus_side_peak_per_pair(psi, phi):
 
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
-    # at X = 100 the moduli set the peak: 6.3 MB and 12.9 MB were traced
+    # at X = 100 the moduli set the peak: 7.1 MB and 14.0 MB were traced
     # against bounds of 12.9 MB and 25.8 MB
     X = 100
     table = sieve_dk(2, 2 * X, X)
