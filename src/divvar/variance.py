@@ -13,12 +13,15 @@ each squarefree d <= 2Q (Möbius inversion removes the condition
 (n, q) = 1; mu comes from sieve.sieve_multiplicative on [1, 2Q]).  Each
 u_d gets them the cheaper of two ways: by its class sums modulo each of
 its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence of length
-n_d, or from its whole autocorrelation by real FFTs, blocked for long
-sequences and batched into 2-D transforms for short ones, about
-n_d log n_d.  That is sum_d min(|M_d| n_d, n_d log n_d) work, at most
-O(X log X log Q), instead of the O(QX) of binning every modulus by
-residue class; `delta_k` states the derivation and the error
-budget against that binning, which lives under tests/ as the oracle.
+n_d, or straight from the spectra of real FFTs, cut into at most 8
+equal blocks for long sequences and batched into 2-D transforms for
+short ones, about n_d log n_d, without forming the autocorrelation:
+beside the spectra, 16-20 bytes per n, only three buffers of one
+block's transform are live.  That is sum_d min(|M_d| n_d, n_d log n_d)
+work, at most O(X log X log Q), instead of the O(QX) of binning every
+modulus by residue class; `delta_k` states the derivation, the memory
+per n and the error budget against that binning, which lives under
+tests/ as the oracle.
 Rows u_d too short to have lags need only their sums, and are gathered
 flat.  No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
@@ -95,11 +98,12 @@ class Prediction:
     prediction_offdiagonal: float
 
 
-# Blocks of the autocorrelation are never shorter than this, so short
-# sequences take a single transform.
+# A sequence is cut into as few equal blocks as blocks of at most
+# max(n / _MAX_BLOCKS, _MIN_BLOCK) allow, so one of at most _MIN_BLOCK
+# takes a single transform.
 _MIN_BLOCK = 2**14
 _MAX_BLOCKS = 8
-# Short sequences of one transform size are autocorrelated together, as the
+# Short sequences of one transform size are transformed together, as the
 # rows of 2-D transforms of at most this many entries (rows times size).
 _BATCH = 2**17
 
@@ -114,41 +118,77 @@ def _fft_size(n):
     return _FFT_SIZES[np.searchsorted(_FFT_SIZES, n)]
 
 
-def _autocorrelation(u: np.ndarray) -> np.ndarray:
-    """R[..., h] = sum_j u[..., j] u[..., j+h] for 0 <= h < n, row by row.
+def _block_spectra(u: np.ndarray):
+    """(spectra, L): the rows of u cut into equal blocks of length L, each
+    block's real FFT zero-padded to _fft_size(2L - 1).
 
     Each row of u (a 1-D u is one row) is a sequence of length n; all rows
     share every transform, as 2-D real FFTs along the last axis.  The rows
-    are cut into at most 8 blocks of length L = min(n, max(ceil(n/8), 2^14))
-    and each block is transformed once, zero-padded to _fft_size(2L - 1) so
-    that the circular correlation of two blocks does not wrap.  For each
-    block offset j, one inverse transform of sum_i conj(F_i) F_{i+j} gives
-    the lags jL + g, -L < g < L.  So n <= 2^14 takes one transform, |F|^2
-    and one inverse.  For longer n this is no slower than one transform of
-    length 2n, but every temporary (products, inverse transforms) is one
-    block long: with one transform, `divvar variance --k 2 --q 1025
-    --x 262605` peaks at 66 MiB of RSS instead of 52 MiB.  Zeros at the end
-    of a row do not change its lags, so sequences of different lengths can
-    share one array as zero-padded rows.
+    are cut into B = ceil(n / max(ceil(n/8), 2^14)) blocks of L = ceil(n/B),
+    the last up to B - 1 shorter: so n <= 2^14 is one block, and no short
+    last block costs a whole transform (n = 17507 takes two transforms of
+    18432, not those of 32768 that blocks of 2^14 and 1123 would).  The
+    padding keeps the circular correlation of two blocks from wrapping.
+    Zeros at the end of a row do not change its lags, so sequences of
+    different lengths can share one array as zero-padded rows.
     """
     n = u.shape[-1]
-    r = np.zeros(u.shape)
-    if n == 0:
-        return r
-    block = min(n, max(-(-n // _MAX_BLOCKS), _MIN_BLOCK))
+    blocks = -(-n // max(-(-n // _MAX_BLOCKS), _MIN_BLOCK))
+    block = -(-n // max(blocks, 1))
     size = _fft_size(2 * block - 1)
-    spectra = [np.fft.rfft(u[..., i : i + block], size) for i in range(0, n, block)]
+    return [np.fft.rfft(u[..., i * block : (i + 1) * block], size)
+            for i in range(blocks)], block
+
+
+def _lag_sums(spectra, block: int, row, m, count) -> np.ndarray:
+    """sum_{t=1}^{count[i]} R[row[i], t m[i]] for each i (count[i] >= 1),
+    R[h] = sum_j u[j] u[j+h] the autocorrelation of the rows whose blocks
+    of length `block` have the given spectra (`_block_spectra`).
+
+    R is never formed.  For each block offset j, sum_i conj(F_i) F_{i+j}
+    is accumulated in one reused buffer (a second holds each product) and
+    inverted into a third.  That inverse holds the lag jL + g of row r at
+    r size + g for 0 <= g < L and at r size + size + g for -L < g < 0, so
+    each half of its window is one progression per pair with lags there.
+    Only the pairs with lags in the window are gathered, by one
+    `_progressions` and one np.add.reduceat, before the next offset reuses
+    the buffers.  So beside the spectra only three buffers of one block's
+    transform are live, and no gather is longer than the lags of one
+    window.
+    """
+    size = int(_fft_size(2 * block - 1))
+    out = np.zeros(m.size)
+    acc = np.empty_like(spectra[0])
+    tmp = np.empty_like(acc) if len(spectra) > 1 else None
+    corr = np.empty(acc.shape[:-1] + (size,))
     for j in range(len(spectra)):
-        acc = spectra[0].conj() * spectra[j]
+        np.conjugate(spectra[0], out=acc)
+        acc *= spectra[j]
         for i in range(1, len(spectra) - j):
-            acc += spectra[i].conj() * spectra[i + j]
-        corr = np.fft.irfft(acc, size)
-        base = j * block
-        top = min(block, n - base)
-        r[..., base : base + top] += corr[..., :top]
-        if j:
-            r[..., base - block + 1 : base] += corr[..., size - block + 1 :]
-    return r
+            np.conjugate(spectra[i], out=tmp)
+            tmp *= spectra[i + j]
+            acc += tmp
+        np.fft.irfft(acc, size, out=corr)
+        # the pairs p, each lag progression's first index and its length
+        if len(spectra) == 1:  # one block holds every lag, at r size + t m
+            p, first, num = np.arange(m.size), row * size + m, count
+        else:
+            base = j * block
+            halves = [(base, base + block, -base)]
+            if j:
+                halves.append((base - block + 1, base, size - base))
+            parts = []
+            for lo, hi, shift in halves:  # lo <= t m < hi, at r size + t m + shift
+                t_lo = np.maximum(-(-lo // m), 1)
+                num = np.minimum((hi - 1) // m, count) - t_lo + 1
+                p = np.flatnonzero(num > 0)
+                parts.append((p, row[p] * size + t_lo[p] * m[p] + shift, num[p]))
+            p, first, num = (np.concatenate(x) for x in zip(*parts))
+        if p.size:
+            lags = corr.reshape(-1)[_progressions(first, m[p], num)]
+            np.add.at(out, p, np.add.reduceat(lags, np.cumsum(num) - num))
+            del lags
+    return out
 
 
 def _progressions(first, step, count) -> np.ndarray:
@@ -234,20 +274,6 @@ def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
     return np.where(inside, w[at], 0.0)
 
 
-def _lag_sums(r: np.ndarray, row, m, count) -> np.ndarray:
-    """sum_{t=1}^{count[i]} r[row[i], t m[i]] for each i (count[i] >= 1).
-
-    All lags are gathered by one _progressions and each i's lags are
-    summed by one np.add.reduceat.  When q_hi <= 2 q_lo (Phi supported in
-    [1, 2], as in the CLI) there are at most 1.5 r.size lags: in `delta_k`
-    the pairs of a row of length n have count < n/m, their m are the
-    integers in [a, b] with b <= 2a, and sum_{a <= m <= 2a} 1/m <= 3/2, the
-    worst case being m in {1, 2}.
-    """
-    at = _progressions(row * r.shape[-1] + m, m, count)
-    return np.add.reduceat(r.reshape(-1)[at], np.cumsum(count) - count)
-
-
 # Each product of a fold has at most this many entries (or m, if m is
 # larger): OpenBLAS splits a gemv of 9216 entries or more across two
 # threads, and on a loaded 2-vCPU box such a call stalled for 4-8 ms (a
@@ -283,7 +309,7 @@ def _fold_lag_sums(u: np.ndarray, ms) -> np.ndarray:
 
 # The lag sums of a row of length n with |M| live moduli cost about
 # |M| (n + _FOLD_OVERHEAD) folded entries by `_fold_lag_sums` and the time
-# of _FFT_COST n log2 n folded entries by `_autocorrelation` and
+# of _FFT_COST n log2 n folded entries by `_block_spectra` and
 # `_lag_sums`.  Measured on a 2-vCPU x86-64 box (numpy 2.4, OpenBLAS
 # 0.3.31), best of 7: a fold costs 0.41 ns per entry and modulus plus
 # 6.5 us per modulus (least squares over n = 50 ... 398108 and
@@ -342,8 +368,9 @@ def delta_k(
 
     - folding (`_fold_lag_sums`): the class sums of u_d mod m by BLAS
       products, about |M_d| n_d work;
-    - the FFT route: the whole autocorrelation R_d (`_autocorrelation`),
-      about n_d log n_d work, and its lags t m gathered (`_lag_sums`).
+    - the FFT route: the lag sums straight from the block spectra of u_d
+      (`_block_spectra`, `_lag_sums`), about n_d log n_d work; R_d is
+      never formed.
 
     `_folds` picks the fold when |M_d| (n_d + _FOLD_OVERHEAD) is below
     _FFT_COST n_d log2 n_d, two costs measured as stated beside them.  So
@@ -353,30 +380,48 @@ def delta_k(
     moduli among them; at (2, 1025, 262605) 527 of 1246 do, but none of the
     rows d <= 23, such as the d = 1 row with its 1026 moduli.
 
-    On the FFT route a row longer than 2^14 is a batch of its own, with
-    blocked transforms, so the d = 1 row, of length X, never needs a
-    transform of length 2X and its temporaries.  Shorter rows are grouped
-    by transform size, and each group is cut into batches of at most
-    _BATCH = 2^17 entries (rows times size), one 2-D transform each.  Rows
-    that fold are batched by length alone and only summed before their
-    folds.  T_d and T2_d are the row sums of u and u^2.  The lags t m of
-    all pairs of an FFT batch are gathered at once, at most 1.5 times as
-    many as the batch's R has entries.  Rows with no lags take no batch:
-    their values are gathered flat by `_progressions`, in parts of at most
-    w.size entries plus one row, and summed row by row by np.add.reduceat;
-    rows with n_d = 0 are skipped.  At c < 1 no row has lags: at
-    (2, 10^6, 10^3), where 1,215 of the 1,215,877 rows hold any n, the
-    call takes about 1 s, most of it in passes over the 10^7 pairs.  So
-    the peak is set by the d = 1 row's blocked transforms when it takes
-    the FFT route, not by the batches: a second call at (2, 1025, 262605)
-    peaks at 10.6 MiB of traced allocations, w (2 MiB) included.  A fold
-    allocates O(m), and a contiguous copy of a strided row; at
-    (3, 100, 398107) a second call peaks at 9.1 MiB, all of it from
-    evaluating psi on the window.  When the moduli outnumber the window,
-    the pairs set the peak instead, at the closing np.bincount calls
-    (`modulus_bytes` states what is live there): a second call at
-    (2, 10^5, 100) peaks at 55.5 MB, 64 B for each of its 862,844 pairs.  Each piece is summed against Phi(q/Q) exactly
-    and rounded once by `exact_sum`, which returns math.fsum's value.
+    On the FFT route a row longer than 2^14 is a batch of its own, cut
+    into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
+    so the d = 1 row, of length X, never needs a transform of length 2X
+    and its temporaries, and no short last block costs a whole transform.
+    Shorter rows are one block each, grouped by transform size, and each
+    group is cut into batches of at most _BATCH = 2^17 entries (rows times
+    size), one 2-D transform each.  Rows that fold are batched by length
+    alone and only summed before their folds.  T_d and T2_d are the row
+    sums of u and u^2.  The lags t m of an FFT batch are gathered one
+    inverse block at a time, only those in its window.  When
+    q_hi <= 2 q_lo (Phi supported in [1, 2], as in the CLI) a row's live
+    moduli are the integers in some [a, b], b <= 2a, and
+    sum_{a <= m <= 2a} 1/m <= 3/2, so a window of 2L - 1 lags holds at
+    most 1.5 (2L - 1) + |M_d| of them, and a single block at most 1.5 n_d:
+    0.69 per entry of the inverse at most, on the oracle grid and the
+    sweep-k2 points.  Rows with no lags take no batch: their values are
+    gathered flat by `_progressions`, in parts of at most w.size entries
+    plus one row, and summed row by row by np.add.reduceat; rows with
+    n_d = 0 are skipped.  At c < 1 no row has lags: at (2, 10^6, 10^3),
+    where 1,215 of the 1,215,877 rows hold any n, the call takes about
+    1 s, most of it in passes over the 10^7 pairs.
+
+    Memory per n of the psi window: w takes 8 B, and a row on the FFT
+    route its block spectra, 16-20 B per n of the row (the transform size
+    is 2L - 1 rounded up by at most 25 %), and three buffers of one
+    block's transform.  The long rows come after the short ones, and a
+    long d = 1 row last: its T and T2 are summed first, and once its
+    spectra exist w is dropped, so w and the d = 1 row's spectra are live
+    together only while the spectra are taken, never beside the inverse
+    buffers.
+    So the peak is set by the d = 1 row when it takes the FFT route: a
+    second call at (2, 1025, 262605) peaks at 7.3 MiB of traced
+    allocations, 29 B per n (10.5 MiB when w, R_1 and the spectra were
+    live together), and `variance --k 2 --q 46416 --x 10^7` at 362 MiB of
+    RSS.  A fold allocates O(m), and a contiguous copy of a strided row;
+    at (3, 100, 398107) a second call peaks at 4.7 MiB, 12 B per n.  When
+    the moduli outnumber the window, the pairs set the peak instead, at
+    the closing np.bincount calls (`modulus_bytes` states what is live
+    there): a second call at (2, 10^5, 100) peaks at 55.5 MB, 64 B for
+    each of its 862,844 pairs.  Each piece is summed against Phi(q/Q)
+    exactly and rounded once by `exact_sum`, which returns math.fsum's
+    value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds`, forced
@@ -385,7 +430,7 @@ def delta_k(
     a_term absolute.  delta = A - B cancels as c grows (a_term / delta is
     1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at k = 2), so its relative
     error may reach a_term / delta times that budget.  The largest errors
-    seen on the grid are, for delta, 1.5e-15 * a_term on the FFT route
+    seen on the grid are, for delta, 1.1e-15 * a_term on the FFT route
     and 8.2e-16 * a_term folded, and 9.1e-15 relative for d_term (the
     Möbius sum of T2_d cancels most).  The batch cap changes only the
     rounding, not this budget.
@@ -419,14 +464,15 @@ def delta_k(
         t[part] = np.add.reduceat(u, at)
         t2[part] = np.add.reduceat(np.square(u, out=u), at)
 
-    # batch key: the transform size of a short row, a key of its own for a
-    # long row, 0 for a row that is folded
+    # batch key: 0 for a row that is folded, the transform size of a short
+    # row, and for a long row a key of its own above every transform size,
+    # the largest for the d = 1 row (row 0), which so comes last
     live = np.flatnonzero(moduli)
     key = np.zeros(ds.size, dtype=np.int64)
     fft = (moduli > 0) & ~fold
     short = fft & (n <= _MIN_BLOCK)
     key[short] = _fft_size(2 * n[short] - 1)
-    key[fft & ~short] = -1 - np.flatnonzero(fft & ~short)
+    key[fft & ~short] = _BATCH + ds.size - np.flatnonzero(fft & ~short)
     order = live[np.lexsort((n[live], key[live]))]
     lag_sum = np.zeros(m.size)
     for group in _runs(order, key[order]):
@@ -440,7 +486,11 @@ def delta_k(
                 p = _progressions(first[batch], 1, moduli[batch])
                 pos = np.repeat(np.arange(batch.size), moduli[batch])
                 lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
-                lag_sum[p] = _lag_sums(_autocorrelation(u), pos, m[p], lags)
+                spectra, block = _block_spectra(u)
+                if batch[-1] == order[-1]:  # no batch follows: drop w
+                    del w, u
+                lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
+                del spectra
             for i in np.flatnonzero(fold[batch]).tolist():
                 p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
                 lag_sum[p] = _fold_lag_sums(u[i, : n[batch[i]]], m[p])
@@ -461,6 +511,10 @@ def delta_k(
     )
 
 
+# `short_interval_variance` forms its window sums this many at a time
+_PIECE = 2**16
+
+
 def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
     """Mean-square fluctuation of sum_{x<=n<=x+H} d_k(n) for x in [X, 2X].
 
@@ -470,13 +524,20 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
     by piece, in integer arithmetic, and rounded to float once at the end.
     Only d_k on [X + 1, 2X + H] is read: T(m) - T(X) for X <= m <= 2X + H
     is summed in an explicit uint64 accumulator, whatever the table's dtype.
+    The window sums S_m = T(m + H) - T(m) are formed and summed 2^16 at a
+    time, into exact Python ints, so beside the prefix only pieces are
+    allocated.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
     prefix = np.zeros(X + H + 1, dtype=np.uint64)
     np.cumsum(table.window(X + 1, 2 * X + H), dtype=np.uint64, out=prefix[1:])
-    window = prefix[H : X + H] - prefix[:X]
-    total, total_sq = _exact_sums(window)
+    total = total_sq = 0
+    for i in range(0, X, _PIECE):
+        j = min(i + _PIECE, X)
+        s, s2 = _exact_sums(prefix[i + H : j + H] - prefix[i:j])
+        total += s
+        total_sq += s2
     # exact: (1/X) sum S_m^2 - ((1/X) sum S_m)^2 over the X unit pieces
     return (X * total_sq - total * total) / (X * X)
 

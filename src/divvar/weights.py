@@ -28,6 +28,8 @@ class Normalization(Enum):
 
 # Trapezoid steps for the normalisation integral over the support
 _STEPS = 2**12
+# `SmoothWeight.sample` evaluates its grid this many points at a time
+_PIECE = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,17 +70,21 @@ class SmoothWeight:
         Returns (first, w): the m are consecutive from `first`, and
         w[i] = self(m/scale) at m = first + i, 0 at an integer end of the
         support.  The grid m/scale is one float array, divided in place and
-        then evaluated; no integer index array is allocated.  ValueError
-        if no such m exists.
+        then evaluated in place, by `eval_array` on pieces of 2^16 points:
+        so w equals `eval_array` on the whole grid, and no integer index
+        array or other temporary as long as the window is allocated.
+        ValueError if no such m exists.
         """
         first = max(math.ceil(self.support_lo * scale), least)
         last = math.floor(self.support_hi * scale)
         if last < first:
             raise ValueError(f"no integer m >= {least} has m/{scale} in "
                              f"[{self.support_lo}, {self.support_hi}]")
-        grid = np.arange(first, last + 1, dtype=np.float64)
-        grid /= scale
-        return first, self.eval_array(grid)
+        w = np.arange(first, last + 1, dtype=np.float64)
+        w /= scale
+        for i in range(0, w.size, _PIECE):
+            w[i : i + _PIECE] = self.eval_array(w[i : i + _PIECE])
+        return first, w
 
 
 def make_bump(lo: float, hi: float, normalization: Normalization) -> SmoothWeight:

@@ -69,16 +69,16 @@ def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
 
 
 def test_selftest_checks_both_routes_of_delta_k(tmp_path, monkeypatch):
-    # variance_decomposition folds some rows and autocorrelates others
+    # variance_decomposition folds some rows and takes the others by FFT
     calls = []
-    for name in ("_fold_lag_sums", "_autocorrelation"):
+    for name in ("_fold_lag_sums", "_lag_sums"):
         def spy(*args, real=getattr(variance, name), name=name):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(variance, name, spy)
     code, _ = run_cli(["selftest"], tmp_path)
     assert code == 0
-    assert set(calls) == {"_fold_lag_sums", "_autocorrelation"}
+    assert set(calls) == {"_fold_lag_sums", "_lag_sums"}
 
 
 def test_selftest_fails_on_a_perturbed_sieve(tmp_path, monkeypatch):

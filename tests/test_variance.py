@@ -19,7 +19,7 @@ from divvar.gammapoly import gamma_exact
 from divvar import variance
 from divvar.sieve import CoverageError, sieve_dk
 from divvar.variance import (
-    _autocorrelation,
+    _block_spectra,
     _divisor_pairs,
     _exact_sums,
     _fft_size,
@@ -160,14 +160,26 @@ def test_delta_matches_binning_oracle(oracle_tables, psi, phi, k):
                              delta_binned(table, Q, X, psi, phi))
 
 
+def _autocorrelation(u):
+    """R[..., h] for 1 <= h < n of the rows of u, from `_lag_sums`: the
+    lag sum of the pair (m, count) = (h, 1) is R(h) alone."""
+    rows, n = np.atleast_2d(u).shape
+    h = np.tile(np.arange(1, n), rows)
+    spectra, block = _block_spectra(u)
+    if not spectra:  # an empty row has no blocks and no lags
+        return np.zeros((rows, 0))
+    row = np.repeat(np.arange(rows), n - 1)
+    return _lag_sums(spectra, block, row, h, np.ones_like(h)).reshape(rows, n - 1)
+
+
 @pytest.mark.parametrize("n", (0, 1, 2, 2**14 - 1, 2**14, 2**14 + 1,
                                8 * 2**14 + 3))
 def test_autocorrelation_matches_correlate(n):
     # signed values, so most lags are far smaller than R[0]
     u = np.random.default_rng(n).standard_normal(n)
-    got = _autocorrelation(u)
-    want = np.correlate(u, u, "full")[n - 1:] if n else np.zeros(0)
-    assert got.shape == want.shape == (n,)
+    got = _autocorrelation(u)[0]
+    want = np.correlate(u, u, "full")[n:] if n else np.zeros(0)
+    assert got.shape == want.shape == (max(n - 1, 0),)
     assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
 
 
@@ -182,26 +194,72 @@ def test_batched_autocorrelation_matches_correlate(lengths):
     for i, row in enumerate(rows):
         u[i, : row.size] = row
     got = _autocorrelation(u)
-    assert got.shape == u.shape
+    assert got.shape == (u.shape[0], u.shape[1] - 1)
     for i, row in enumerate(rows):
         # the padded row's lags: its own, then 0 from n on
-        want = np.correlate(u[i], u[i], "full")[u.shape[1] - 1:]
+        want = np.correlate(u[i], u[i], "full")[u.shape[1]:]
         assert np.all(np.abs(got[i] - want) <= 1e-13 * np.sum(row * row))
+
+
+def _correlate_lag_sums(u, ms):
+    """sum_{t>=1} R(t m) for each m, each R(h) one np.correlate value."""
+    n = u.size
+    return np.array([math.fsum(np.correlate(u[h:], u[: n - h])[0]
+                               for h in range(m, n, m)) for m in ms.tolist()])
+
+
+def _lag_sums_of(u, ms):
+    """The lag sums of the 1-D u at ms by `_block_spectra` and `_lag_sums`."""
+    spectra, block = _block_spectra(u)
+    return _lag_sums(spectra, block, np.zeros_like(ms), ms, (u.size - 1) // ms)
 
 
 def test_lag_sums_match_a_direct_sum():
     # zero-padded rows of lengths 9, 4, 1; row 0's pairs have m = 1, 2, the
-    # worst case of the 1.5 * r.size bound: (n - 1)(1 + 1/2) = 12 lags
+    # worst case of the 1.5 lags per entry bound: (n - 1)(1 + 1/2) = 12 lags
     rng = np.random.default_rng(5)
-    r = np.zeros((3, 9))
+    u = np.zeros((3, 9))
     for i, n in enumerate((9, 4, 1)):
-        r[i, :n] = rng.standard_normal(n)
+        u[i, :n] = rng.standard_normal(n)
     row = np.array([0, 0, 1, 1, 2])
     m = np.array([1, 2, 1, 3, 1])
     count = np.array([8, 4, 3, 1, 1])
-    want = [math.fsum(r[i, t * mi] for t in range(1, c + 1))
+    r = [np.correlate(v, v, "full")[8:] for v in u]
+    want = [math.fsum(r[i][t * mi] for t in range(1, c + 1))
             for i, mi, c in zip(row.tolist(), m.tolist(), count.tolist())]
-    assert np.allclose(_lag_sums(r, row, m, count), want, rtol=1e-14, atol=0)
+    got = _lag_sums(*_block_spectra(u), row, m, count)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u, axis=1)[row])
+
+
+# (n, blocks) with 2^6 as the least block: B = 2 ... 8 blocks, equal (n a
+# multiple of B) or with a last block shorter by up to B - 1, and n > 8 * 2^6,
+# where blocks grow past the least
+@pytest.mark.parametrize("n, blocks", ((128, 2), (125, 2), (190, 3), (253, 4),
+                                       (320, 5), (383, 6), (447, 7), (512, 8),
+                                       (509, 8), (1000, 8)))
+def test_lag_sums_of_blocked_rows(monkeypatch, n, blocks):
+    # every modulus 1 <= m < n: lags in every window, and m >= L, whose
+    # lags t m span blocks; R from np.correlate
+    monkeypatch.setattr(variance, "_MIN_BLOCK", 2**6)
+    u = np.random.default_rng(n).standard_normal(n)
+    spectra, block = _block_spectra(u)
+    assert len(spectra) == blocks and block == -(-n // blocks)
+    ms = np.arange(1, n)
+    r = np.correlate(u, u, "full")[n - 1:]
+    want = [math.fsum(r[m::m]) for m in ms.tolist()]
+    assert np.all(np.abs(_lag_sums_of(u, ms) - want) <= 1e-13 * np.sum(u * u))
+
+
+def test_lag_sums_at_the_sweep_point():
+    # the d = 1 row of sweep-k2's (1025, 1.8) point, n = 262,605: 8 blocks
+    # of 32,826, moduli in [1025, 2050] and past the block
+    n = 262605
+    u = np.random.default_rng(7).standard_normal(n)
+    assert _block_spectra(u)[1] == 32826
+    ms = np.array([1025, 1026, 1337, 2049, 2050, 32825, 32826, 32827, 70001,
+                   n - 1])
+    got = _lag_sums_of(u, ms)
+    assert np.all(np.abs(got - _correlate_lag_sums(u, ms)) <= 1e-13 * np.sum(u * u))
 
 
 def _strided(n, d):
@@ -229,8 +287,7 @@ _FOLD_CASES = [
 def test_fold_lag_sums_match_the_autocorrelation(u, ms):
     ms = np.array(ms)
     got = _fold_lag_sums(u, ms)
-    r = _autocorrelation(np.ascontiguousarray(u)[None, :])
-    want = _lag_sums(r, np.zeros_like(ms), ms, (u.size - 1) // ms)
+    want = _lag_sums_of(np.ascontiguousarray(u), ms)
     assert got.shape == ms.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
 
@@ -243,7 +300,7 @@ def _route(monkeypatch, fold):
 
     monkeypatch.setattr(variance, "_folds",
                         lambda n, moduli: np.full(np.shape(n), fold))
-    monkeypatch.setattr(variance, "_autocorrelation" if fold else "_fold_lag_sums",
+    monkeypatch.setattr(variance, "_lag_sums" if fold else "_fold_lag_sums",
                         refuse)
 
 
@@ -275,7 +332,7 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
         raise AssertionError("a lag-free row reached the batch loop")
 
     monkeypatch.setattr(variance, "_runs", spy)
-    for name in ("_rows", "_autocorrelation", "_fold_lag_sums"):
+    for name in ("_rows", "_block_spectra", "_fold_lag_sums"):
         monkeypatch.setattr(variance, name, refuse)
     got = delta_k(table_k2, Q, X, psi, phi)
     assert parts == [6, 0]
@@ -287,7 +344,7 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
                                               monkeypatch):
     # cache-k3's c = 2.8 point: every row with lags folds, the d = 1 row
     # (101 moduli) too; sweep-k2's (1025, 1.8): the d = 1 row (1026 moduli)
-    # is autocorrelated by FFT
+    # takes the FFT route
     choices, rows = [], []
     real = variance._folds
 
@@ -295,12 +352,12 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
         choices.append((real(n, moduli), moduli))
         return choices[-1][0]
 
-    def autocorrelation(u):
+    def block_spectra(u):
         rows.append(u.shape)
-        return _autocorrelation(u)
+        return _block_spectra(u)
 
     monkeypatch.setattr(variance, "_folds", folds)
-    monkeypatch.setattr(variance, "_autocorrelation", autocorrelation)
+    monkeypatch.setattr(variance, "_block_spectra", block_spectra)
     delta_k(oracle_tables[3], 100, round(100**2.8), psi, phi)
     (choice, moduli), = choices
     assert moduli.max() == 101 and np.all(choice[moduli > 0]) and rows == []
@@ -315,13 +372,20 @@ _SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.
 
 def test_lag_gathers_stay_within_the_stated_bound(oracle_tables, psi, phi,
                                                   monkeypatch):
-    # every _lag_sums call of delta_k gathers at most 1.5 r.size lags, on the
-    # oracle grid and the sweep-k2 points
+    # every inverse block of delta_k's FFT route gathers at most 1.5 lags per
+    # entry of the inverse, on the oracle grid and the sweep-k2 points
     ratios = []
+    lag_sums = variance._lag_sums
 
-    def spy(r, row, m, count):
-        ratios.append(count.sum() / r.size)
-        return _lag_sums(r, row, m, count)
+    def spy(spectra, block, row, m, count):
+        size = int(_fft_size(2 * block - 1))
+        for j in range(len(spectra)):
+            # the t in [1, count] with (j - 1) L < t m < (j + 1) L
+            t_lo = np.maximum((j - 1) * block // m + 1, 1)
+            t_hi = np.minimum(((j + 1) * block - 1) // m, count)
+            lags = np.maximum(t_hi - t_lo + 1, 0).sum()
+            ratios.append(lags / (spectra[j].size // spectra[j].shape[-1] * size))
+        return lag_sums(spectra, block, row, m, count)
 
     monkeypatch.setattr(variance, "_lag_sums", spy)
     sweep = sieve_dk(2, 2 * max(round(Q**c) for Q, c in _SWEEP_K2))
@@ -333,14 +397,14 @@ def test_lag_gathers_stay_within_the_stated_bound(oracle_tables, psi, phi,
 
 
 def _transform_shapes(monkeypatch, table, Q, X, psi, phi):
-    """delta_k, and the shape of each array it autocorrelates."""
+    """delta_k, and the shape of each array it transforms by blocks."""
     shapes = []
 
     def spy(u):
         shapes.append(u.shape)
-        return _autocorrelation(u)
+        return _block_spectra(u)
 
-    monkeypatch.setattr(variance, "_autocorrelation", spy)
+    monkeypatch.setattr(variance, "_block_spectra", spy)
     return delta_k(table, Q, X, psi, phi), shapes
 
 
@@ -396,32 +460,38 @@ def test_window_table_gives_the_full_table_values(k, Q, X, H, psi, phi):
         delta_k(sieve_dk(k, 2 * X + H, X + 1), Q, X, psi, phi)
 
 
-def test_delta_k_memory_peak(psi, phi):
-    # beside the 2 MiB window, the d = 1 row's blocked transforms dominate
-    table = sieve_dk(2, 2 * 262605)
-    delta_k(table, 1025, 262605, psi, phi)  # first call: one-off allocations
+def _second_call_peak(table, Q, X, psi, phi):
+    """The traced peak of a second delta_k call; the first makes the
+    one-off allocations."""
+    delta_k(table, Q, X, psi, phi)
     tracemalloc.start()
     try:
-        delta_k(table, 1025, 262605, psi, phi)
-        peak = tracemalloc.get_traced_memory()[1]
+        delta_k(table, Q, X, psi, phi)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+
+
+def test_delta_k_memory_peak(psi, phi):
+    # beside the 2 MiB window, the d = 1 row's blocked transforms dominate
+    assert _second_call_peak(sieve_dk(2, 2 * 262605), 1025, 262605, psi, phi) <= 12 * 2**20
+
+
+def test_delta_k_fft_route_peak_per_n(psi, phi):
+    # the d = 1 row comes last and its spectra replace w: the peak is its 8
+    # spectra (18 B per n) and three buffers of one block's transform, with
+    # the gather of one window; 29.3 B per n were traced (41.9 B when w, R
+    # and the spectra were live together)
+    X = 262605
+    peak = _second_call_peak(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
+    assert peak <= 30 * (X + 1)
 
 
 def test_delta_k_memory_peak_when_rows_fold(psi, phi):
-    # every row folds here; a second call peaked at 9.1 MiB, all of it from
-    # evaluating psi on the 3 MiB window (16.4 MiB with every row on FFTs)
+    # every row folds here; a second call peaked at 4.7 MiB, 1.6 times the
+    # 3 MiB window (9.1 MiB while psi was evaluated on the whole window at once)
     X = 398107
-    table = sieve_dk(3, 2 * X, X)
-    delta_k(table, 100, X, psi, phi)
-    tracemalloc.start()
-    try:
-        delta_k(table, 100, X, psi, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * 2**20
+    assert _second_call_peak(sieve_dk(3, 2 * X, X), 100, X, psi, phi) <= 6 * 2**20
 
 
 def test_delta_k_modulus_side_peak_per_pair(psi, phi):
@@ -507,6 +577,19 @@ def test_short_interval_variance_is_exact(table_k3):
         sums = [prefix[m + H] - prefix[m] for m in range(X, 2 * X)]
         exact = Fraction(sum(s * s for s in sums), X) - Fraction(sum(sums), X) ** 2
         assert short_interval_variance(table_k3, X, H) == float(exact), (X, H)
+
+
+@pytest.mark.parametrize("k, X, H", ((2, 200003, 1), (3, 2**16, 7), (3, 150001, 1000),
+                                     (2, 1000, 1)))
+def test_short_interval_variance_in_pieces_is_the_whole_array_value(k, X, H):
+    # the window sums formed and summed 2^16 at a time give the value of the
+    # whole window array at once, to the bit
+    table = sieve_dk(k, 2 * X + H, X)
+    prefix = np.zeros(X + H + 1, dtype=np.uint64)
+    np.cumsum(table.window(X + 1, 2 * X + H), dtype=np.uint64, out=prefix[1:])
+    total, total_sq = _exact_sums(prefix[H : X + H] - prefix[:X])
+    want = (X * total_sq - total * total) / (X * X)
+    assert short_interval_variance(table, X, H) == want
 
 
 def test_exact_sums_chunk_and_overflow():

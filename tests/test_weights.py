@@ -97,6 +97,16 @@ def test_sample_phi_is_the_direct_formula(phi, Q):
     assert w.tobytes() == phi.eval_array(qs / Q).tobytes()
 
 
+@pytest.mark.parametrize("scale", (1, 1000, 2**16 - 1, 2**16, 262605, 10**6))
+def test_sample_in_pieces_is_eval_array_on_the_grid(psi, scale):
+    # evaluated in place 2^16 points at a time, bit for bit the values of
+    # eval_array on the whole grid m/scale
+    first, w = psi.sample(scale, 1)
+    grid = np.arange(first, first + w.size, dtype=np.float64)
+    grid /= scale
+    assert w.tobytes() == psi.eval_array(grid).tobytes()
+
+
 def test_sample_least_cuts_the_window(phi):
     # at scale 1 the support [1, 2] holds m = 1 and 2; least 2 keeps m = 2
     assert phi.sample(1, 1)[0] == 1 and phi.sample(1, 1)[1].size == 2
