@@ -251,8 +251,8 @@ def test_lag_sums_of_blocked_rows(monkeypatch, n, blocks):
 
 
 def test_lag_sums_at_the_sweep_point():
-    # the d = 1 row of sweep-k2's (1025, 1.8) point, n = 262,605: 8 blocks
-    # of 32,826, moduli in [1025, 2050] and past the block
+    # a row as long as the d = 1 row at sweep-k2's (1025, 1.8) point: 8
+    # blocks of 32,826, moduli in [1025, 2050] and past the block
     n = 262605
     u = np.random.default_rng(7).standard_normal(n)
     assert _block_spectra(u)[1] == 32826
@@ -287,7 +287,7 @@ _FOLD_CASES = [
 def test_fold_lag_sums_match_the_autocorrelation(u, ms):
     ms = np.array(ms)
     got = _fold_lag_sums(u, ms)
-    want = _lag_sums_of(np.ascontiguousarray(u), ms)
+    want = _lag_sums_of(u, ms)
     assert got.shape == ms.shape
     assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
 
