@@ -351,12 +351,13 @@ def cmd_selftest(cfg: dict) -> dict:
         # Delta_k against the pair-sum definition of each V_q, which bins
         # nothing: sum over m = n (q) with (mn, q) = 1 of w_m w_n, minus
         # (sum over (n, q) = 1 of w_n)^2 / phi(q), within 1e-12 of the
-        # same-residue part A.  At (Q, X) = (40, 150) every row of delta_k
-        # takes the FFT route; at (5, 2000) most rows fold.
+        # same-residue part A.  At (Q, X) = (10, 2000) the d = 1 row of
+        # delta_k takes the FFT route and rows 3 and 7 fold on their own; at
+        # (5, 2000) the d = 1 row folds and serves every row.
         t = sieve.sieve_dk(2, 4000)
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
-        for Q, X in ((40, 150), (5, 2000)):
+        for Q, X in ((10, 2000), (5, 2000)):
             bd = variance.delta_k(t, Q, X, psi, phi)
             ns = np.arange(X, 2 * X + 1)
             w = t.window(X, 2 * X) * psi.eval_array(ns / X)

@@ -19,9 +19,13 @@ short ones, about n_d log n_d, without forming the autocorrelation:
 beside the spectra, 16-20 bytes per n, only three buffers of one
 block's transform are live.  That is sum_d min(|M_d| n_d, n_d log n_d)
 work, at most O(X log X log Q), instead of the O(QX) of binning every
-modulus by residue class; `delta_k` states the derivation, the memory
-per n and the error budget against that binning, which lives under
-tests/ as the oracle.
+modulus by residue class.  When the d = 1 sequence, the window w itself,
+folds, it serves every other one: u_d = w[s_d::d], so the class sums of
+u_d mod m are the strided view C_q[s_d::d] of those of w mod q = dm,
+which w's fold forms anyway.  No other sequence is then gathered, folded
+or transformed, and only one C_q is held at a time.  `delta_k` states
+the derivation, the memory per n and the error budget against that
+binning, which lives under tests/ as the oracle.
 Rows u_d too short to have lags need only their sums, and are gathered
 flat.  No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
@@ -281,21 +285,22 @@ def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
 _FOLD_ENTRIES = 2**13
 
 
-def _fold_lag_sums(u: np.ndarray, ms) -> np.ndarray:
-    """sum_{t>=1} R(t m) for each m of ms, R the autocorrelation of the 1-D u.
+def _class_sums(u: np.ndarray, ms):
+    """Yield, for each m of ms in turn, the class sums of the 1-D u mod m:
+    S_a = sum of u_j over j = a (mod m), for 0 <= a < m.
 
-    With S_a the sum of u_j over j = a (mod m), sum_a S_a^2 counts each
-    pair j, j' = j + t m once for t = 0 and twice for t >= 1, so the lag sum
-    is (sum_a S_a^2 - sum u^2) / 2.  u is folded into rows of length m and
+    With them, sum_a S_a^2 counts each pair j, j' = j + t m once for t = 0
+    and twice for t >= 1, so the lag sum sum_{t>=1} R(t m) of u is
+    (sum_a S_a^2 - sum u^2) / 2.  u is folded into rows of length m and
     the rows are summed by BLAS products with a vector of ones, stacked in
     products of at most _FOLD_ENTRIES entries each, then the rows left over:
-    about len(u) multiply-adds for each m, whatever m is.
+    about len(u) multiply-adds for each m, whatever m is.  Only one S is
+    formed at a time; it is a new array, which the next one does not reuse.
     """
     u = np.ascontiguousarray(u)
     n = u.size
     ones = np.ones(min(n, _FOLD_ENTRIES))
-    out = np.empty(len(ms))
-    for i, m in enumerate(ms.tolist()):
+    for m in ms.tolist():
         k = n // m  # whole rows; the first `stacked` go in products of `rows`
         rows = max(1, _FOLD_ENTRIES // m)
         stacked = k // rows * rows
@@ -303,12 +308,11 @@ def _fold_lag_sums(u: np.ndarray, ms) -> np.ndarray:
         if stacked:
             s += (ones[:rows] @ u[: stacked * m].reshape(-1, rows, m)).sum(axis=0)
         s[: n - k * m] += u[k * m :]
-        out[i] = np.dot(s, s)
-    return (out - np.einsum("i,i", u, u)) / 2
+        yield s
 
 
 # The lag sums of a row of length n with |M| live moduli cost about
-# |M| (n + _FOLD_OVERHEAD) folded entries by `_fold_lag_sums` and the time
+# |M| (n + _FOLD_OVERHEAD) folded entries by `_class_sums` and the time
 # of _FFT_COST n log2 n folded entries by `_block_spectra` and
 # `_lag_sums`.  Measured on a 2-vCPU x86-64 box (numpy 2.4, OpenBLAS
 # 0.3.31), best of 7: a fold costs 0.41 ns per entry and modulus plus
@@ -362,12 +366,12 @@ def delta_k(
     its row and its lag sum: mu(d) multiplies T_d and T2_d per d before
     they are gathered to the pairs.
 
-    The sequences are read from w as the rows of 2-D arrays.  A row's lag
-    sums are needed at its live moduli M_d, the m with m < n_d, and each
-    row with lags takes the cheaper of two routes to them:
+    A row's lag sums are needed at its live moduli M_d, the m with
+    m < n_d, and each row with lags takes the cheaper of two routes to them:
 
-    - folding (`_fold_lag_sums`): the class sums of u_d mod m by BLAS
-      products, about |M_d| n_d work;
+    - folding (`_class_sums`): the class sums S of u_d mod m by BLAS
+      products, about |M_d| n_d work, and the lag sum
+      sum_{t>=1} R_d(t m) = (sum_a S_a^2 - T2_d) / 2;
     - the FFT route: the lag sums straight from the block spectra of u_d
       (`_block_spectra`, `_lag_sums`), about n_d log n_d work; R_d is
       never formed.
@@ -375,10 +379,30 @@ def delta_k(
     `_folds` picks the fold when |M_d| (n_d + _FOLD_OVERHEAD) is below
     _FFT_COST n_d log2 n_d, two costs measured as stated beside them.  So
     the work is sum_d min(|M_d| n_d, n_d log n_d), at most O(X log X log Q),
-    where binning every modulus separately costs O(QX).  At (k, Q, X) =
-    (3, 100, 398107) all 122 rows with lags fold, the d = 1 row with its 101
-    moduli among them; at (2, 1025, 262605) 527 of 1246 do, but none of the
-    rows d <= 23, such as the d = 1 row with its 1026 moduli.
+    where binning every modulus separately costs O(QX).
+
+    When the d = 1 row folds, its class sums serve every pair.  The row
+    u_1 = w is folded once for each of its live moduli q, and every pair
+    (d, m) with lags has q = dm among them: m < n_d gives
+    d m <= s_d + d (n_d - 1) < |w|.  The row u_d has u_d[i] = w[s_d + d i]
+    with s_d < d, and i = r (mod m) holds exactly when s_d + d i =
+    s_d + d r (mod q), where s_d + d r < q; so the class sums of u_d mod m
+    are the m entries C_q[s_d::d] of those of w mod q, over the same
+    values, and the lag sum is formed from them as above.  The pairs are taken in order of q, one C_q at a time.  T_d
+    is the sum of the view of the row's first pair, and T2_d one
+    reduction over the strided w[s_d::d] (np.einsum: strided BLAS dots
+    stall as `_FOLD_ENTRIES` states).  So no row d >= 2 is gathered,
+    folded or transformed.  At (k, Q, X) = (3, 100, 398107) the d = 1 row
+    folds its 101 moduli, 40.2 M entries, and serves the 446 pairs of the
+    122 rows with lags, which cost another 20.9 M folded entries when each
+    row folded on its own; a call took 20.6 ms against 32.4 ms then
+    (medians of 11 alternating in-process runs, on a 2-vCPU x86-64 box),
+    and at (2, 10^5, 100100), where the 101 live q are about 10^5,
+    120 ms against 137 ms.  When the d = 1 row takes the FFT route, each
+    other row takes its own: at (2, 1025, 262605) 527 of 1246 rows fold,
+    but none of the rows d <= 23, such as the d = 1 row with its 1026
+    moduli.  The rows on their own routes are read from w as the rows of
+    2-D arrays.
 
     On the FFT route a row longer than 2^14 is a batch of its own, cut
     into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
@@ -414,24 +438,32 @@ def delta_k(
     second call at (2, 1025, 262605) peaks at 7.3 MiB of traced
     allocations, 29 B per n (10.5 MiB when w, R_1 and the spectra were
     live together), and `variance --k 2 --q 46416 --x 10^7` at 362 MiB of
-    RSS.  A fold allocates O(m), and a contiguous copy of a strided row;
-    at (3, 100, 398107) a second call peaks at 4.7 MiB, 12 B per n.  When
-    the moduli outnumber the window, the pairs set the peak instead, at
-    the closing np.bincount calls (`modulus_bytes` states what is live
-    there): a second call at (2, 10^5, 100) peaks at 55.5 MB, 64 B for
-    each of its 862,844 pairs.  Each piece is summed against Phi(q/Q)
+    RSS.  A fold allocates O(m), and a row folded on its own a contiguous
+    copy if it is strided.  When the d = 1 row serves, beside w only one
+    live modulus is held: its C_q, q entries, and the fold's products of
+    at most max(q, _FOLD_ENTRIES) entries.  At (3, 100, 398107) a second
+    call peaks at 4.0 MiB, 10.6 B per n (4.7 MiB when every row folded on
+    its own).  When the moduli outnumber the window, the pairs set the
+    peak instead, at the closing np.bincount calls (`modulus_bytes`
+    states what is live there): a second call at (2, 10^5, 100) peaks at
+    55.5 MB, 64 B for each of its 862,844 pairs, and at (2, 10^5, 100100),
+    where the d = 1 row serves, at 58.7 MB, 68 B a pair.  Each piece is summed against Phi(q/Q)
     exactly and rounded once by `exact_sum`, which returns math.fsum's
     value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
-    100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds`, forced
-    to fold and forced to the FFT: a_term, b_term and d_term agree to
-    1e-12 relative, g_term to 1e-12 * a_term absolute and delta to 1e-14 *
-    a_term absolute.  delta = A - B cancels as c grows (a_term / delta is
-    1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at k = 2), so its relative
-    error may reach a_term / delta times that budget.  The largest errors
-    seen on the grid are, for delta, 1.1e-15 * a_term on the FFT route
-    and 8.2e-16 * a_term folded, and 9.1e-15 relative for d_term (the
+    100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
+    forced to each of three: every row folds (so the d = 1 row serves
+    them all), the d = 1 row takes the FFT route and every other row
+    folds, and every row takes the FFT route.  a_term, b_term and d_term
+    agree to 1e-12 relative, g_term to 1e-12 * a_term absolute and delta
+    to 1e-14 * a_term absolute.  delta = A - B cancels as c grows
+    (a_term / delta is 1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at
+    k = 2), so its relative error may reach a_term / delta times that
+    budget.  The largest errors seen on the grid are, for delta,
+    5.7e-16 * a_term when the d = 1 row serves, 2.1e-15 * a_term when it
+    takes the FFT route and the others fold, and 1.1e-15 * a_term with
+    every row on the FFT route, and 9.1e-15 relative for d_term (the
     Möbius sum of T2_d cancels most).  The batch cap changes only the
     rounding, not this budget.
     """
@@ -464,17 +496,42 @@ def delta_k(
         t[part] = np.add.reduceat(u, at)
         t2[part] = np.add.reduceat(np.square(u, out=u), at)
 
+    live = np.flatnonzero(moduli)
+    lag_sum = np.zeros(m.size)
+    if fold[0]:
+        # the d = 1 row (row 0, u_1 = w) folds: each lag pair (d, m) reads
+        # its class sums off those of w mod q = dm, as C_q[start::d], one q
+        # at a time; T_d off the view of the row's first pair, T2_d by one
+        # reduction over its strided values
+        for i, s0, d in zip(live.tolist(), start[live].tolist(), ds[live].tolist()):
+            v = w[s0::d]
+            t2[i] = np.einsum("i,i", v, v)
+        p = _progressions(first[live], 1, moduli[live])
+        r = row[p]
+        # the q of the pairs, in order, are the d = 1 row's live moduli
+        sums = _class_sums(w, m[: moduli[0]])
+        last = 0
+        for qi, i, ri, s0, d, head in sorted(zip(
+                (ds[r] * m[p]).tolist(), p.tolist(), r.tolist(),
+                start[r].tolist(), ds[r].tolist(), (p == first[r]).tolist())):
+            if qi != last:
+                c, last = next(sums), qi
+            s = c[s0::d]
+            lag_sum[i] = s @ s
+            if head:
+                t[ri] = s.sum()
+        lag_sum[p] = (lag_sum[p] - t2[r]) / 2
+        live = live[:0]  # no row is left for the batches
+
     # batch key: 0 for a row that is folded, the transform size of a short
     # row, and for a long row a key of its own above every transform size,
     # the largest for the d = 1 row (row 0), which so comes last
-    live = np.flatnonzero(moduli)
     key = np.zeros(ds.size, dtype=np.int64)
     fft = (moduli > 0) & ~fold
     short = fft & (n <= _MIN_BLOCK)
     key[short] = _fft_size(2 * n[short] - 1)
     key[fft & ~short] = _BATCH + ds.size - np.flatnonzero(fft & ~short)
     order = live[np.lexsort((n[live], key[live]))]
-    lag_sum = np.zeros(m.size)
     for group in _runs(order, key[order]):
         per = max(1, _BATCH // max(int(key[group[0]]), int(n[group[-1]]), 1))
         for b in range(0, group.size, per):
@@ -493,7 +550,10 @@ def delta_k(
                 del spectra
             for i in np.flatnonzero(fold[batch]).tolist():
                 p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
-                lag_sum[p] = _fold_lag_sums(u[i, : n[batch[i]]], m[p])
+                v = np.ascontiguousarray(u[i, : n[batch[i]]])
+                sq = np.array([s @ s for s in _class_sums(v, m[p])])
+                lag_sum[p] = (sq - np.einsum("i,i", v, v)) / 2
+                del v  # a view of u would keep the batch alive
 
     at = ds[row] * m - q_lo
     coprime_sum = np.bincount(at, (mu * t)[row], phi_w.size)

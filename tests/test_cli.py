@@ -57,9 +57,9 @@ def test_selftest_fails_on_a_perturbed_offdiagonal(tmp_path, monkeypatch):
 
 def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
     # the pair-sum reference shares no class sums with delta_k
-    real = variance._fold_lag_sums
-    monkeypatch.setattr(variance, "_fold_lag_sums",
-                        lambda *args: real(*args) * (1 + 1e-6))
+    real = variance._class_sums
+    monkeypatch.setattr(variance, "_class_sums",
+                        lambda *args: (s * (1 + 1e-6) for s in real(*args)))
     code, text = run_cli(["selftest"], tmp_path)
     assert code == 2
     status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(text))
@@ -68,17 +68,27 @@ def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
     assert set(status.values()) == {"ok"}
 
 
-def test_selftest_checks_both_routes_of_delta_k(tmp_path, monkeypatch):
-    # variance_decomposition folds some rows and takes the others by FFT
-    calls = []
-    for name in ("_fold_lag_sums", "_lag_sums"):
-        def spy(*args, real=getattr(variance, name), name=name):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(variance, name, spy)
+def test_selftest_checks_every_route_of_delta_k(tmp_path, monkeypatch):
+    # variance_decomposition at X = 2000 folds w (2001 values), where the
+    # d = 1 row serves every row, folds rows 7 and 3 (286 and 667 values)
+    # on their own, and takes the other rows by FFT
+    folded, transformed = [], []
+    class_sums, lag_sums = variance._class_sums, variance._lag_sums
+
+    def fold_spy(u, ms):
+        folded.append(u.size)
+        return class_sums(u, ms)
+
+    def fft_spy(*args):
+        transformed.append(args[3].size)
+        return lag_sums(*args)
+
+    monkeypatch.setattr(variance, "_class_sums", fold_spy)
+    monkeypatch.setattr(variance, "_lag_sums", fft_spy)
     code, _ = run_cli(["selftest"], tmp_path)
     assert code == 0
-    assert set(calls) == {"_fold_lag_sums", "_lag_sums"}
+    assert sorted(folded) == [286, 667, 2001]
+    assert transformed
 
 
 def test_selftest_fails_on_a_perturbed_sieve(tmp_path, monkeypatch):

@@ -20,10 +20,10 @@ from divvar import variance
 from divvar.sieve import CoverageError, sieve_dk
 from divvar.variance import (
     _block_spectra,
+    _class_sums,
     _divisor_pairs,
     _exact_sums,
     _fft_size,
-    _fold_lag_sums,
     _lag_sums,
     Regime,
     classify_regime,
@@ -285,35 +285,84 @@ _FOLD_CASES = [
 @pytest.mark.parametrize("u, ms", _FOLD_CASES, ids=(
     "n2", "n3", "n101", "n1000", "n20000", "n65536", "stride7", "stride2"))
 def test_fold_lag_sums_match_the_autocorrelation(u, ms):
+    # (sum_a S_a^2 - sum u^2) / 2 from the class sums S of u mod each m
     ms = np.array(ms)
-    got = _fold_lag_sums(u, ms)
-    want = _lag_sums_of(u, ms)
-    assert got.shape == ms.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * np.sum(u * u))
+    sums = list(_class_sums(u, ms))
+    assert [s.size for s in sums] == ms.tolist()
+    got = (np.array([s @ s for s in sums]) - np.sum(u * u)) / 2
+    assert np.all(np.abs(got - _lag_sums_of(u, ms)) <= 1e-13 * np.sum(u * u))
+
+
+# (|w|, s, d, m): the row u_d = w[s::d] (s < d) mod m, from w mod q = d m:
+# m = 1, s != 0, q just below |w| (m < n_d is the largest), and small q,
+# whose rows of w are stacked in several products of 2^13 entries
+@pytest.mark.parametrize("size, s, d, m", (
+    (1000, 0, 1, 1), (1000, 2, 3, 1), (1000, 0, 1, 999), (20001, 1, 2, 9999),
+    (20000, 5, 6, 3332), (2**16, 0, 1, 7), (2**16, 2, 3, 5), (2**16, 29, 30, 13)))
+def test_class_sums_of_w_give_every_row_its_class_sums(size, s, d, m):
+    # u_d[i] = w[s + d i], and i = r (mod m) exactly when s + d i = s + d r
+    # (mod q), s + d r < q: so u_d's class sums are C_q[s::d]
+    w = np.random.default_rng(size + d).standard_normal(size)
+    u = w[s::d]
+    assert m < u.size and d * m < size
+    (c,) = _class_sums(w, np.array([d * m]))
+    want = np.bincount(np.arange(u.size) % m, u, m)
+    (own,) = _class_sums(u, np.array([m]))
+    tol = 1e-13 * np.sum(u * u)
+    assert c[s::d].shape == (m,)
+    assert np.all(np.abs(c[s::d] - want) <= tol)
+    assert np.all(np.abs(own - want) <= tol)
+
+
+# The three routes `_route` forces: every row folds, so the d = 1 row
+# serves them all (True); the d = 1 row takes the FFT route and every other
+# row folds on its own ("rows"); every row takes the FFT route (False)
+_ROUTES = (True, "rows", False)
 
 
 def _route(monkeypatch, fold):
-    """Force every row with lags to fold (fold=True) or to take the FFT
-    route; the other route then fails if it is reached."""
+    """Force one of the _ROUTES; under True, gathering or transforming a row
+    fails.  Returns the list that gets the length of each array folded."""
+    folded = []
+    real = variance._class_sums
+
+    def class_sums(u, ms):
+        folded.append(u.size)
+        return real(u, ms)
+
+    def folds(n, moduli):
+        out = np.full(np.shape(n), bool(fold))
+        out[0] = fold is True  # row 0 is the d = 1 row
+        return out
+
     def refuse(*args):
-        raise AssertionError("the other route was taken")
+        raise AssertionError("a row was gathered or transformed")
 
-    monkeypatch.setattr(variance, "_folds",
-                        lambda n, moduli: np.full(np.shape(n), fold))
-    monkeypatch.setattr(variance, "_lag_sums" if fold else "_fold_lag_sums",
-                        refuse)
+    monkeypatch.setattr(variance, "_folds", folds)
+    monkeypatch.setattr(variance, "_class_sums", class_sums)
+    if fold is True:
+        for name in ("_rows", "_block_spectra", "_lag_sums"):
+            monkeypatch.setattr(variance, name, refuse)
+    return folded
 
 
-@pytest.mark.parametrize("fold", (True, False))
+@pytest.mark.parametrize("fold", _ROUTES)
 @pytest.mark.parametrize("k", (2, 3))
 def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
                                                  monkeypatch, k, fold):
-    _route(monkeypatch, fold)
+    folded = _route(monkeypatch, fold)
     for Q, c in _ORACLE_GRID:
         X = round(Q**c)
         table = oracle_tables[k]
+        folded.clear()
         assert_within_budget(delta_k(table, Q, X, psi, phi),
                              delta_binned(table, Q, X, psi, phi))
+        if fold is True:  # only w, the d = 1 row, is folded
+            assert set(folded) <= {X + 1}
+        elif fold == "rows":  # only rows d >= 2, each on its own
+            assert all(size < X + 1 for size in folded)
+        else:
+            assert folded == []
 
 
 def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
@@ -332,7 +381,7 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
         raise AssertionError("a lag-free row reached the batch loop")
 
     monkeypatch.setattr(variance, "_runs", spy)
-    for name in ("_rows", "_block_spectra", "_fold_lag_sums"):
+    for name in ("_rows", "_block_spectra", "_class_sums"):
         monkeypatch.setattr(variance, name, refuse)
     got = delta_k(table_k2, Q, X, psi, phi)
     assert parts == [6, 0]
@@ -342,26 +391,34 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
 
 def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
                                               monkeypatch):
-    # cache-k3's c = 2.8 point: every row with lags folds, the d = 1 row
-    # (101 moduli) too; sweep-k2's (1025, 1.8): the d = 1 row (1026 moduli)
-    # takes the FFT route
-    choices, rows = [], []
-    real = variance._folds
+    # cache-k3's c = 2.8 point: the d = 1 row folds, so only w is folded,
+    # once for each of its 101 live moduli q = 100 ... 200, and no row is
+    # gathered, transformed or folded on its own; sweep-k2's (1025, 1.8):
+    # the d = 1 row (1026 moduli) takes the FFT route
+    folded, rows = [], []
+    real = variance._class_sums
 
-    def folds(n, moduli):
-        choices.append((real(n, moduli), moduli))
-        return choices[-1][0]
+    def class_sums(u, ms):
+        for s in real(u, ms):
+            folded.append((u.size, s.size))
+            yield s
+
+    def refuse(*args):
+        raise AssertionError("a row was gathered or transformed")
+
+    monkeypatch.setattr(variance, "_class_sums", class_sums)
+    for name in ("_rows", "_block_spectra", "_lag_sums"):
+        monkeypatch.setattr(variance, name, refuse)
+    X = round(100**2.8)
+    delta_k(oracle_tables[3], 100, X, psi, phi)
+    assert folded == [(X + 1, q) for q in range(100, 201)]
+    monkeypatch.undo()
 
     def block_spectra(u):
         rows.append(u.shape)
         return _block_spectra(u)
 
-    monkeypatch.setattr(variance, "_folds", folds)
     monkeypatch.setattr(variance, "_block_spectra", block_spectra)
-    delta_k(oracle_tables[3], 100, round(100**2.8), psi, phi)
-    (choice, moduli), = choices
-    assert moduli.max() == 101 and np.all(choice[moduli > 0]) and rows == []
-
     X = round(1025**1.8)
     delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
     assert (1, X + 1) in rows
@@ -488,10 +545,21 @@ def test_delta_k_fft_route_peak_per_n(psi, phi):
 
 
 def test_delta_k_memory_peak_when_rows_fold(psi, phi):
-    # every row folds here; a second call peaked at 4.7 MiB, 1.6 times the
-    # 3 MiB window (9.1 MiB while psi was evaluated on the whole window at once)
+    # the d = 1 row folds and serves every row here; a second call peaked
+    # at 4.0 MiB, 1.3 times the 3 MiB window (4.7 MiB when every row folded
+    # on its own, 9.1 MiB while psi was evaluated on the whole window at once)
     X = 398107
-    assert _second_call_peak(sieve_dk(3, 2 * X, X), 100, X, psi, phi) <= 6 * 2**20
+    assert _second_call_peak(sieve_dk(3, 2 * X, X), 100, X, psi, phi) <= 5 * 2**20
+
+
+def test_delta_k_peak_per_pair_when_w_serves(psi, phi):
+    # c = 1.0: the d = 1 row folds its 101 live moduli, each about 10^5,
+    # one at a time; the pairs set the peak, at most as many bytes a pair
+    # as in test_delta_k_modulus_side_peak_per_pair.  68 B a pair were
+    # traced, and 161 B when all 101 C_q were held at once
+    Q, X = 10**5, 100100
+    pairs = _divisor_pairs(Q, 2 * Q)[3].size
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 72 * pairs
 
 
 def test_delta_k_modulus_side_peak_per_pair(psi, phi):
