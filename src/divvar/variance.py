@@ -19,13 +19,18 @@ short ones, about n_d log n_d, without forming the autocorrelation:
 beside the spectra, 16-20 bytes per n, only three buffers of one
 block's transform are live.  That is sum_d min(|M_d| n_d, n_d log n_d)
 work, at most O(X log X log Q), instead of the O(QX) of binning every
-modulus by residue class.  When the d = 1 sequence, the window w itself,
-folds, it serves every other one: u_d = w[s_d::d], so the class sums of
-u_d mod m are the strided view C_q[s_d::d] of those of w mod q = dm,
-which w's fold forms anyway.  No other sequence is then gathered, folded
-or transformed, and only one C_q is held at a time.  `delta_k` states
-the derivation, the memory per n and the error budget against that
-binning, which lives under tests/ as the oracle.
+modulus by residue class.  A fold passes over a long sequence once per
+root, not once per modulus: the class sums mod m are a fold of those
+mod any multiple of m, so a greedy cover of the moduli by common
+multiples, each at most max(max m, n_d / 8), serves them all from a
+third as many passes at (k, Q, X) = (3, 100, 398107).  When the d = 1
+sequence, the window w itself, folds, it serves every other one:
+u_d = w[s_d::d], so the class sums of u_d mod m are the strided view
+C_q[s_d::d] of those of w mod q = dm, which w's fold forms anyway.  No
+other sequence is then gathered, folded or transformed, and only one
+C_q is held at a time.  `delta_k` states the derivation, the memory per
+n and the error budget against that binning, which lives under tests/
+as the oracle.
 Rows u_d too short to have lags need only their sums, and are gathered
 flat.  No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,58 +284,140 @@ def _rows(w: np.ndarray, start, step, length) -> np.ndarray:
     return np.where(inside, w[at], 0.0)
 
 
-# Each product of a fold has at most this many entries (or m, if m is
-# larger): OpenBLAS splits a gemv of 9216 entries or more across two
-# threads, and on a loaded 2-vCPU box such a call stalled for 4-8 ms (a
-# scheduler tick) in most calls of some runs, against 5 us on one thread.
+# Each product of a narrow fold has at most this many entries: OpenBLAS
+# splits a gemv of 9216 entries or more across two threads, and on a
+# loaded 2-vCPU box such a call stalled for 4-8 ms (a scheduler tick) in
+# most calls of some runs, against 5 us on one thread.
 _FOLD_ENTRIES = 2**13
 
 
-def _class_sums(u: np.ndarray, ms):
-    """Yield, for each m of ms in turn, the class sums of the 1-D u mod m:
-    S_a = sum of u_j over j = a (mod m), for 0 <= a < m.
-
-    With them, sum_a S_a^2 counts each pair j, j' = j + t m once for t = 0
-    and twice for t >= 1, so the lag sum sum_{t>=1} R(t m) of u is
-    (sum_a S_a^2 - sum u^2) / 2.  u is folded into rows of length m and
-    the rows are summed by BLAS products with a vector of ones, stacked in
-    products of at most _FOLD_ENTRIES entries each, then the rows left over:
-    about len(u) multiply-adds for each m, whatever m is.  Only one S is
-    formed at a time; it is a new array, which the next one does not reuse.
-    """
-    u = np.ascontiguousarray(u)
-    n = u.size
-    ones = np.ones(min(n, _FOLD_ENTRIES))
-    for m in ms.tolist():
-        k = n // m  # whole rows; the first `stacked` go in products of `rows`
-        rows = max(1, _FOLD_ENTRIES // m)
-        stacked = k // rows * rows
-        s = ones[: k - stacked] @ u[stacked * m : k * m].reshape(-1, m)
-        if stacked:
-            s += (ones[:rows] @ u[: stacked * m].reshape(-1, rows, m)).sum(axis=0)
-        s[: n - k * m] += u[k * m :]
-        yield s
-
-
-# The lag sums of a row of length n with |M| live moduli cost about
-# |M| (n + _FOLD_OVERHEAD) folded entries by `_class_sums` and the time
-# of _FFT_COST n log2 n folded entries by `_block_spectra` and
-# `_lag_sums`.  Measured on a 2-vCPU x86-64 box (numpy 2.4, OpenBLAS
-# 0.3.31), best of 7: a fold costs 0.41 ns per entry and modulus plus
-# 6.5 us per modulus (least squares over n = 50 ... 398108 and
-# |M| = 2 ... 1026), and 6.5 us / 0.41 ns = 16000.  The FFT route costs
-# 2.2-4.4 ns per n log2 n on batched short rows and 2.6-5.0 ns on blocked
-# long rows, 5.5 to 12 folded entries; with _FFT_COST = 6, 8 or 11,
-# `delta_k` took the same time within noise on the cache-k3 and sweep-k2
-# points.
+# The lag sums of a row of length n cost the time of _FFT_COST n log2 n
+# folded entries by `_block_spectra` and `_lag_sums`; by `_class_sums`,
+# n + _FOLD_OVERHEAD for each root and M + _FOLD_OVERHEAD for each
+# modulus folded down from a root M.  Planning costs about 25 us a root,
+# the time of folding about 80,000 entries, and a root saves one pass over
+# the row for each further modulus it serves, so rows shorter than
+# _PLAN_COST are not planned.  Measured on a 2-vCPU x86-64 box (numpy 2.4,
+# OpenBLAS 0.3.31): a fold costs 0.30-0.37 ns per entry, narrow or wide,
+# and 2.3 us per call, 3-4 us per modulus with its lag sum, 8000-13000
+# entries; the FFT route 2.2-4.4 ns per n log2 n, 6 to 12 folded entries.
+# _FOLD_OVERHEAD stays at the 16000 measured before wide folds, which
+# keeps every route choice at the sweep-k2 and cache-k3 points (at 12000,
+# 264 more rows fold at each c = 1.8 point of sweep-k2).  At n = 100001
+# and the 101 moduli 100 ... 200 the planned fold took 3.2 ms and the
+# unplanned one 2.2 ms; at n = 398108, 6.9 ms and 12.3 ms.
 _FFT_COST = 8.0
 _FOLD_OVERHEAD = 16000
+_PLAN_COST = 2**17
 
 
-def _folds(n, moduli):
+def _fold(v: np.ndarray, m: int, ones: np.ndarray) -> np.ndarray:
+    """The class sums of the 1-D v mod m: S_a = sum of v_j over j = a (mod m),
+    for 0 <= a < m, as a new array.
+
+    v is read as k = len(v) // m whole rows of length m and the rest.  A
+    narrow fold (m <= _FOLD_ENTRIES / 2) sums the rows by BLAS products
+    with the vector of ones, stacked in products of at most _FOLD_ENTRIES
+    entries each, then the rows left over; a wide one sums all k rows in
+    place by one np.add.reduce, which copies nothing and runs on one thread.
+    """
+    n = v.size
+    k = n // m
+    if 2 * m > _FOLD_ENTRIES:
+        s = np.add.reduce(v[: k * m].reshape(k, m), axis=0)
+    else:
+        rows = _FOLD_ENTRIES // m  # the first `stacked` rows go in products of `rows`
+        stacked = k // rows * rows
+        s = ones[: k - stacked] @ v[stacked * m : k * m].reshape(-1, m)
+        if stacked:
+            s += (ones[:rows] @ v[: stacked * m].reshape(-1, rows, m)).sum(axis=0)
+    s[: n - k * m] += v[k * m :]
+    return s
+
+
+def _cap(ms, n: int) -> int:
+    """The largest root `_roots` takes for the increasing moduli ms of a
+    length-n sequence: max(max ms, n // 8)."""
+    return max(int(ms[-1]), n // 8)
+
+
+def _roots(ms, n: int) -> list:
+    """A greedy cover of the increasing moduli ms of a length-n sequence by
+    roots: a list of (M, qs), each root M <= cap = max(max ms, n // 8) a
+    common multiple of the moduli qs it serves, and every modulus served by
+    exactly one root.
+
+    The largest modulus q not yet served takes the multiple M = j q that
+    the most moduli not yet served divide, the least such j on ties, and M
+    serves them all: r divides j q exactly when r / gcd(r, q) divides j, so
+    one np.bincount over the multiples of those quotients counts every
+    j <= cap // q.  No root then serves fewer moduli than q alone would.
+    The cap keeps each fold of a root's class sums down to a modulus at
+    most an eighth of a pass over the sequence, or the largest modulus.
+    A sequence shorter than _PLAN_COST, or moduli no root could serve two
+    of (cap < 2 min ms), take each modulus as its own root, unplanned.
+    """
+    cap = _cap(ms, n)
+    if n < _PLAN_COST or cap < 2 * ms[0]:
+        return [(q, [q]) for q in ms.tolist()]
+    left = ms[::-1]
+    roots = []
+    while left.size:
+        q = int(left[0])
+        most = cap // q
+        g = left // np.gcd(left, q)
+        small = g[g <= most]
+        j = int(np.argmax(np.bincount(_progressions(small, small, most // small))))
+        serve = j % g == 0
+        roots.append((j * q, left[serve].tolist()))
+        left = left[~serve]
+    return roots
+
+
+def _class_sums(u: np.ndarray, ms):
+    """Yield (q, C_q) for each modulus q of ms, in the order of their roots
+    (`_roots`): C_q the class sums of the 1-D u mod q, S_a = sum of u_j
+    over j = a (mod q), for 0 <= a < q.
+
+    With them, sum_a S_a^2 counts each pair j, j' = j + t q once for t = 0
+    and twice for t >= 1, so the lag sum sum_{t>=1} R(t q) of u is
+    (sum_a S_a^2 - sum u^2) / 2.  u is folded once per root M (`_fold`),
+    about len(u) additions, and C_M down to each q | M it serves, M
+    additions, which is C_M itself when q = M: j = a (mod q) exactly when
+    j mod M = a (mod q).  Only one C_M and one C_q are held at a time; each
+    is a new array, which the next one does not reuse.
+    """
+    ones = np.ones(min(u.size, _FOLD_ENTRIES))
+    for root, qs in _roots(ms, u.size):
+        c = _fold(u, root, ones)
+        for q in qs:
+            yield q, (c if q == root else _fold(c, q, ones))
+
+
+def _folds(n, moduli, ms):
     """Whether folding beats the FFT route, elementwise, for rows of length n
-    with the given numbers of live moduli."""
-    return moduli * (n + _FOLD_OVERHEAD) < _FFT_COST * n * np.log2(np.maximum(n, 1))
+    with the given numbers of live moduli, each row's moduli folded on
+    their own; except row 0, the d = 1 row, with live moduli ms, which
+    folds when the work of its roots (`_roots`) is less.
+
+    Row 0's roots are not planned to decide when folding each of its
+    moduli on its own already costs less (the row folds), when it is
+    shorter than _PLAN_COST (each modulus is then its own root), or when
+    no plan can win: each modulus takes at least one fold, and each fold of
+    the row serves at most the most moduli that one M <= cap is a multiple
+    of, which one np.bincount over the multiples of ms finds.
+    """
+    fft = _FFT_COST * n * np.log2(np.maximum(n, 1))
+    out = moduli * (n + _FOLD_OVERHEAD) < fft
+    if out[0] or not moduli[0] or n[0] < _PLAN_COST:
+        return out
+    n0 = int(n[0])
+    most = np.bincount(_progressions(ms, ms, _cap(ms, n0) // ms)).max()
+    if -(-ms.size // most) * n0 + ms.size * _FOLD_OVERHEAD < fft[0]:
+        work = sum(n0 + _FOLD_OVERHEAD + sum(M + _FOLD_OVERHEAD for q in qs if q != M)
+                   for M, qs in _roots(ms, n0))
+        out[0] = work < fft[0]
+    return out
 
 
 def delta_k(
@@ -369,40 +457,51 @@ def delta_k(
     A row's lag sums are needed at its live moduli M_d, the m with
     m < n_d, and each row with lags takes the cheaper of two routes to them:
 
-    - folding (`_class_sums`): the class sums S of u_d mod m by BLAS
-      products, about |M_d| n_d work, and the lag sum
-      sum_{t>=1} R_d(t m) = (sum_a S_a^2 - T2_d) / 2;
+    - folding (`_class_sums`): the class sums S of u_d mod m, at most
+      about |M_d| n_d work, and the lag sum
+      sum_{t>=1} R_d(t m) = (sum_a S_a^2 - T2_d) / 2.  A row of 2^17 or
+      more is folded once per root, a common multiple M <= max(max M_d,
+      n_d / 8) of the moduli it serves (`_roots`), and each root's class
+      sums down to those moduli, M additions each: the class sums mod m
+      are a fold of those mod any multiple of m;
     - the FFT route: the lag sums straight from the block spectra of u_d
       (`_block_spectra`, `_lag_sums`), about n_d log n_d work; R_d is
       never formed.
 
     `_folds` picks the fold when |M_d| (n_d + _FOLD_OVERHEAD) is below
-    _FFT_COST n_d log2 n_d, two costs measured as stated beside them.  So
-    the work is sum_d min(|M_d| n_d, n_d log n_d), at most O(X log X log Q),
-    where binning every modulus separately costs O(QX).
+    _FFT_COST n_d log2 n_d, two costs measured as stated beside them, and
+    for the d = 1 row also when the work of its roots is: at
+    (3, 300, round(300^2.8)) its 301 moduli take 77 roots, and a call took
+    0.8-1.2 s against 2.0-2.9 s by the FFT route, which folding each
+    modulus on its own would not have beaten (single runs, 2-vCPU x86-64
+    box, 165 MiB of RSS against 293).  So the work is
+    sum_d min(|M_d| n_d, n_d log n_d), at most O(X log X log Q), where
+    binning every modulus separately costs O(QX).
 
     When the d = 1 row folds, its class sums serve every pair.  The row
-    u_1 = w is folded once for each of its live moduli q, and every pair
-    (d, m) with lags has q = dm among them: m < n_d gives
+    u_1 = w is folded through the roots of its live moduli q, and every
+    pair (d, m) with lags has q = dm among them: m < n_d gives
     d m <= s_d + d (n_d - 1) < |w|.  The row u_d has u_d[i] = w[s_d + d i]
     with s_d < d, and i = r (mod m) holds exactly when s_d + d i =
     s_d + d r (mod q), where s_d + d r < q; so the class sums of u_d mod m
     are the m entries C_q[s_d::d] of those of w mod q, over the same
-    values, and the lag sum is formed from them as above.  The pairs are taken in order of q, one C_q at a time.  T_d
-    is the sum of the view of the row's first pair, and T2_d one
-    reduction over the strided w[s_d::d] (np.einsum: strided BLAS dots
-    stall as `_FOLD_ENTRIES` states).  So no row d >= 2 is gathered,
-    folded or transformed.  At (k, Q, X) = (3, 100, 398107) the d = 1 row
-    folds its 101 moduli, 40.2 M entries, and serves the 446 pairs of the
-    122 rows with lags, which cost another 20.9 M folded entries when each
-    row folded on its own; a call took 20.6 ms against 32.4 ms then
-    (medians of 11 alternating in-process runs, on a 2-vCPU x86-64 box),
-    and at (2, 10^5, 100100), where the 101 live q are about 10^5,
-    120 ms against 137 ms.  When the d = 1 row takes the FFT route, each
-    other row takes its own: at (2, 1025, 262605) 527 of 1246 rows fold,
-    but none of the rows d <= 23, such as the d = 1 row with its 1026
-    moduli.  The rows on their own routes are read from w as the rows of
-    2-D arrays.
+    values, and the lag sum is formed from them as above.  The pairs are
+    taken as their q come, in root order, one C_q at a time.  T_d is the
+    sum of the view of the row's first pair, and T2_d one reduction over
+    the strided w[s_d::d] (np.einsum: strided BLAS dots stall as
+    `_FOLD_ENTRIES` states).  So no row d >= 2 is gathered, folded or
+    transformed.  At (k, Q, X) = (3, 100, 398107) the d = 1 row folds its
+    101 moduli through 31 roots: 12.3 M entries of w and 2.6 M of the
+    roots' class sums, where one fold per modulus took 40.2 M, and it
+    serves the 446 pairs of the 122 rows with lags; a call took 14.1 ms
+    against 20.0 ms then (medians of 41 interleaved calls in one process,
+    on a 2-vCPU x86-64 box).  At (3, 100, 10^5) the row,
+    100,001 long, is below _PLAN_COST and folds once per modulus.  When
+    the d = 1 row takes the FFT route, each other row takes its own: at
+    (2, 1025, 262605) 527 of 1246 rows fold, but none of the rows
+    d <= 23, such as the d = 1 row with its 1026 moduli, whose choice
+    plans no roots.  The rows on their own routes are read from w as the
+    rows of 2-D arrays.
 
     On the FFT route a row longer than 2^14 is a batch of its own, cut
     into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
@@ -440,16 +539,18 @@ def delta_k(
     live together), and `variance --k 2 --q 46416 --x 10^7` at 362 MiB of
     RSS.  A fold allocates O(m), and a row folded on its own a contiguous
     copy if it is strided.  When the d = 1 row serves, beside w only one
-    live modulus is held: its C_q, q entries, and the fold's products of
-    at most max(q, _FOLD_ENTRIES) entries.  At (3, 100, 398107) a second
-    call peaks at 4.0 MiB, 10.6 B per n (4.7 MiB when every row folded on
-    its own).  When the moduli outnumber the window, the pairs set the
-    peak instead, at the closing np.bincount calls (`modulus_bytes`
+    root and one live modulus are held: C_M, at most max(2Q, |w| / 8)
+    entries, C_q, and the fold's products of at most _FOLD_ENTRIES
+    entries.  At (3, 100, 398107) a second call peaks at 4.0 MiB,
+    10.6 B per n, as when w was folded once per modulus (4.7 MiB when
+    every row folded on its own).  When the moduli outnumber the window,
+    the pairs set the peak instead, at the closing np.bincount calls
+    (`modulus_bytes`
     states what is live there): a second call at (2, 10^5, 100) peaks at
     55.5 MB, 64 B for each of its 862,844 pairs, and at (2, 10^5, 100100),
-    where the d = 1 row serves, at 58.7 MB, 68 B a pair.  Each piece is summed against Phi(q/Q)
-    exactly and rounded once by `exact_sum`, which returns math.fsum's
-    value.
+    where the d = 1 row serves, at 58.7 MB, 68 B a pair.  Each piece is
+    summed against Phi(q/Q) exactly and rounded once by `exact_sum`, which
+    returns math.fsum's value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
@@ -461,7 +562,7 @@ def delta_k(
     (a_term / delta is 1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at
     k = 2), so its relative error may reach a_term / delta times that
     budget.  The largest errors seen on the grid are, for delta,
-    5.7e-16 * a_term when the d = 1 row serves, 2.1e-15 * a_term when it
+    5.9e-16 * a_term when the d = 1 row serves, 2.1e-15 * a_term when it
     takes the FFT route and the others fold, and 1.1e-15 * a_term with
     every row on the FFT route, and 9.1e-15 relative for d_term (the
     Möbius sum of T2_d cancels most).  The batch cap changes only the
@@ -483,7 +584,7 @@ def delta_k(
     start = -(-lo // ds) * ds - lo
     n = np.maximum(-(-(w.size - start) // ds), 0)
     moduli = np.bincount(row[m < n[row]], minlength=ds.size)
-    fold = (moduli > 0) & _folds(n, moduli)
+    fold = (moduli > 0) & _folds(n, moduli, m[: moduli[0]])
 
     t = np.zeros(ds.size)
     t2 = np.zeros(ds.size)
@@ -508,18 +609,18 @@ def delta_k(
             t2[i] = np.einsum("i,i", v, v)
         p = _progressions(first[live], 1, moduli[live])
         r = row[p]
-        # the q of the pairs, in order, are the d = 1 row's live moduli
-        sums = _class_sums(w, m[: moduli[0]])
-        last = 0
-        for qi, i, ri, s0, d, head in sorted(zip(
+        # the pairs of each q, one of the d = 1 row's live moduli
+        pairs = defaultdict(list)
+        for qi, i, ri, s0, d, head in zip(
                 (ds[r] * m[p]).tolist(), p.tolist(), r.tolist(),
-                start[r].tolist(), ds[r].tolist(), (p == first[r]).tolist())):
-            if qi != last:
-                c, last = next(sums), qi
-            s = c[s0::d]
-            lag_sum[i] = s @ s
-            if head:
-                t[ri] = s.sum()
+                start[r].tolist(), ds[r].tolist(), (p == first[r]).tolist()):
+            pairs[qi].append((i, ri, s0, d, head))
+        for q, c in _class_sums(w, m[: moduli[0]]):
+            for i, ri, s0, d, head in pairs[q]:
+                s = c[s0::d]
+                lag_sum[i] = s @ s
+                if head:
+                    t[ri] = s.sum()
         lag_sum[p] = (lag_sum[p] - t2[r]) / 2
         live = live[:0]  # no row is left for the batches
 
@@ -551,7 +652,8 @@ def delta_k(
             for i in np.flatnonzero(fold[batch]).tolist():
                 p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
                 v = np.ascontiguousarray(u[i, : n[batch[i]]])
-                sq = np.array([s @ s for s in _class_sums(v, m[p])])
+                by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
+                sq = np.array([by_q[q] for q in m[p].tolist()])
                 lag_sum[p] = (sq - np.einsum("i,i", v, v)) / 2
                 del v  # a view of u would keep the batch alive
 
@@ -579,23 +681,31 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
     """Mean-square fluctuation of sum_{x<=n<=x+H} d_k(n) for x in [X, 2X].
 
     For integer H the window sum is constant on each open interval
-    (m, m+1), equal to T(m+H) - T(m) with T the partial-sum function of
-    d_k; the x-integral is therefore a rational evaluated exactly, piece
+    (m, m+1), equal to S_m = T(m+H) - T(m) with T the partial-sum function
+    of d_k; the x-integral is therefore a rational evaluated exactly, piece
     by piece, in integer arithmetic, and rounded to float once at the end.
-    Only d_k on [X + 1, 2X + H] is read: T(m) - T(X) for X <= m <= 2X + H
-    is summed in an explicit uint64 accumulator, whatever the table's dtype.
-    The window sums S_m = T(m + H) - T(m) are formed and summed 2^16 at a
-    time, into exact Python ints, so beside the prefix only pieces are
-    allocated.
+    Only d_k on [X + 1, 2X + H] is read.  S_X is the sum of its first H
+    values, and S_{m+1} = S_m + d_k(m + H + 1) - d_k(m + 1), so the window
+    sums are formed 2^16 at a time as one uint64 running sum of those
+    differences from the S_m the last piece ended on: exact, since it is
+    exact modulo 2^64 and every S_m is below 2^64, whatever the table's
+    dtype.  Each piece is summed into exact Python ints, so only the 2^16
+    values of one piece are allocated, whatever X and H are.
     """
     if H < 1:
         raise ValueError("H must be >= 1")
-    prefix = np.zeros(X + H + 1, dtype=np.uint64)
-    np.cumsum(table.window(X + 1, 2 * X + H), dtype=np.uint64, out=prefix[1:])
+    values = table.window(X + 1, 2 * X + H)
+    first = int(values[:H].sum(dtype=np.uint64))  # S_m at the piece's first m
     total = total_sq = 0
     for i in range(0, X, _PIECE):
         j = min(i + _PIECE, X)
-        s, s2 = _exact_sums(prefix[i + H : j + H] - prefix[i:j])
+        window = np.empty(j - i, dtype=np.uint64)
+        window[0] = first
+        np.subtract(values[i + H : j + H - 1], values[i : j - 1], out=window[1:],
+                    dtype=np.uint64)
+        np.cumsum(window, out=window)
+        first = int(window[-1]) + int(values[j + H - 1]) - int(values[j - 1])
+        s, s2 = _exact_sums(window)
         total += s
         total_sq += s2
     # exact: (1/X) sum S_m^2 - ((1/X) sum S_m)^2 over the X unit pieces

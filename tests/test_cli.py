@@ -59,7 +59,7 @@ def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
     # the pair-sum reference shares no class sums with delta_k
     real = variance._class_sums
     monkeypatch.setattr(variance, "_class_sums",
-                        lambda *args: (s * (1 + 1e-6) for s in real(*args)))
+                        lambda *args: ((q, s * (1 + 1e-6)) for q, s in real(*args)))
     code, text = run_cli(["selftest"], tmp_path)
     assert code == 2
     status = {r["check"]: r["status"] for r in csv.DictReader(io.StringIO(text))
@@ -71,23 +71,26 @@ def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
 def test_selftest_checks_every_route_of_delta_k(tmp_path, monkeypatch):
     # variance_decomposition at X = 2000 folds w (2001 values), where the
     # d = 1 row serves every row, folds rows 7 and 3 (286 and 667 values)
-    # on their own, and takes the other rows by FFT
+    # on their own, and takes the other rows by FFT.  Each is shorter than
+    # variance._PLAN_COST, so each modulus is its own root: one fold of the
+    # row per live modulus, and none of a root's class sums
     folded, transformed = [], []
-    class_sums, lag_sums = variance._class_sums, variance._lag_sums
+    fold, lag_sums = variance._fold, variance._lag_sums
 
-    def fold_spy(u, ms):
-        folded.append(u.size)
-        return class_sums(u, ms)
+    def fold_spy(v, m, ones):
+        folded.append((v.size, m))
+        return fold(v, m, ones)
 
     def fft_spy(*args):
         transformed.append(args[3].size)
         return lag_sums(*args)
 
-    monkeypatch.setattr(variance, "_class_sums", fold_spy)
+    monkeypatch.setattr(variance, "_fold", fold_spy)
     monkeypatch.setattr(variance, "_lag_sums", fft_spy)
     code, _ = run_cli(["selftest"], tmp_path)
     assert code == 0
-    assert sorted(folded) == [286, 667, 2001]
+    assert sorted(folded) == [(286, 2), (667, 4), (667, 5), (667, 6)] + [
+        (2001, q) for q in range(5, 11)]
     assert transformed
 
 

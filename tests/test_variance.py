@@ -287,31 +287,107 @@ _FOLD_CASES = [
 def test_fold_lag_sums_match_the_autocorrelation(u, ms):
     # (sum_a S_a^2 - sum u^2) / 2 from the class sums S of u mod each m
     ms = np.array(ms)
-    sums = list(_class_sums(u, ms))
-    assert [s.size for s in sums] == ms.tolist()
-    got = (np.array([s @ s for s in sums]) - np.sum(u * u)) / 2
+    sums = dict(_class_sums(u, ms))
+    assert [sums[q].size for q in sorted(sums)] == ms.tolist()
+    got = (np.array([sums[q] @ sums[q] for q in ms.tolist()]) - np.sum(u * u)) / 2
     assert np.all(np.abs(got - _lag_sums_of(u, ms)) <= 1e-13 * np.sum(u * u))
 
 
 # (|w|, s, d, m): the row u_d = w[s::d] (s < d) mod m, from w mod q = d m:
-# m = 1, s != 0, q just below |w| (m < n_d is the largest), and small q,
-# whose rows of w are stacked in several products of 2^13 entries
+# m = 1, s != 0, q just below |w| (m < n_d is the largest), small q,
+# whose rows of w are stacked in several products of 2^13 entries, and
+# the wide m = 10^5 on 100,101 values, one whole row and 101 left over
 @pytest.mark.parametrize("size, s, d, m", (
     (1000, 0, 1, 1), (1000, 2, 3, 1), (1000, 0, 1, 999), (20001, 1, 2, 9999),
-    (20000, 5, 6, 3332), (2**16, 0, 1, 7), (2**16, 2, 3, 5), (2**16, 29, 30, 13)))
+    (20000, 5, 6, 3332), (2**16, 0, 1, 7), (2**16, 2, 3, 5), (2**16, 29, 30, 13),
+    (100101, 0, 1, 10**5)))
 def test_class_sums_of_w_give_every_row_its_class_sums(size, s, d, m):
     # u_d[i] = w[s + d i], and i = r (mod m) exactly when s + d i = s + d r
     # (mod q), s + d r < q: so u_d's class sums are C_q[s::d]
     w = np.random.default_rng(size + d).standard_normal(size)
     u = w[s::d]
     assert m < u.size and d * m < size
-    (c,) = _class_sums(w, np.array([d * m]))
+    ((_, c),) = _class_sums(w, np.array([d * m]))
     want = np.bincount(np.arange(u.size) % m, u, m)
-    (own,) = _class_sums(u, np.array([m]))
+    ((_, own),) = _class_sums(u, np.array([m]))
     tol = 1e-13 * np.sum(u * u)
     assert c[s::d].shape == (m,)
     assert np.all(np.abs(c[s::d] - want) <= tol)
     assert np.all(np.abs(own - want) <= tol)
+
+
+# (moduli, n): the d = 1 rows of cache-k3's c = 2.5 and 2.8 points, of
+# (300, 2.8) and of sweep-k2's (1025, 1.8), the least planned length, and
+# moduli that are not consecutive
+_PLANS = [(np.arange(100, 201), 100001), (np.arange(100, 201), 398108),
+          (np.arange(300, 601), round(300**2.8) + 1),
+          (np.arange(1025, 2051), 262606), (np.arange(100, 201), variance._PLAN_COST),
+          (np.array([3, 4, 6, 9, 10, 12, 35, 36, 49, 64]), 2**18)]
+
+
+@pytest.mark.parametrize("ms, n", _PLANS, ids=(
+    "cache-k3-2.5", "cache-k3-2.8", "300-2.8", "sweep-k2-1.8", "least", "gaps"))
+def test_roots_serve_every_modulus_once(ms, n):
+    roots = variance._roots(ms, n)
+    cap = max(int(ms.max()), n // 8)
+    assert sorted(q for _, qs in roots for q in qs) == ms.tolist()
+    for root, qs in roots:
+        assert root <= cap and all(root % q == 0 for q in qs)
+    if n < variance._PLAN_COST:  # too short to plan: each modulus alone
+        assert roots == [(q, [q]) for q in ms.tolist()]
+    if n == 398108:  # cache-k3's c = 2.8: 31 passes over w instead of 101
+        assert len(roots) == 31
+
+
+def test_class_sums_through_roots_match_bincount():
+    # the least planned length: its roots include q = M, roots folded down
+    # to several moduli, narrow (2 M <= 2^13) and wide
+    n = variance._PLAN_COST
+    ms = np.arange(100, 201)
+    roots = variance._roots(ms, n)
+    assert any(root in qs for root, qs in roots)
+    assert any(len(qs) > 1 and 2 * root <= variance._FOLD_ENTRIES for root, qs in roots)
+    assert any(len(qs) > 1 and 2 * root > variance._FOLD_ENTRIES for root, qs in roots)
+    u = np.random.default_rng(9).standard_normal(n)
+    sums = list(_class_sums(u, ms))
+    assert [q for q, _ in sums] == [q for _, qs in roots for q in qs]
+    for q, c in sums:
+        want = np.bincount(np.arange(n) % q, u, q)
+        assert np.all(np.abs(c - want) <= 1e-13 * np.sum(u * u)), q
+
+
+class _Products(np.ndarray):
+    """An array that records the entries of each matrix in a product it
+    takes part in, and passes that on to what any ufunc makes of it."""
+
+    entries = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Products) else x for x in inputs]
+        if ufunc is np.matmul:
+            _Products.entries.extend(math.prod(np.shape(x)[-2:]) for x in plain)
+        if out is not None:
+            kwargs["out"] = tuple(o.view(np.ndarray) for o in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0]
+        return result.view(_Products) if isinstance(result, np.ndarray) else result
+
+
+@pytest.mark.parametrize("ms", (np.arange(1, 40), np.arange(100, 201),
+                                np.arange(3000, 3101), np.arange(9000, 9101)))
+def test_no_fold_product_exceeds_the_entry_cap(monkeypatch, ms):
+    # folds of u and of its roots' class sums, narrow and wide: every BLAS
+    # product stays at most _FOLD_ENTRIES entries, and each C_q is right
+    monkeypatch.setattr(_Products, "entries", [])
+    u = np.random.default_rng(ms.size).standard_normal(400000)
+    sums = dict(_class_sums(u.view(_Products), ms))
+    assert max(_Products.entries, default=0) <= variance._FOLD_ENTRIES
+    # narrow moduli take products; wide ones, folded down from wide roots, none
+    assert bool(_Products.entries) == (2 * ms[0] <= variance._FOLD_ENTRIES)
+    for q in (ms[0], ms[-1]):
+        want = np.bincount(np.arange(u.size) % q, u, q)
+        assert np.all(np.abs(sums[q] - want) <= 1e-13 * np.sum(u * u))
 
 
 # The three routes `_route` forces: every row folds, so the d = 1 row
@@ -330,7 +406,7 @@ def _route(monkeypatch, fold):
         folded.append(u.size)
         return real(u, ms)
 
-    def folds(n, moduli):
+    def folds(n, moduli, ms):
         out = np.full(np.shape(n), bool(fold))
         out[0] = fold is True  # row 0 is the d = 1 row
         return out
@@ -392,26 +468,29 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
 def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
                                               monkeypatch):
     # cache-k3's c = 2.8 point: the d = 1 row folds, so only w is folded,
-    # once for each of its 101 live moduli q = 100 ... 200, and no row is
-    # gathered, transformed or folded on its own; sweep-k2's (1025, 1.8):
+    # once for each of the 31 roots of its 101 live moduli q = 100 ... 200,
+    # and each root's class sums down to the other moduli it serves; no row
+    # is gathered, transformed or folded on its own.  sweep-k2's (1025, 1.8):
     # the d = 1 row (1026 moduli) takes the FFT route
-    folded, rows = [], []
-    real = variance._class_sums
+    folds, rows = [], []
+    real = variance._fold
 
-    def class_sums(u, ms):
-        for s in real(u, ms):
-            folded.append((u.size, s.size))
-            yield s
+    def fold(v, m, ones):
+        folds.append((v.size, m))
+        return real(v, m, ones)
 
     def refuse(*args):
         raise AssertionError("a row was gathered or transformed")
 
-    monkeypatch.setattr(variance, "_class_sums", class_sums)
+    monkeypatch.setattr(variance, "_fold", fold)
     for name in ("_rows", "_block_spectra", "_lag_sums"):
         monkeypatch.setattr(variance, name, refuse)
     X = round(100**2.8)
     delta_k(oracle_tables[3], 100, X, psi, phi)
-    assert folded == [(X + 1, q) for q in range(100, 201)]
+    roots = variance._roots(np.arange(100, 201), X + 1)
+    assert len(roots) == 31
+    assert folds == [f for root, qs in roots
+                     for f in [(X + 1, root)] + [(root, q) for q in qs if q != root]]
     monkeypatch.undo()
 
     def block_spectra(u):
@@ -422,6 +501,21 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
     X = round(1025**1.8)
     delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
     assert (1, X + 1) in rows
+
+
+@pytest.mark.parametrize("Q, c, folds", ((300, 2.8, True), (1025, 1.8, False)))
+def test_route_decision_of_the_d1_row(monkeypatch, Q, c, folds):
+    # the d = 1 row is w, X + 1 values, with every modulus Q ... 2Q live.
+    # At (300, 2.8) its roots beat the FFT route, which folding each modulus
+    # on its own would not; at sweep-k2's (1025, 1.8) the FFT route wins,
+    # and no roots are planned to find that out
+    X = round(Q**c)
+    n, ms = np.array([X + 1]), np.arange(Q, 2 * Q + 1)
+    alone = ms.size * (X + 1 + variance._FOLD_OVERHEAD)
+    assert alone > variance._FFT_COST * (X + 1) * math.log2(X + 1)
+    if not folds:
+        monkeypatch.setattr(variance, "_roots", None)
+    assert variance._folds(n, np.array([ms.size]), ms)[0] == folds
 
 
 _SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.8)]
@@ -658,6 +752,23 @@ def test_short_interval_variance_in_pieces_is_the_whole_array_value(k, X, H):
     total, total_sq = _exact_sums(prefix[H : X + H] - prefix[:X])
     want = (X * total_sq - total * total) / (X * X)
     assert short_interval_variance(table, X, H) == want
+
+
+@pytest.mark.parametrize("k, X, H", ((3, 398107, 1000), (2, 300000, 200000)))
+def test_short_interval_variance_peak_is_one_piece(k, X, H):
+    # cache-k3's c = 2.8 point and an H past a piece: only one piece of
+    # 2^16 window sums and its int64 copy in _exact_sums are allocated,
+    # 16.1 B a value traced at both (6.4 MB at the first while the prefix of
+    # all X + H + 1 values was held)
+    table = sieve_dk(k, 2 * X + H, X)
+    short_interval_variance(table, X, H)  # first call: one-off allocations
+    tracemalloc.start()
+    try:
+        short_interval_variance(table, X, H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * variance._PIECE
 
 
 def test_exact_sums_chunk_and_overflow():
