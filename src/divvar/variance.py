@@ -28,9 +28,11 @@ sequence, the window w itself, folds, it serves every other one:
 u_d = w[s_d::d], so the class sums of u_d mod m are the strided view
 C_q[s_d::d] of those of w mod q = dm, which w's fold forms anyway.  No
 other sequence is then gathered, folded or transformed, and only one
-C_q is held at a time.  `delta_k` states the derivation, the memory per
-n and the error budget against that binning, which lives under tests/
-as the oracle.
+C_q is held at a time.  When w takes the FFT route, a sequence that
+folds is folded on its own, from one contiguous copy, and the FFT
+batches carry only the sequences on the FFT route.  `delta_k` states the
+derivation, the memory per n and the error budget against that binning,
+which lives under tests/ as the oracle.
 Rows u_d too short to have lags need only their sums, and are gathered
 flat.  No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
@@ -492,16 +494,17 @@ def delta_k(
     `_FOLD_ENTRIES` states).  So no row d >= 2 is gathered, folded or
     transformed.  At (k, Q, X) = (3, 100, 398107) the d = 1 row folds its
     101 moduli through 31 roots: 12.3 M entries of w and 2.6 M of the
-    roots' class sums, where one fold per modulus took 40.2 M, and it
-    serves the 446 pairs of the 122 rows with lags; a call took 14.1 ms
-    against 20.0 ms then (medians of 41 interleaved calls in one process,
-    on a 2-vCPU x86-64 box).  At (3, 100, 10^5) the row,
-    100,001 long, is below _PLAN_COST and folds once per modulus.  When
-    the d = 1 row takes the FFT route, each other row takes its own: at
-    (2, 1025, 262605) 527 of 1246 rows fold, but none of the rows
-    d <= 23, such as the d = 1 row with its 1026 moduli, whose choice
-    plans no roots.  The rows on their own routes are read from w as the
-    rows of 2-D arrays.
+    roots' class sums, and it serves the 446 pairs of the 122 rows with
+    lags; a call took 14.1 ms (median of 41 calls in one process, on a
+    2-vCPU x86-64 box).  At (3, 100, 10^5) the row, 100,001 long, is below
+    _PLAN_COST and folds once per modulus.  When the d = 1 row takes the
+    FFT route, each other row takes its own: at (2, 1025, 262605) 527 of
+    1246 rows fold, but none of the rows d <= 23, such as the d = 1 row
+    with its 1026 moduli, whose choice plans no roots.  A row that folds
+    is then folded from one contiguous copy of w[s_d::d], which gives T_d
+    as its sum, T2_d as one np.einsum and its lag sums by `_class_sums` as
+    above.  Only the rows on the FFT route are read from w as the rows of
+    2-D arrays.
 
     On the FFT route a row longer than 2^14 is a batch of its own, cut
     into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
@@ -509,10 +512,9 @@ def delta_k(
     and its temporaries, and no short last block costs a whole transform.
     Shorter rows are one block each, grouped by transform size, and each
     group is cut into batches of at most _BATCH = 2^17 entries (rows times
-    size), one 2-D transform each.  Rows that fold are batched by length
-    alone and only summed before their folds.  T_d and T2_d are the row
-    sums of u and u^2.  The lags t m of an FFT batch are gathered one
-    inverse block at a time, only those in its window.  When
+    size), one 2-D transform each.  T_d and T2_d are the row sums of u and
+    u^2.  The lags t m of an FFT batch are gathered one inverse block at a
+    time, only those in its window.  When
     q_hi <= 2 q_lo (Phi supported in [1, 2], as in the CLI) a row's live
     moduli are the integers in some [a, b], b <= 2a, and
     sum_{a <= m <= 2a} 1/m <= 3/2, so a window of 2L - 1 lags holds at
@@ -535,22 +537,19 @@ def delta_k(
     buffers.
     So the peak is set by the d = 1 row when it takes the FFT route: a
     second call at (2, 1025, 262605) peaks at 7.3 MiB of traced
-    allocations, 29 B per n (10.5 MiB when w, R_1 and the spectra were
-    live together), and `variance --k 2 --q 46416 --x 10^7` at 362 MiB of
-    RSS.  A fold allocates O(m), and a row folded on its own a contiguous
-    copy if it is strided.  When the d = 1 row serves, beside w only one
-    root and one live modulus are held: C_M, at most max(2Q, |w| / 8)
-    entries, C_q, and the fold's products of at most _FOLD_ENTRIES
-    entries.  At (3, 100, 398107) a second call peaks at 4.0 MiB,
-    10.6 B per n, as when w was folded once per modulus (4.7 MiB when
-    every row folded on its own).  When the moduli outnumber the window,
-    the pairs set the peak instead, at the closing np.bincount calls
-    (`modulus_bytes`
-    states what is live there): a second call at (2, 10^5, 100) peaks at
-    55.5 MB, 64 B for each of its 862,844 pairs, and at (2, 10^5, 100100),
-    where the d = 1 row serves, at 58.7 MB, 68 B a pair.  Each piece is
-    summed against Phi(q/Q) exactly and rounded once by `exact_sum`, which
-    returns math.fsum's value.
+    allocations, 29 B per n, and `variance --k 2 --q 46416 --x 10^7` at
+    362 MiB of RSS.  A fold allocates O(m), and a row folded on its own
+    one contiguous copy of itself.  When the d = 1 row serves, beside w
+    only one root and one live modulus are held: C_M, at most
+    max(2Q, |w| / 8) entries, C_q, and the fold's products of at most
+    _FOLD_ENTRIES entries.  At (3, 100, 398107) a second call peaks at
+    4.0 MiB, 10.6 B per n.  When the moduli outnumber the window, the
+    pairs set the peak instead, at the closing np.bincount calls
+    (`modulus_bytes` states what is live there): a second call at
+    (2, 10^5, 100) peaks at 55.5 MB, 64 B for each of its 862,844 pairs,
+    and at (2, 10^5, 100100), where the d = 1 row serves, at 58.7 MB, 68 B
+    a pair.  Each piece is summed against Phi(q/Q) exactly and rounded
+    once by `exact_sum`, which returns math.fsum's value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
@@ -622,40 +621,38 @@ def delta_k(
                 if head:
                     t[ri] = s.sum()
         lag_sum[p] = (lag_sum[p] - t2[r]) / 2
-        live = live[:0]  # no row is left for the batches
+        live = live[:0]  # no row is left to fold on its own or to batch
+    for i in live[fold[live]].tolist():  # each row that folds on its own
+        v = np.ascontiguousarray(w[start[i] :: ds[i]])
+        t[i] = v.sum()
+        t2[i] = np.einsum("i,i", v, v)
+        p = slice(first[i], first[i] + moduli[i])
+        by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
+        lag_sum[p] = (np.array([by_q[q] for q in m[p].tolist()]) - t2[i]) / 2
+    live = live[~fold[live]]
 
-    # batch key: 0 for a row that is folded, the transform size of a short
-    # row, and for a long row a key of its own above every transform size,
-    # the largest for the d = 1 row (row 0), which so comes last
+    # batch key: the transform size of a short row, and for a long row a key
+    # of its own above every transform size, the largest for the d = 1 row
+    # (row 0), which so comes last
     key = np.zeros(ds.size, dtype=np.int64)
-    fft = (moduli > 0) & ~fold
-    short = fft & (n <= _MIN_BLOCK)
-    key[short] = _fft_size(2 * n[short] - 1)
-    key[fft & ~short] = _BATCH + ds.size - np.flatnonzero(fft & ~short)
+    key[live] = np.where(n[live] <= _MIN_BLOCK, _fft_size(2 * n[live] - 1),
+                         _BATCH + ds.size - live)
     order = live[np.lexsort((n[live], key[live]))]
     for group in _runs(order, key[order]):
-        per = max(1, _BATCH // max(int(key[group[0]]), int(n[group[-1]]), 1))
+        per = max(1, _BATCH // int(key[group[0]]))
         for b in range(0, group.size, per):
             batch = group[b : b + per]
             u = _rows(w, start[batch], ds[batch], n[batch])
             t[batch] = u.sum(axis=1)
             t2[batch] = np.einsum("ij,ij->i", u, u)
-            if key[batch[0]]:
-                p = _progressions(first[batch], 1, moduli[batch])
-                pos = np.repeat(np.arange(batch.size), moduli[batch])
-                lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
-                spectra, block = _block_spectra(u)
-                if batch[-1] == order[-1]:  # no batch follows: drop w
-                    del w, u
-                lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
-                del spectra
-            for i in np.flatnonzero(fold[batch]).tolist():
-                p = slice(first[batch[i]], first[batch[i]] + moduli[batch[i]])
-                v = np.ascontiguousarray(u[i, : n[batch[i]]])
-                by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
-                sq = np.array([by_q[q] for q in m[p].tolist()])
-                lag_sum[p] = (sq - np.einsum("i,i", v, v)) / 2
-                del v  # a view of u would keep the batch alive
+            p = _progressions(first[batch], 1, moduli[batch])
+            pos = np.repeat(np.arange(batch.size), moduli[batch])
+            lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
+            spectra, block = _block_spectra(u)
+            if batch[-1] == order[-1]:  # no batch follows: drop w
+                del w, u
+            lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
+            del spectra
 
     at = ds[row] * m - q_lo
     coprime_sum = np.bincount(at, (mu * t)[row], phi_w.size)

@@ -9,13 +9,17 @@ somewhere in src/divvar.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
 import re
 import sys
 
-from divvar import cli, constants, gammapoly, rmt, sieve, variance, weights
+import divvar
+from divvar import cli
 
-MODULES = (cli, constants, gammapoly, rmt, sieve, variance, weights)
+MODULES = tuple(importlib.import_module(f"divvar.{info.name}")
+                for info in pkgutil.iter_modules(divvar.__path__))
 
 # Functions the CLI may leave uncalled
 ALLOWED = set()

@@ -503,19 +503,74 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
     assert (1, X + 1) in rows
 
 
-@pytest.mark.parametrize("Q, c, folds", ((300, 2.8, True), (1025, 1.8, False)))
-def test_route_decision_of_the_d1_row(monkeypatch, Q, c, folds):
-    # the d = 1 row is w, X + 1 values, with every modulus Q ... 2Q live.
-    # At (300, 2.8) its roots beat the FFT route, which folding each modulus
-    # on its own would not; at sweep-k2's (1025, 1.8) the FFT route wins,
-    # and no roots are planned to find that out
-    X = round(Q**c)
-    n, ms = np.array([X + 1]), np.arange(Q, 2 * Q + 1)
-    alone = ms.size * (X + 1 + variance._FOLD_OVERHEAD)
-    assert alone > variance._FFT_COST * (X + 1) * math.log2(X + 1)
+def test_rows_that_fold_on_their_own_skip_the_batches(psi, phi, monkeypatch):
+    # sweep-k2's (1025, 1.8): the d = 1 row takes the FFT route, and 527 of
+    # the 1246 rows with lags fold on their own; the batches gather and
+    # transform each of the other 719 once, and none of the 527
+    decided, gathered, transformed = [], [], []
+    folds, rows = variance._folds, variance._rows
+
+    def folds_spy(n, moduli, ms):
+        out = folds(n, moduli, ms)
+        decided.append((moduli > 0, (moduli > 0) & out))
+        return out
+
+    def rows_spy(w, start, step, length):
+        gathered.extend(step.tolist())
+        return rows(w, start, step, length)
+
+    def spectra_spy(u):
+        transformed.append(u.shape[0])
+        return _block_spectra(u)
+
+    monkeypatch.setattr(variance, "_folds", folds_spy)
+    monkeypatch.setattr(variance, "_rows", rows_spy)
+    monkeypatch.setattr(variance, "_block_spectra", spectra_spy)
+    X = round(1025**1.8)
+    delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
+    (lags, alone), = decided
+    assert lags.sum() == 1246 and alone.sum() == 527 and not alone[0]
+    ds = _divisor_pairs(1025, 2050)[0]
+    assert sorted(gathered) == ds[lags & ~alone].tolist()
+    assert sum(transformed) == 1246 - 527
+
+
+# id: (Q, X, whether the d = 1 row folds, the d of the rows that then fold
+# on their own or their number)
+_D1_ROUTES = {
+    "300-2.8-True": (300, round(300**2.8), True, None),
+    "1025-1.8-False": (1025, round(1025**1.8), False, 527),
+    "10-2000-False": (10, 2000, False, [3, 7]),
+    "5-2000-True": (5, 2000, True, None),
+}
+
+
+@pytest.mark.parametrize("Q, X, folds, alone", _D1_ROUTES.values(), ids=_D1_ROUTES)
+def test_route_decision_of_the_d1_row(monkeypatch, Q, X, folds, alone):
+    # The routes `_folds` picks for the rows u_d of delta_k: the n_d
+    # multiples of d in the psi-window [X, 2X], with the moduli m < n_d of
+    # their pairs (d, m), q = dm in [Q, 2Q].  The d = 1 row is w, X + 1
+    # values, with every modulus live.  At (300, 2.8) its roots beat the
+    # FFT route, which folding each modulus on its own would not; at
+    # sweep-k2's (1025, 1.8) the FFT route wins, and no roots are planned
+    # to find that out.  At the selftest's (10, 2000) the row takes the FFT
+    # route and rows 3 and 7 fold on their own; at (5, 2000) it is shorter
+    # than _PLAN_COST and folds, each modulus on its own, serving every row
+    ds, _, count, m = _divisor_pairs(Q, 2 * Q)
+    n = 2 * X // ds - (X - 1) // ds
+    row = np.repeat(np.arange(ds.size), count)
+    moduli = np.bincount(row[m < n[row]], minlength=ds.size)
+    ms = m[: moduli[0]]
+    assert n[0] == X + 1 and ms.tolist() == list(range(Q, 2 * Q + 1))
+    each = ms.size * (X + 1 + variance._FOLD_OVERHEAD)
+    fft = variance._FFT_COST * (X + 1) * math.log2(X + 1)
+    assert (each < fft) == (folds and X + 1 < variance._PLAN_COST)
     if not folds:
         monkeypatch.setattr(variance, "_roots", None)
-    assert variance._folds(n, np.array([ms.size]), ms)[0] == folds
+    fold = (moduli > 0) & variance._folds(n, moduli, ms)
+    assert fold[0] == folds
+    if not folds:
+        assert (fold.sum() if isinstance(alone, int) else ds[fold].tolist()) == alone
 
 
 _SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.8)]
