@@ -15,15 +15,13 @@ Subcommands:
   selftest   fast end-to-end invariant suite
 
 Each subcommand takes only the flags it reads (the table _COMMANDS), plus
---config, --format and --out; any other flag, or an abbreviated one, is
-an invalid config.  Configuration comes from flags, optionally seeded by
-a flat key=value config file (flags override the file).  Each file line
-is read as the flag --key=value, by the same parser as the command line,
-so the file takes the same keys.  A JSON report echoes under "config"
-only the settings the subcommand read.  Reports are emitted as CSV or as
-JSON, each row's values in the report's column order (a JSON row holds
-only the columns it fills); floats are printed with 17 significant
-digits, exact rationals as "num/den" strings and enums by their value.
+--format and --out; any other flag, or an abbreviated one, is an invalid
+config.  Configuration comes from the flags alone; a setting left unset
+takes its default.  A JSON report echoes under "config" only the
+settings the subcommand read.  Reports are emitted as CSV or as JSON,
+each row's values in the report's column order (a JSON row holds only
+the columns it fills); floats are printed with 17 significant digits,
+exact rationals as "num/den" strings and enums by their value.
 A variance row is its two records, variance.VarianceBreakdown and
 variance.Prediction, whose fields are named as their columns, plus the
 ratio and short-interval columns.
@@ -31,21 +29,21 @@ ratio and short-interval columns.
 The Monte-Carlo check of gamma draws its uniforms once for the whole
 c-grid (gammapoly.gamma_mc_oracle), so its rows share their samples.
 
-Exit codes: 0 success, 1 invalid config (a flag or config-file key the
-subcommand does not read, a value its flag refuses, --x given with
---c-grid, gamma's --seed or --c-grid without --samples, a c-grid value
-that is not finite and positive, gamma's --samples with k = 1, below
-10^4 or with a c-grid value not below k, variance with --q below 2, a
-Q^c that overflows a float, a --q whose moduli [Q, 2Q] may need more
-than sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes), or an X (given,
-or round(Q^c) from --c-grid) whose c = log X/log Q is outside (0, k),
-X = 1 included, or whose sieve window [X, 2X + H] needs more than
-sieve.MEMORY_BUDGET_BYTES, a --prime-limit below
-constants.MIN_PRIME_LIMIT, rmt with k N above rmt.KN_BOUND, or an
-unreadable config file; one "invalid config:" line on stderr, before
-anything is computed), 2 computation error (including a report with any
-error row, and a constants --q whose primes up to sqrt(q) would need
-more than sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an --out that cannot
+Exit codes: 0 success, 1 invalid config (a flag the subcommand does not
+read, a value its flag refuses, --x given with --c-grid, gamma's --seed
+or --c-grid without --samples, a c-grid value that is not finite and
+positive, gamma's --samples with k = 1, below 10^4 or with a c-grid
+value not below k, variance with --q below 2, a Q^c that overflows a
+float, a --q whose moduli [Q, 2Q] may need more than
+sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes), or an X (given, or
+round(Q^c) from --c-grid) whose c = log X/log Q is outside (0, k), X = 1
+included, or whose sieve window [X, 2X + H] needs more than
+sieve.MEMORY_BUDGET_BYTES, a constants --prime-limit below
+constants.MIN_PRIME_LIMIT, or rmt with k N above rmt.KN_BOUND; one
+"invalid config:" line on stderr, before anything is computed), 2
+computation error (including a report with any error row, and a
+constants --q whose primes up to sqrt(q) would need more than
+sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an --out that cannot
 be written, or a --cache-dir that cannot be made or written, such as a
 regular file or a path under one; one "i/o error" line on stderr).
 """
@@ -248,8 +246,11 @@ def cmd_variance(cfg: dict) -> dict:
     report = _new_report(cfg, _VARIANCE_COLUMNS)
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
-    base = consts.a_k_const(k, cfg["prime_limit"])
-    tilde = consts.a_tilde_k(k, cfg["prime_limit"])
+    # once per run, as a_tilde_k is not memoised; the limit is passed so that
+    # a_tilde_k's own a_k_const(k, limit) hits the memoised product
+    limit = consts.DEFAULT_PRIME_LIMIT
+    base = consts.a_k_const(k, limit)
+    tilde = consts.a_tilde_k(k, limit)
     for X in xs:
         try:
             # psi(n/X) vanishes outside [X, 2X]; the short-interval sums
@@ -288,7 +289,7 @@ def cmd_rmt(cfg: dict) -> dict:
         return report
     # shifts m/1024 in (e^-0.3, e^0.3), with m odd (so ab != 1) and distinct
     # on each side: no CFKRS term is singular, and the two sides agree exactly
-    rng = random.Random(cfg["seed"])
+    rng = random.Random(0)
     for trial in range(3):
         A, B = ([Fraction(m, 1024) for m in rng.sample(range(759, 1382, 2), k)]
                 for _ in range(2))
@@ -405,35 +406,15 @@ _SETTINGS = {
 }
 
 # each subcommand: (its function, the settings it reads); every one also
-# takes --config and _COMMON
+# takes _COMMON
 _COMMON = ("format", "out")
 _COMMANDS = {
     "gamma": (cmd_gamma, ("k", "c_grid", "samples", "seed")),
     "constants": (cmd_constants, ("k", "q", "prime_limit")),
-    "variance": (cmd_variance, ("k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir")),
-    "rmt": (cmd_rmt, ("k", "n", "seed")),
+    "variance": (cmd_variance, ("k", "q", "x", "c_grid", "h", "cache_dir")),
+    "rmt": (cmd_rmt, ("k", "n")),
     "selftest": (cmd_selftest, ()),
 }
-
-
-def _config_file_args(path: str, command: str) -> list:
-    """The key = value lines of a config file as --key=value arguments."""
-    keys = (*_COMMANDS[command][1], *_COMMON)
-    out = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"malformed config line: {line!r}")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in keys:
-                raise ConfigError(
-                    f"unknown config key {key!r} for {command} in {path}")
-            out.append(f"--{key.replace('_', '-')}={val.strip()}")
-    return out
 
 
 class _Parser(argparse.ArgumentParser):
@@ -450,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, keys) in _COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("--config")
         for key in (*keys, *_COMMON):
             p.add_argument("--" + key.replace("_", "-"), **_SETTINGS[key][1])
     return parser
@@ -461,20 +441,13 @@ def _default_c_grid(k: int) -> list:
 
 
 def build_config(args: argparse.Namespace) -> dict:
-    """Defaults, overridden by the config file, overridden by the flags.
+    """Defaults, overridden by the flags.
 
     The result holds the settings the subcommand reads, plus "command".
     """
     keys = (*_COMMANDS[args.command][1], *_COMMON)
-    layers = [args]
-    if args.config:
-        argv = [args.command, *_config_file_args(args.config, args.command)]
-        try:
-            layers.insert(0, _build_parser().parse_args(argv))
-        except ConfigError as exc:
-            raise ConfigError(f"{exc} in {args.config}") from None
-    given = {key: getattr(layer, key) for layer in layers for key in keys
-             if getattr(layer, key, None) is not None}
+    given = {key: getattr(args, key) for key in keys
+             if getattr(args, key) is not None}
     cfg = {key: given.get(key, _SETTINGS[key][0]) for key in keys}
     cfg["command"] = args.command
     if args.command == "gamma" and cfg["samples"] is None:
@@ -519,7 +492,7 @@ def main(argv: Optional[list] = None) -> int:
         cfg = build_config(_build_parser().parse_args(argv))
     except SystemExit as exc:  # --help
         return 0 if exc.code == 0 else 1
-    except (ConfigError, OSError) as exc:
+    except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 1
     try:

@@ -167,18 +167,6 @@ def test_variance_repeat_gives_identical_rows(tmp_path):
     assert json.loads(t1)["rows"] == json.loads(t2)["rows"]
 
 
-def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("k = 2\nq = 60\nx = 500\nformat = json\nh = 3\n")
-    code, text = run_cli(["variance", "--config", str(cfg), "--x", "400"],
-                         tmp_path)
-    assert code == 0
-    report = json.loads(text)
-    assert report["config"]["x"] == 400  # flag wins
-    assert report["config"]["q"] == 60   # file value kept
-    assert report["config"]["h"] == 3
-
-
 def test_cache_dir_reused(tmp_path):
     cache = str(tmp_path / "cache")
     code, _ = run_cli(
@@ -269,16 +257,6 @@ def test_negative_seed_is_invalid_config(argv, capsys):
     assert len(err) == 1 and err[0].startswith("invalid config:")
 
 
-def test_unknown_config_key_exit_code(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("k = 2\nprime_limt = 100\n")
-    assert main(["constants", "--config", str(cfg)]) == 1
-    assert "prime_limt" in capsys.readouterr().err
-    cfg.write_text("k = 2\nthreads = 1\n")
-    assert main(["constants", "--config", str(cfg)]) == 1
-    assert "threads" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", (
     # a flag only another subcommand reads
     ["rmt", "--x", "100"],
@@ -313,14 +291,24 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
     ["variance", "--k", "2", "--q", "1000000", "--c-grid", "0.5,1.9"],
     # a prime limit below the one the tail bounds are stated for
     ["constants", "--k", "2", "--prime-limit", "50"],
-    ["variance", "--k", "2", "--q", "100", "--x", "1000", "--prime-limit", "50"],
+    # a prime limit variance does not read, valid as it is
+    ["variance", "--k", "2", "--q", "100", "--x", "1000", "--prime-limit", "1000000"],
     # a k N the secular coefficients refuse
     ["rmt", "--k", "8", "--n", "81"],
     ["rmt", "--k", "1", "--n", "641"],
+    # rmt draws its shifts from seed 0 and takes no --seed
+    ["rmt", "--k", "2", "--n", "4", "--seed", "1"],
+    # there are no config files, not even an existing, valid one
+    ["gamma", "--k", "2", "--config", "FILE"],
 ))
-def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch):
+def test_refused_argv_is_one_invalid_config_line(argv, capsys, monkeypatch,
+                                                 tmp_path):
     def unreachable(*args):
         raise AssertionError("computed before refusing")
+
+    config = tmp_path / "gamma.cfg"
+    config.write_text("k = 3\n")
+    argv = [str(config) if a == "FILE" else a for a in argv]
 
     for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
                          (gammapoly, "gamma_exact"), (consts, "a_k_const"),
@@ -373,25 +361,16 @@ def test_variance_moduli_of_the_benchmark_and_research_q_fit_the_budget(Q):
     assert variance.modulus_bytes(Q, 2 * Q) <= sieve.MEMORY_BUDGET_BYTES
 
 
-def test_config_key_of_another_subcommand_is_invalid_config(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("k = 2\nq = 60\nx = 500\nseed = 5\n")
-    assert main(["variance", "--config", str(cfg)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("invalid config:")
-    assert "seed" in err[0]
-
-
 @pytest.mark.parametrize("argv, unset", (
     (["gamma", "--k", "2", "--c-grid", "0.5", "--samples", "10000",
       "--seed", "1"], ()),
     (["gamma", "--k", "2"], ("samples", "seed", "c_grid")),
     (["constants", "--k", "2", "--q", "12", "--prime-limit", "1000"], ()),
     (["variance", "--k", "2", "--q", "12", "--c-grid", "0.5", "--h", "3",
-      "--prime-limit", "1000", "--cache-dir", "CACHE"], ("x",)),
+      "--cache-dir", "CACHE"], ("x",)),
     (["variance", "--k", "2", "--q", "12", "--x", "4", "--h", "3",
-      "--prime-limit", "1000", "--cache-dir", "CACHE"], ("c_grid",)),
-    (["rmt", "--k", "2", "--n", "4", "--seed", "1"], ()),
+      "--cache-dir", "CACHE"], ("c_grid",)),
+    (["rmt", "--k", "2", "--n", "4"], ()),
     (["selftest"], ()),
 ))
 def test_json_config_echoes_only_the_subcommand_keys(argv, unset, tmp_path):
@@ -401,8 +380,8 @@ def test_json_config_echoes_only_the_subcommand_keys(argv, unset, tmp_path):
     keys = {
         "gamma": {"k", "c_grid", "samples", "seed"},
         "constants": {"k", "q", "prime_limit"},
-        "variance": {"k", "q", "x", "c_grid", "h", "prime_limit", "cache_dir"},
-        "rmt": {"k", "n", "seed"},
+        "variance": {"k", "q", "x", "c_grid", "h", "cache_dir"},
+        "rmt": {"k", "n"},
         "selftest": set(),
     }[argv[0]]
     config = json.loads(text)["config"]
@@ -410,17 +389,8 @@ def test_json_config_echoes_only_the_subcommand_keys(argv, unset, tmp_path):
 
 
 @pytest.mark.parametrize("setting", (["--seed", "5"], ["--c-grid", "0.3"]))
-@pytest.mark.parametrize("from_file", (False, True))
-def test_gamma_monte_carlo_settings_need_samples(setting, from_file, tmp_path,
-                                                 capsys):
-    argv = ["gamma", "--k", "2"]
-    if from_file:
-        cfg = tmp_path / "cfg.txt"
-        cfg.write_text(f"{setting[0][2:]} = {setting[1]}\n")
-        argv += ["--config", str(cfg)]
-    else:
-        argv += setting
-    assert main(argv) == 1
+def test_gamma_monte_carlo_settings_need_samples(setting, capsys):
+    assert main(["gamma", "--k", "2", *setting]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("invalid config:")
     assert "--samples" in err[0]
@@ -437,9 +407,9 @@ def test_variance_leading_prediction_is_exact_at_k7(tmp_path):
     # size 1e-52 to 1e-43 at these c: float Horner on its cancelling
     # coefficients gave negative values
     code, text = run_cli(["variance", "--k", "7", "--q", "40", "--c-grid",
-                          "1.0,1.2,1.5", "--prime-limit", "1000"], tmp_path)
+                          "1.0,1.2,1.5"], tmp_path)
     assert code == 0
-    tilde = a_tilde_k(7, 1000).value
+    tilde = a_tilde_k(7).value
     pieces = gamma_exact(7).pieces
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 3
@@ -472,25 +442,6 @@ def test_variance_echoes_the_default_grid(tmp_path):
     assert grid == [0.5, 0.8, 1.0, 1.2, 1.5, 2 - 0.1]
     xs = sorted({max(2, round(12 ** c)) for c in grid})
     assert [row["X"] for row in report["rows"]] == xs
-
-
-def test_config_file_value_checked_like_its_flag(tmp_path, capsys):
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text("format = xml\n")
-    assert main(["gamma", "--config", str(cfg)]) == 1
-    assert main(["gamma", "--format", "xml"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(e.startswith("invalid config:") for e in err)
-    assert "xml" in err[0] and str(cfg) in err[0]
-
-
-def test_missing_config_file_exit_code(tmp_path, capsys):
-    assert main(["gamma", "--config", str(tmp_path / "nope.txt")]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("invalid config:")
-    assert len(captured.err.splitlines()) == 1
-    assert "Traceback" not in captured.err
 
 
 def test_report_with_error_rows_exit_code(tmp_path, monkeypatch):
@@ -627,7 +578,7 @@ def test_empty_report_header_only():
 
 def test_build_config_defaults():
     import argparse
-    ns = argparse.Namespace(command="gamma", config=None, k=None, x=None,
+    ns = argparse.Namespace(command="gamma", k=None, x=None,
                             q=None, h=None, c_grid=None, prime_limit=None,
                             n=None, samples=None, seed=None, format=None,
                             out=None, cache_dir=None)

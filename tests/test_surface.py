@@ -2,7 +2,7 @@
 
 Code that only tests call belongs under tests/, so this runs the CLI
 under `sys.setprofile` on one small run of each subcommand (both cache
-paths, a config file, --out and a refused flag included) and requires
+paths, --out and a refused flag included) and requires
 each function and non-dunder method defined in a divvar module to have
 been called.  A module-level constant (NAME or _NAME) must be read
 somewhere in src/divvar.
@@ -57,10 +57,8 @@ def test_every_function_is_reached_by_the_cli(tmp_path):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()  # a cache hit would hide the call
-    config = tmp_path / "variance.cfg"
-    config.write_text("k = 2\nq = 12\n")
     cache, out = tmp_path / "cache", tmp_path / "out.csv"
-    variance_run = ["variance", "--config", str(config), "--c-grid", "0.5,1.5",
+    variance_run = ["variance", "--k", "2", "--q", "12", "--c-grid", "0.5,1.5",
                     "--h", "3", "--cache-dir", str(cache), "--out", str(out)]
     runs = [
         ["gamma", "--k", "2", "--samples", "10000"],
