@@ -189,7 +189,7 @@ def cmd_constants(cfg: dict) -> dict:
     columns = ["name", "k", "q", "prime_limit", "value", "tail_bound"]
     report = _new_report(cfg, columns)
     base = consts.a_k_const(k, limit)
-    tilde = consts.a_tilde_k(k, limit)
+    tilde = consts.a_tilde_k(k, base)
     report["rows"].append({"name": "a_k", "k": k, "prime_limit": limit,
                            "value": base.value, "tail_bound": base.tail_bound})
     report["rows"].append({"name": "a_tilde_k", "k": k, "prime_limit": limit,
@@ -246,11 +246,8 @@ def cmd_variance(cfg: dict) -> dict:
     report = _new_report(cfg, _VARIANCE_COLUMNS)
     psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
     phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
-    # once per run, as a_tilde_k is not memoised; the limit is passed so that
-    # a_tilde_k's own a_k_const(k, limit) hits the memoised product
-    limit = consts.DEFAULT_PRIME_LIMIT
-    base = consts.a_k_const(k, limit)
-    tilde = consts.a_tilde_k(k, limit)
+    base = consts.a_k_const(k)
+    tilde = consts.a_tilde_k(k, base)
     for X in xs:
         try:
             # psi(n/X) vanishes outside [X, 2X]; the short-interval sums

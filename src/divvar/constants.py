@@ -25,7 +25,6 @@ inherits a_k's relative truncation error.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,14 +149,12 @@ def _log_sum(factor_logs, k: int, prime_limit: int) -> float:
                      for i in range(0, ps.size, _CHUNK_PRIMES))
 
 
-@functools.cache
 def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
     """Truncated Euler product for a_k with a certified tail bound.
 
     The omitted factors have logs of size at most C / p^2
     (_factor_log_bound), and sum_{p > P} p^-2 < 1/P, so the true value is
-    value * e^theta with |theta| <= C / P.  Memoised (the result is
-    frozen), so a_tilde_k reuses the product its caller already holds.
+    value * e^theta with |theta| <= C / P.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
@@ -169,14 +166,16 @@ def a_k_const(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantRe
     return EulerConstantResult(value, abs(value) * math.expm1(c / prime_limit), prime_limit)
 
 
-def a_tilde_k(k: int, prime_limit: int = DEFAULT_PRIME_LIMIT) -> EulerConstantResult:
+def a_tilde_k(k: int, base: EulerConstantResult) -> EulerConstantResult:
     """Truncated product for the modulus-averaged constant a~_k.
 
-    Relative to the full product the truncation is off by e^theta with
-    |theta| <= (C + D) / P: C / P from a_k's omitted factors and D / P from
-    the omitted a~_k/a_k factors (_tilde_log_bound).
+    `base` is a_k_const(k, P), the product this one extends, truncated at
+    the same P = base.prime_limit.  Relative to the full product the
+    truncation is off by e^theta with |theta| <= (C + D) / P: C / P from
+    a_k's omitted factors and D / P from the omitted a~_k/a_k factors
+    (_tilde_log_bound).
     """
-    base = a_k_const(k, prime_limit)
+    prime_limit = base.prime_limit
     value = base.value * math.exp(_log_sum(_tilde_factor_logs, k, prime_limit))
     theta = (_factor_log_bound(k, prime_limit) + _tilde_log_bound(k, prime_limit)) / prime_limit
     return EulerConstantResult(value, abs(value) * math.expm1(theta), prime_limit)

@@ -15,11 +15,10 @@ exact rational arithmetic (``fractions.Fraction``), and the inversion sums
 integer numerators over one denominator.  ``eval`` takes an int, a
 Fraction or a float (read as its exact dyadic value) and returns the exact
 Fraction; ``eval_float`` rounds the same exact value once to a float,
-without building the Fraction.  ``eval_floats`` returns eval_float's value
-at every point of an array: a double-double (compensated) Horner with a
-rigorous error bound settles the rounding of almost every point, and the
-exact eval_float takes the rest.  Beyond that, floats appear only in the
-Monte-Carlo oracle.
+without building the Fraction.  ``eval_floats`` evaluates a piecewise
+polynomial at every point of an array by float Horner on each piece's
+exact expansion about a knot, within a stated a-priori error bound.
+Beyond that, floats appear only in the Monte-Carlo oracle.
 
 The off-diagonal polynomial P_k, the part of gamma_k on [1,2) beyond the
 diagonal term c^{k^2-1}/(k^2-1)!, is read off gamma_k's first two pieces.
@@ -46,11 +45,12 @@ import numpy as np
 # (128 KiB each) stay in cache.  gamma_mc_oracle at k = 3 on its default
 # grid of 6 c at 10^6 samples, median of 5 runs, and the process's peak RSS:
 # 0.107 s and 60 MiB with batches of 2^18; 0.093 s, 43 MiB at 2^16; 0.084 s,
-# 37 MiB at 2^14; 0.084 s, 36 MiB at 2^12.  The compensated Horner of
-# eval_floats on 10^6 points of gamma_2's piece 0, best of 5 on a 2-vCPU
-# x86-64 box: 0.27 s in one batch; 0.11 / 0.090 / 0.079 / 0.088 s in
-# batches of 2^16 / 2^14 / 2^13 / 2^12.  On 10^5 points of gamma_8's piece
-# 0: 0.15 s, and 0.13 / 0.11 / 0.11 / 0.12 s.
+# 37 MiB at 2^14; 0.084 s, 36 MiB at 2^12.  The Horner of eval_floats on
+# 10^6 points of gamma_2's piece 0, best of 5 on a 2-vCPU x86-64 box (two
+# runs): 0.025-0.031 s in one batch; 0.011-0.014 / 0.010-0.014 /
+# 0.011-0.016 / 0.015-0.019 s in batches of 2^16 / 2^14 / 2^13 / 2^12.  On
+# 10^5 points of gamma_8's piece 0: 4.0-5.0 ms, and 4.2-4.8 / 5.3-5.8 /
+# 5.5-6.7 / 6.1-8.4 ms.
 _BATCH = 2**14
 
 
@@ -125,94 +125,22 @@ class RationalPolynomial:
 
 
 # ----------------------------------------------------------------------------
-# Many float values at once: compensated Horner with a certified bound
+# Many float values at once: Horner about a knot, with an a-priori bound
 # ----------------------------------------------------------------------------
 
-_U = 2.0**-53  # unit roundoff: |fl(z) - z| <= _U |fl(z)| without underflow
-# hi + lo is within _REP |hi| of the coefficient a it stands for: hi = fl(a)
-# is within _U |hi| of a, and lo = fl(a - hi) within _U |lo| <= _U^2 |hi| (1 + _U)
-# of a - hi
-_REP = 2.0**-105
-# Covers the absolute error of one Horner step's roundings when they
-# underflow, at most 2^-1075 each, fewer than 32 of them
-_TINY = 2.0**-1070
-_SPLITTER = 2.0**27 + 1
-
-
-def _two_sum(a, b):
-    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth's TwoSum)."""
-    s = a + b
-    z = s - a
-    return s, (a - (s - z)) + (b - z)
-
-
-def _split(a):
-    """(hi, lo) with hi + lo = a, each of at most 26 significant bits (Veltkamp)."""
-    c = _SPLITTER * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-def _taylor(poly: RationalPolynomial, c0: int) -> tuple[list[float], list[float]]:
-    """The coefficients of poly(c0 + h) in h, ascending, each as floats hi + lo.
+def _taylor(poly: RationalPolynomial, c0: int) -> list[float]:
+    """The coefficients of poly(c0 + h) in h, ascending, each rounded once.
 
     The integer numerators are shifted exactly by repeated synthetic
     division (a Taylor shift by the integer c0) over poly's one
-    denominator.  hi is the coefficient rounded once and lo the rest
-    rounded once, so hi + lo is within _REP |hi| of the coefficient.
+    denominator, and each is divided by it once (a correctly rounded int
+    true division).
     """
     g = list(poly._nums) or [0]
     for i in range(len(g) - 1):
         for j in range(len(g) - 2, i - 1, -1):
             g[j] += c0 * g[j + 1]
-    hi, lo = [], []
-    for x in g:
-        top = x / poly._den
-        num, den = top.as_integer_ratio()
-        hi.append(top)
-        lo.append((x * den - num * poly._den) / (poly._den * den))
-    return hi, lo
-
-
-def _compensated_horner(hi, lo, h):
-    """(value, certain): the float arrays fl(p(h)) and where it is certified.
-
-    p(h) = sum_i a_i h^i is evaluated in double-double, the running value
-    a pair s + t (Graillat, Langlois and Louvet, "Compensated Horner
-    scheme", 2005): s h = p + p_err exactly by Dekker's TwoProd (numpy has
-    no fma), p + hi_i = s' + e exactly by TwoSum, and t' gathers
-    p_err + t h + e + lo_i in four roundings.  With S the exact Horner
-    value, |(s + t) - S| obeys
-
-        err' = err |h| + _REP |hi_i| + _TINY + _U (|t h| + |x| + |y| + |t'|),
-
-    x and y the two partial sums of t', which the loop carries beside the
-    values.  At the end s + t = value + rest exactly (TwoSum), and value is
-    p(h) correctly rounded whenever |rest| + err is below half the spacing
-    of the floats next to value (the smaller spacing, towards zero); the
-    factor 1 + 2^-40 covers the roundings of err itself.  An overflow gives
-    inf or nan, and those are never certain; neither is value 0.
-    """
-    s = np.full(h.shape, hi[-1])
-    t = np.full(h.shape, lo[-1])
-    err = np.full(h.shape, abs(hi[-1]) * _REP + _TINY)
-    h_hi, h_lo = _split(h)
-    size = np.abs(h)
-    for a, b in zip(reversed(hi[:-1]), reversed(lo[:-1])):
-        s_hi, s_lo = _split(s)
-        p = s * h
-        p_err = s_lo * h_lo - (((p - s_hi * h_hi) - s_lo * h_hi) - s_hi * h_lo)
-        th = t * h
-        s, e = _two_sum(p, a)
-        x = p_err + th
-        y = x + e
-        t = y + b
-        err = err * size + (abs(a) * _REP + _TINY) + _U * (
-            np.abs(th) + np.abs(x) + np.abs(y) + np.abs(t))
-    value, rest = _two_sum(s, t)
-    spacing = np.abs(value - np.nextafter(value, 0))
-    certain = np.abs(rest) + err * (1 + 2.0**-40) < spacing * (0.5 - 2.0**-50)
-    return value, certain
+    return [x / poly._den for x in g]
 
 
 # ----------------------------------------------------------------------------
@@ -240,34 +168,40 @@ class PiecewisePolynomial:
 
     @functools.cached_property
     def _expansions(self) -> tuple:
-        """(c0, hi, lo) per piece: its _taylor coefficients about the knot c0
-        that eval_floats chooses."""
+        """(c0, coefficients) per piece: its _taylor expansion about the knot
+        c0 that eval_floats chooses."""
         out = []
         for j, p in enumerate(self.pieces):
             c0 = j if 2 * j < self.k else j + 1
-            out.append((c0, *_taylor(p, c0)))
+            out.append((c0, _taylor(p, c0)))
         return tuple(out)
 
     def eval_floats(self, cs) -> np.ndarray:
-        """[eval_float(c) for c in cs] as one float64 array, value for value.
+        """The value at every c of cs as one float64 array, within a stated bound.
 
         Piece j is expanded exactly about the knot c0 = j for j < k/2 and
         c0 = j + 1 otherwise, the knot towards the nearer end of [0, k],
         where gamma_k is small and flat.  Then h = c - c0 is exact for every
-        c of the piece: c0 = 0, or c0/2 <= c <= 2 c0 (Sterbenz).  The
-        compensated Horner of `_compensated_horner` evaluates each piece on
-        all its c at once with a certified error bound, and wherever the
-        bound does not settle the rounding (zeros, subnormal values, values
-        too near a rounding boundary) the exact eval_float is called.  The
-        points go _BATCH at a time, so the Horner's arrays stay in cache and
-        take no memory per point beyond the result.
+        c of the piece: c0 = 0, or c0/2 <= c <= 2 c0 (Sterbenz).  Each
+        piece is evaluated on all its c at once by float Horner on the
+        coefficients a_i of that expansion, each rounded once, so with n
+        the piece's degree and u = 2^-53 (Higham, Accuracy and Stability of
+        Numerical Algorithms, section 5.1)
 
-        The centres were measured on 2000 random c per piece.  The midpoint
-        c0 = j + 1/2 left 765 c of gamma_8's last piece uncertain and 234 of
-        its piece 1; the lower knot left 1484 of the last piece, the upper
-        knot 954 of piece 1.  This choice leaves 2 of the 16000 c uncertain
-        for k = 8 (subnormal values near c = 8) and none for k < 8.  Raises
-        ValueError, as eval_float does, if any c is outside [0, k].
+            |eval_floats(c) - eval(c)| <= g_{2n+1} sum_i |a_i| |h|^i,
+            g_m = m u / (1 - m u).
+
+        The bound ignores underflow: as |h| <= 1, the products that
+        underflow near the ends of [0, k] add at most n 2^-1074 to it.  On
+        4000 random c per piece, the knots and 200 geometric points near
+        each end, for gamma_1 .. gamma_8, no point broke the bound; the
+        bound was at most 4.5e-10 of the value, and the error at most
+        1.5e-12 of it (k = 5 and 7, middle pieces), 4.6e-15 at k = 8.
+        Expanded about the midpoint c0 = j + 1/2 instead, the same random
+        c gave relative errors up to 4e+258 and 3795 negative values.  The
+        points go _BATCH at a time, so the Horner's arrays stay in cache and
+        take no memory per point beyond the result.  Raises ValueError, as
+        eval_float does, if any c is outside [0, k].
         """
         cs = np.asarray(cs, dtype=np.float64).reshape(-1)
         outside = ~((cs >= 0) & (cs <= self.k))
@@ -277,12 +211,14 @@ class PiecewisePolynomial:
         for b in range(0, cs.size, _BATCH):
             c = cs[b : b + _BATCH]
             piece = np.minimum(c.astype(np.int64), self.k - 1)
-            for j, (c0, hi, lo) in enumerate(self._expansions):
+            for j, (c0, coeffs) in enumerate(self._expansions):
                 at = np.flatnonzero(piece == j)
                 if at.size:
-                    value, certain = _compensated_horner(hi, lo, c[at] - c0)
-                    for i in np.flatnonzero(~certain).tolist():
-                        value[i] = self.pieces[j].eval_float(float(c[at[i]]))
+                    h = c[at] - c0
+                    value = np.full(h.shape, coeffs[-1])
+                    for a in reversed(coeffs[:-1]):
+                        value *= h
+                        value += a
                     out[b + at] = value
         return out
 

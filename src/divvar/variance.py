@@ -249,18 +249,17 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     Q = 10^2 ... 10^6.  Per modulus, `conjectured_values` holds at most 12
     words: a_k(q), log q, phi(q/Q), c_q and gamma_k(c_q), then two
     temporaries of the weighted terms and exact_sum's frexp mantissas,
-    exponents (half a word) and mantissa halves.  The compensated Horner
-    of eval_floats adds about 2.5 MB whatever the number of moduli: it
-    works on a fixed-size batch of them at a time.  Per integer of
-    [1, q_hi], the mu sieve holds at most 3 words: int64 values, cofactors
-    and exponent bytes.  The three are summed, although they are not live
-    together.
+    exponents (half a word) and mantissa halves; eval_floats works on a
+    fixed-size batch of moduli at a time.  Per integer of [1, q_hi], the
+    mu sieve holds at most 3 words: int64 values, cofactors and exponent
+    bytes.  The three are summed, although they are not live together.
 
     At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
-    `delta_k` plus that of `conjectured_values` is 7.1 MB at Q = 10^4,
-    62.8 MB at Q = 10^5 and 691 MB at Q = 10^6 (`delta_k` alone: 68, 64
-    and 62 B a pair; `conjectured_values` 73 and 69 B a modulus at 10^5
-    and 10^6); this bound reads 12.9 MB, 146 MB and 1.64 GB there.
+    `delta_k` plus that of `conjectured_values` is 5.7 MB at Q = 10^4,
+    62.2 MB at Q = 10^5 and 691 MB at Q = 10^6 (`delta_k` alone: 68, 64
+    and 62 B a pair; `conjectured_values` 0.81, 6.95 and 69.1 MB, or 81,
+    70 and 69 B a modulus); this bound reads 12.9 MB, 146 MB and 1.64 GB
+    there.
     """
     span = q_hi - q_lo + 1
     pairs = span * (int(math.log(span)) + 2) + q_hi
@@ -745,9 +744,11 @@ def conjectured_values(
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
     sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) takes
     a_k(q) from one constants.a_k_of_q sieve over the moduli window and
-    gamma_k(c_q) for every modulus from one eval_floats call.  Each gamma_k
-    and P_k value is exact before its one rounding to float, and the sum
-    over the moduli is exact before its one rounding (`exact_sum`).
+    gamma_k(c_q) for every modulus from one eval_floats call, within the
+    a-priori Horner bound g_{2n+1} sum_i |a_i| |h|^i that eval_floats
+    states.  The leading, diagonal and off-diagonal gamma_k and P_k
+    values are exact before their one rounding to float, and the sum over
+    the moduli is exact before its one rounding (`exact_sum`).
     """
     c = math.log(X) / math.log(Q)
     if not 0.0 < c < k:

@@ -160,11 +160,11 @@ def test_criterion_7_constants_self_consistency():
             r5 = a_k_const(k, 10**5)
             r6 = a_k_const(k, 10**6)
             assert abs(r5.value - r6.value) <= r5.tail_bound + r6.tail_bound
-            t5 = a_tilde_k(k, 10**5)
-            t6 = a_tilde_k(k, 10**6)
+            t5 = a_tilde_k(k, r5)
+            t6 = a_tilde_k(k, r6)
             assert abs(t5.value - t6.value) <= t5.tail_bound + t6.tail_bound
         base = a_k_const(2, 10**6)
-        tilde = a_tilde_k(2, 10**6).value
+        tilde = a_tilde_k(2, base).value
         errs = []
         for Q in (10**4, 10**5):
             errs.append(abs(float(np.mean(a_k_of_q(2, 1, Q, base))) - tilde))
@@ -175,7 +175,7 @@ def test_criterion_8_asymptotic_trend():
     with criterion(8, "Delta_2 tracks the predicted size at c = 1.5"):
         psi = make_bump(1, 2, Normalization.INTEGRAL_OF_SQUARE_ONE)
         phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
-        tilde = a_tilde_k(2, 10**6).value
+        tilde = a_tilde_k(2, a_k_const(2, 10**6)).value
         gamma_c = float(gamma_exact(2).eval(1.5))  # = 1/48
         ratios = []
         ratios_logq = []

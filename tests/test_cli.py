@@ -24,7 +24,7 @@ from divvar.cli import (
     emit_report,
     main,
 )
-from divvar.constants import a_tilde_k
+from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
 
 
@@ -409,7 +409,7 @@ def test_variance_leading_prediction_is_exact_at_k7(tmp_path):
     code, text = run_cli(["variance", "--k", "7", "--q", "40", "--c-grid",
                           "1.0,1.2,1.5"], tmp_path)
     assert code == 0
-    tilde = a_tilde_k(7).value
+    tilde = a_tilde_k(7, a_k_const(7)).value
     pieces = gamma_exact(7).pieces
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 3
@@ -613,3 +613,23 @@ def test_json_rows_follow_the_csv_header(argv, tmp_path):
     for row in report["rows"]:
         assert list(row) == [c for c in header if c in row], row
         assert set(row) <= set(header)
+
+
+def _readme_cli_examples():
+    """The command lines of README's CLI section: its ```sh block, split
+    into words, without the `#` comments."""
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    return [words for words in lines if words]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) >= 5
+    for words in examples:
+        assert words[0] == "divvar", words
+        argv = [str(tmp_path) if a == "~/.cache/divvar" else a for a in words[1:]]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv

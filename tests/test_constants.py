@@ -78,22 +78,17 @@ def _chunk_edges():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_chunked_sums_equal_the_unchunked_formula(k):
     for P in [100, 10**4, *_chunk_edges(), 10**6]:
-        assert (a_k_const(k, P).value, a_tilde_k(k, P).value) == _unchunked(k, P), P
-
-
-@pytest.fixture
-def fresh_a_k():
-    a_k_const.cache_clear()
-    yield
-    a_k_const.cache_clear()
+        base = a_k_const(k, P)
+        assert (base.value, a_tilde_k(k, base).value) == _unchunked(k, P), P
 
 
 @pytest.mark.parametrize("chunk", (1, 7, 1000))
-def test_chunk_size_does_not_move_the_constants(chunk, monkeypatch, fresh_a_k):
+def test_chunk_size_does_not_move_the_constants(chunk, monkeypatch):
     # 1229 primes up to 10^4: chunks of 7 leave a partial one of 4
     monkeypatch.setattr(constants, "_CHUNK_PRIMES", chunk)
     for k in range(1, 9):
-        assert (a_k_const(k, 10**4).value, a_tilde_k(k, 10**4).value) == _unchunked(k, 10**4)
+        base = a_k_const(k, 10**4)
+        assert (base.value, a_tilde_k(k, base).value) == _unchunked(k, 10**4)
 
 
 def test_a1_is_one():
@@ -112,8 +107,8 @@ def test_stability_across_prime_limits():
         r5 = a_k_const(k, 10**5)
         r6 = a_k_const(k, 10**6)
         assert abs(r5.value - r6.value) <= r5.tail_bound + r6.tail_bound
-        t5 = a_tilde_k(k, 10**5)
-        t6 = a_tilde_k(k, 10**6)
+        t5 = a_tilde_k(k, r5)
+        t6 = a_tilde_k(k, r6)
         assert abs(t5.value - t6.value) <= t5.tail_bound + t6.tail_bound
 
 
@@ -169,7 +164,7 @@ def test_a_k_of_q_refuses_a_prime_table_past_the_budget():
 
 def test_mean_of_a_q_approaches_a_tilde():
     base = a_k_const(2, 10**6)
-    tilde = a_tilde_k(2, 10**6).value
+    tilde = a_tilde_k(2, base).value
     errs = []
     for Q in (10**3, 10**4):
         errs.append(abs(float(np.mean(a_k_of_q(2, 1, Q, base))) - tilde))

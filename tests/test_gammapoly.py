@@ -98,55 +98,40 @@ def test_eval_float_matches_float_of_eval(k, u):
         g.eval_float(k + 0.5)
 
 
-def _eval_floats_spied(g, cs, monkeypatch):
-    """(g.eval_floats(cs), the number of exact RationalPolynomial.eval_float
-    calls it made)."""
-    calls = []
-    exact = RationalPolynomial.eval_float
-
-    def spy(self, c):
-        calls.append(c)
-        return exact(self, c)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(RationalPolynomial, "eval_float", spy)
-        out = g.eval_floats(cs)
-    return out, len(calls)
-
-
 @pytest.mark.parametrize("k", range(1, 9))
 def test_eval_floats_is_eval_float_at_every_point(k):
+    # within the bound eval_floats states, against the exact eval: piece j
+    # is expanded about c0 = j for j < k/2 and c0 = j + 1 otherwise, and
+    # with n its degree, |error| <= g_{2n+1} sum_i |a_i| |h|^i + n 2^-1074
     g = gamma_exact(k)
     rng = np.random.default_rng(100 + k)
     knots = np.arange(k + 1.0)
+    ends = np.geomspace(1e-12, 0.5, 100)  # gamma_8 is subnormal near 8
     cs = np.concatenate([j + rng.random(2000) for j in range(k)]
-                        + [knots, np.nextafter(knots[1:], 0), [float(k)]])
+                        + [knots, np.nextafter(knots[1:], 0), ends, k - ends])
     got = g.eval_floats(cs)
     assert got.dtype == np.float64 and got.shape == cs.shape
-    want = [g.eval_float(c) for c in cs.tolist()]
-    assert got.tolist() == want
-    assert g.eval_floats(cs.tolist()).tolist() == want
-
-
-def test_eval_floats_falls_back_to_the_exact_value(monkeypatch):
-    # gamma_8 near c = 8 is (8 - c)^63 / 63!: subnormal, so no float bound
-    # settles its rounding and every such c takes the exact eval_float
-    g = gamma_exact(8)
-    near_end = 8 - np.geomspace(2.3e-4, 3e-4, 50)
-    cs = np.concatenate([7 + np.random.default_rng(8).random(2000), near_end])
-    got, calls = _eval_floats_spied(g, cs, monkeypatch)
-    assert calls >= near_end.size
-    assert np.all(got[-near_end.size :] > 0)
-    assert got.tolist() == [g.eval_float(c) for c in cs.tolist()]
-
-
-def test_eval_floats_settles_smooth_values_without_fallback(monkeypatch):
-    # the exact-q prediction's c at Q = 10^4, k = 3: no c needs the fallback
-    g = gamma_exact(3)
-    cs = math.log(10**6) / np.log(np.arange(10**4, 2 * 10**4 + 1))
-    got, calls = _eval_floats_spied(g, cs, monkeypatch)
-    assert calls == 0
-    assert got.tolist() == [g.eval_float(c) for c in cs.tolist()]
+    assert g.eval_floats(cs.tolist()).tolist() == got.tolist()
+    piece_of = np.minimum(cs.astype(np.int64), k - 1)
+    for j, piece in enumerate(g.pieces):
+        c0 = j if 2 * j < k else j + 1
+        n = len(piece.coeffs) - 1
+        # |a_i|, a_i = sum_{l >= i} C(l, i) c0^(l - i) p_l the Taylor coefficients
+        sizes = RationalPolynomial(
+            abs(sum(math.comb(l, i) * c0 ** (l - i) * a
+                    for l, a in enumerate(piece.coeffs) if l >= i))
+            for i in range(n + 1))
+        # g_{2n+1} = m / (2^53 - m), m = 2n + 1; the test below is
+        # |v - e| <= g_{2n+1} s + n 2^-1074 multiplied out in integers
+        m = 2 * n + 1
+        for i in np.flatnonzero(piece_of == j).tolist():
+            c = float(cs[i])
+            vn, vd = float(got[i]).as_integer_ratio()
+            en, ed = piece._ratio(c)
+            sn, sd = sizes._ratio(abs(c - c0))
+            lhs = abs(vn * ed - en * vd) * sd * (2**53 - m) << 1074
+            rhs = ((m * sn << 1074) + n * sd * (2**53 - m)) * vd * ed
+            assert lhs <= rhs, (k, c)
 
 
 @pytest.mark.parametrize("c", [-0.5, -5e-324, 3 + 2**-50, 4.0, math.nan, math.inf])

@@ -13,8 +13,10 @@ from binning_oracle import (
     sharp_variance,
     smooth_variance_Vk,
 )
+from sieve_oracle import factorize
 
-from divvar.constants import a_k_const, a_tilde_k
+from divvar.cli import _default_c_grid
+from divvar.constants import _inv_frak_a, a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
 from divvar import variance
 from divvar.sieve import CoverageError, sieve_dk
@@ -857,7 +859,7 @@ def test_short_interval_locality(table_k2):
 
 
 _BASE = a_k_const(2, 10**5)
-_TILDE = a_tilde_k(2, 10**5)
+_TILDE = a_tilde_k(2, _BASE)
 
 
 def test_prediction_regimes(phi):
@@ -875,7 +877,8 @@ def test_regime_boundaries(phi):
     assert classify_regime(3, 0.01) is Regime.SMALL_C
     assert classify_regime(3, 1.99) is Regime.CONJECTURAL_ONLY
     # the prediction carries the same tag: k=3 at c = 1.7
-    args = (a_k_const(3, 10**5), a_tilde_k(3, 10**5), phi)
+    base = a_k_const(3, 10**5)
+    args = (base, a_tilde_k(3, base), phi)
     pred = conjectured_values(3, 100, int(round(100**1.7)), *args)
     assert pred.regime is Regime.GRH_RANGE
 
@@ -909,6 +912,34 @@ def test_exact_q_form_approaches_leading(phi):
         p = conjectured_values(2, Q, X, _BASE, _TILDE, phi)
         ratios.append(p.prediction_exact_q / p.prediction_leading)
     assert abs(ratios[2] - 1) < abs(ratios[1] - 1) < abs(ratios[0] - 1)
+
+
+def _exact_q_per_modulus(k, Q, X, base, phi):
+    """sum over q in [Q, 2Q] of a_k(q) X gamma_k(c_q) (log q)^{k^2-1} Phi(q/Q),
+    c_q = log X/log q, one modulus at a time: a_k(q) from the primes of q
+    by trial division, gamma_k(c_q) the exact value rounded once, and the
+    terms summed by math.fsum."""
+    gamma = gamma_exact(k)
+    terms = []
+    for q in range(Q, 2 * Q + 1):
+        a_q = base.value * math.prod(_inv_frak_a(k, 1.0 / p) for p, _ in factorize(q))
+        g = float(gamma.eval(math.log(X) / math.log(q)))
+        weight = float(phi.eval_array(np.array([q / Q]))[0])
+        terms.append(a_q * X * g * math.log(q) ** (k * k - 1) * weight)
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("k", (2, 3, 5, 8))
+@pytest.mark.parametrize("Q", (100, 300))
+def test_exact_q_prediction_matches_a_sum_per_modulus(k, Q, phi):
+    # the worst gap on this grid was 3.4e-16; the gate is 10 times that
+    base = a_k_const(k, 10**5)
+    tilde = a_tilde_k(k, base)
+    for c in _default_c_grid(k):
+        X = round(Q**c)
+        got = conjectured_values(k, Q, X, base, tilde, phi).prediction_exact_q
+        want = _exact_q_per_modulus(k, Q, X, base, phi)
+        assert abs(got - want) <= 3.4e-15 * want, (k, Q, X)
 
 
 @settings(max_examples=20, deadline=None)
