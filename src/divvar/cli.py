@@ -238,7 +238,7 @@ def cmd_variance(cfg: dict) -> dict:
         if not 0.0 < c < k:
             raise ConfigError(
                 f"X = {X} gives c = log X/log Q = {c:.6f} outside (0, {k})")
-        need = sieve.sieve_bytes(X, 2 * X + h)
+        need = sieve.sieve_bytes(k, X, 2 * X + h)
         if need > sieve.MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"X = {X}: sieving d_{k} on [{X}, {2 * X + h}] needs {need} "

@@ -186,8 +186,10 @@ def a_k_of_q(k: int, q_lo: int, q_hi: int, base: EulerConstantResult) -> np.ndar
 
     One sieve_multiplicative over the window, with the local factor
     _inv_frak_a(k, 1/p) at every exponent, which is 0 at the masked
-    cofactor p = 1.  The truncation error of `base` carries over
-    relatively: a_k(q) is off by at most base.tail_bound * a_k(q) / base.value.
+    cofactor p = 1.  The factor never changes with the exponent, so the
+    sieve never divides it out: each a_k(q) is one float product.  The
+    truncation error of `base` carries over relatively: a_k(q) is off by
+    at most base.tail_bound * a_k(q) / base.value.
     """
     return base.value * sieve_multiplicative(
         q_lo, q_hi, lambda p, e: _inv_frak_a(k, 1.0 / p), np.float64)

@@ -2,16 +2,22 @@
 
 `sieve_multiplicative` computes any multiplicative f with local factors
 f(p^e) on a window [x_min, x_max]: for each prime p <= sqrt(x_max) with a
-multiple in the window it marks the exponent of p on those multiples,
-multiplies in f(p^e) and divides the p-part out of a running cofactor.
-What is left of the cofactor is 1 or a single prime > sqrt(x_max), which
-contributes f(p).  The work is O(L log log x_max) for a window of length
-L = x_max - x_min + 1, plus one step per prime kept; a full table is the
-window [1, x_max], and a window of one n costs what trial division does.
-The package's d_k(n), mu(d) and a_k(q) all come from it.
+multiple in the window it multiplies f(p) into the values at the
+multiples of p, and at the multiples of each p^e where f(p^e) differs
+from f(p^(e-1)) it divides the old factor out and multiplies the new one
+in, one scalar per prime power, with no exponent stored; the p-part is
+divided out of a running cofactor as it goes.  What is left of the
+cofactor is 1 or a single prime > sqrt(x_max), which contributes f(p).
+The work is O(L log log x_max) for a window of length
+L = x_max - x_min + 1, plus one step per prime power with a multiple in
+it; a full table is the window [1, x_max], and a window of one n costs
+what trial division does.  The package's d_k(n) (in uint32 where it
+provably fits, else uint64), mu(d) (in int8) and a_k(q) (in float64) all
+come from it.
 
 d_k(n) counts ordered k-tuples of positive integers with product n, and
-d_k(p^e) = C(e + k - 1, k - 1).  `sieve_dk` stores it in the narrowest
+d_k(p^e) = C(e + k - 1, k - 1).  `sieve_dk` sieves it in 9 bytes per n
+below 2^32 where d_k fits 32 bits, and stores it in the narrowest
 unsigned dtype that holds its maximum: 1 byte per n for d_2 below 1081080
 (the least n with 256 divisors), 2 bytes for d_2 up to 10^7 and for d_3
 up to 2 * 10^7.
@@ -122,36 +128,63 @@ def primes(limit: int) -> np.ndarray:
     return result
 
 
-def sieve_bytes(x_min: int, x_max: int) -> int:
-    """The bytes sieve_dk allocates for the window [x_min, x_max] (see there)."""
-    n = x_max - x_min + 1
-    return n * (8 + np.min_scalar_type(x_max).itemsize) + (n // 2 + 1) * (1 + 8)
+def _sieve_dtype(k: int, x_max: int):
+    """uint32 where d_k(n) provably fits 32 bits for every n <= x_max, else uint64.
+
+    d_k(n) <= d(n)^(k-1), since C(e + k - 1, k - 1) <= (e + 1)^(k-1), and
+    d(n) <= 2 floor(sqrt(n)), since the divisors pair up across sqrt(n).
+    """
+    return np.uint32 if (2 * math.isqrt(x_max)) ** (k - 1) < 2**32 else np.uint64
+
+
+def sieve_bytes(k: int, x_min: int, x_max: int) -> int:
+    """The bytes sieve_dk allocates for d_k on the window [x_min, x_max].
+
+    Per n: the sieved values (w = 4 or 8 bytes, see _sieve_dtype) and
+    then either the cofactors (the itemsize of np.min_scalar_type(x_max))
+    with the one-byte mask of those above 1, or the narrowed table, at
+    most w bytes a value.  Per prime up to sqrt(x_max), of which there
+    are at most isqrt(x_max) // 2 + 1: at most 64 bytes for primes()'s
+    memo and the kept primes as an array, a list and Python ints.  And
+    4 KiB for array headers and the other Python objects.
+    """
+    w = np.dtype(_sieve_dtype(k, x_max)).itemsize
+    rem = np.min_scalar_type(x_max).itemsize
+    per_prime = 64 * (math.isqrt(x_max) // 2 + 1)
+    return (x_max - x_min + 1) * (w + max(rem + 1, w)) + per_prime + 2**12
 
 
 def sieve_multiplicative(x_min: int, x_max: int, local, dtype) -> np.ndarray:
     """f(n) for x_min <= n <= x_max, f multiplicative with f(p^e) = local(p, e).
 
     For each prime p <= sqrt(x_max) with a multiple in the window, the
-    exponent e of p in every such multiple is marked into a uint8 array,
-    the values there are multiplied by local(p, e) (p an int, e that
-    array), and p^e is divided out of a running cofactor rem(n), which
-    starts at n.  Each prime power's first multiple is offset to x_min.
+    values at the multiples of p are multiplied by local(p, 1), and p is
+    divided out of a running cofactor rem(n), which starts at n.  Then
+    for e = 2, 3, ... while the window holds a multiple of p^e, p is
+    divided out of rem there once more, and where local(p, e) differs
+    from local(p, e - 1) the old factor is divided out of the values at
+    those multiples (exactly for an integer dtype, by one rounding for a
+    float one) and the new one multiplied in.  So local gets ints p and
+    e >= 1 and returns a scalar, and no exponent is ever stored.  A
+    factor cannot change from 0 to non-zero: ValueError, naming the
+    prime power.  Each prime power's first multiple is offset to x_min.
     Afterwards rem(n) is 1 or the one prime factor of n above
     sqrt(x_max), so the values are multiplied by local(rem, 1) wherever
     rem(n) > 1; local gets the whole rem array there and must not warn
     at rem = 1, where its value is masked.  One vectorised filter keeps
     the primes with a multiple in the window, so the work is
     O(L log log x_max) on a window of L = x_max - x_min + 1 values plus
-    one step per prime kept: a full window takes pi(sqrt(x_max)) steps,
-    a single n one per prime factor below sqrt(n), besides the memoised
-    primes(isqrt(x_max)).
+    one step per prime power with a multiple: a full window takes
+    pi(sqrt(x_max)) primes, a single n one step per prime factor below
+    sqrt(n) and one per power of it that divides n, besides the
+    memoised primes(isqrt(x_max)).
 
     Memory per n of the window: the itemsize of dtype for the values,
     that of np.min_scalar_type(x_max) for rem (4 bytes below 2^32), and
-    at p = 2, on every other n, one byte of exponent and the bytes of
-    local's result.  MemoryBudgetError, before anything is allocated,
-    if the primes up to sqrt(x_max) would need more than
-    MEMORY_BUDGET_BYTES (a byte per integer to sieve them, 8 per prime).
+    at the end one byte of mask rem > 1.  MemoryBudgetError, before
+    anything is allocated, if the primes up to sqrt(x_max) would need
+    more than MEMORY_BUDGET_BYTES (a byte per integer to sieve them, 8
+    per prime).
     """
     if not 1 <= x_min <= x_max:
         raise ValueError(f"need 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
@@ -162,21 +195,27 @@ def sieve_multiplicative(x_min: int, x_max: int, local, dtype) -> np.ndarray:
     size = x_max - x_min + 1
     vals = np.ones(size, dtype=dtype)
     rem = np.arange(x_min, x_max + 1, dtype=np.min_scalar_type(x_max))
-    exps = np.empty(size // 2 + 1, dtype=np.uint8)
+    divide = np.floor_divide if vals.dtype.kind in "iu" else np.true_divide
     ps = primes(root)
     for p in ps[x_max // ps * ps >= x_min].tolist():
-        first = -(-x_min // p) * p - x_min  # index of the first multiple of p
-        # e[i] is the exponent of p in the multiple at index first + i p
-        e = exps[: len(range(first, size, p))]
-        e.fill(1)
-        rem[first::p] //= p
-        q = p * p
-        while q <= x_max:
-            at = -(-x_min // q) * q - x_min
-            e[(at - first) // p :: q // p] += 1
+        at = -(-x_min // p) * p - x_min  # index of the first multiple of p
+        factor = local(p, 1)
+        vals[at::p] *= factor
+        rem[at::p] //= p
+        q, e = p * p, 2
+        # no multiple of p^e in the window leaves none of p^(e+1) either
+        while (at := -(-x_min // q) * q - x_min) < size:
             rem[at::q] //= p
-            q *= p
-        vals[first::p] *= local(p, e)
+            new = local(p, e)
+            if new != factor:
+                if factor == 0:
+                    raise ValueError(
+                        f"local({p}, {e}) = {new} replaces local({p}, {e - 1}) = 0")
+                view = vals[at::q]
+                divide(view, factor, out=view)
+                view *= new
+                factor = new
+            q, e = q * p, e + 1
     np.multiply(vals, local(rem, 1), out=vals, where=rem > 1)
     return vals
 
@@ -184,27 +223,26 @@ def sieve_multiplicative(x_min: int, x_max: int, local, dtype) -> np.ndarray:
 def sieve_dk(k: int, x_max: int, x_min: int = 1) -> DivisorTable:
     """Sieve d_k(n) for x_min <= n <= x_max from d_k(p^e) = C(e + k - 1, k - 1).
 
-    sieve_multiplicative into uint64, the binomials gathered from a table
-    by exponent, then narrowed once to np.min_scalar_type(max value).
-    Memory per n while sieving: 8 bytes of values, the itemsize of
-    np.min_scalar_type(x_max) for rem (4 bytes below 2^32), and at p = 2,
-    on every other n, one byte of exponent and 8 bytes of gathered
-    binomials: about 16.5 bytes per n below 2^32 (`sieve_bytes`, checked
-    against MEMORY_BUDGET_BYTES before anything is allocated).
+    sieve_multiplicative with local(p, e) = C(e + k - 1, k - 1), in uint32
+    where _sieve_dtype proves that d_k fits it (every k <= 3 below 2^30,
+    k = 4 below 660969) and in uint64 otherwise, then narrowed once to
+    np.min_scalar_type(max value).  Memory per n below 2^32: in uint32, 4
+    bytes of values, 4 of cofactor and 1 of mask while sieving, then the
+    narrowed table beside the values, so 9 bytes; in uint64, 16.  That is
+    `sieve_bytes`, checked against MEMORY_BUDGET_BYTES before anything is
+    allocated; tracemalloc saw 9.01 bytes per n at k = 3 on
+    [398107, 797713] and at k = 2 on [262605, 526210].
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     if k > MAX_K:
         raise ValueError(f"k={k} exceeds the 64-bit overflow guard (k <= {MAX_K})")
-    required = sieve_bytes(x_min, x_max)
+    required = sieve_bytes(k, x_min, x_max)
     if required > MEMORY_BUDGET_BYTES:
         raise MemoryBudgetError(
             f"sieve needs {required} bytes, budget is {MEMORY_BUDGET_BYTES} bytes")
-    binom = np.array(
-        [math.comb(e + k - 1, k - 1) for e in range(x_max.bit_length() + 1)],
-        dtype=np.uint64,
-    )
-    vals = sieve_multiplicative(x_min, x_max, lambda p, e: binom[e], np.uint64)
+    vals = sieve_multiplicative(
+        x_min, x_max, lambda p, e: math.comb(e + k - 1, k - 1), _sieve_dtype(k, x_max))
     return DivisorTable(k, x_min, x_max, vals.astype(np.min_scalar_type(vals.max())))
 
 

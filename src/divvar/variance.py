@@ -223,13 +223,13 @@ def _divisor_pairs(q_lo: int, q_hi: int):
     pair, ordered by d and then m.  So the pairs of ds[i] are count[i]
     consecutive entries of m, the first of them the least.
     """
-    mu = sieve_multiplicative(1, q_hi, lambda p, e: np.where(e == 1, -1, 0), np.int64)
+    mu = sieve_multiplicative(1, q_hi, lambda p, e: -1 if e == 1 else 0, np.int8)
     ds = np.flatnonzero(mu) + 1
     m_lo = -(-q_lo // ds)
     count = q_hi // ds - m_lo + 1
     live = count > 0
     ds, m_lo, count = ds[live], m_lo[live], count[live]
-    return ds, mu[ds - 1], count, _progressions(m_lo, 1, count)
+    return ds, mu[ds - 1].astype(np.int64), count, _progressions(m_lo, 1, count)
 
 
 def modulus_bytes(q_lo: int, q_hi: int) -> int:
@@ -251,19 +251,20 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     temporaries of the weighted terms and exact_sum's frexp mantissas,
     exponents (half a word) and mantissa halves; eval_floats works on a
     fixed-size batch of moduli at a time.  Per integer of [1, q_hi], the
-    mu sieve holds at most 3 words: int64 values, cofactors and exponent
-    bytes.  The three are summed, although they are not live together.
+    mu sieve holds at most 2 words: int8 values, cofactors (4 bytes below
+    2^32, else 8) and the one-byte mask of those above 1.  The three are
+    summed, although they are not live together.
 
     At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
     `delta_k` plus that of `conjectured_values` is 5.7 MB at Q = 10^4,
     62.2 MB at Q = 10^5 and 691 MB at Q = 10^6 (`delta_k` alone: 68, 64
     and 62 B a pair; `conjectured_values` 0.81, 6.95 and 69.1 MB, or 81,
-    70 and 69 B a modulus); this bound reads 12.9 MB, 146 MB and 1.64 GB
+    70 and 69 B a modulus); this bound reads 12.7 MB, 145 MB and 1.62 GB
     there.
     """
     span = q_hi - q_lo + 1
     pairs = span * (int(math.log(span)) + 2) + q_hi
-    return 8 * (11 * pairs + 12 * span + 3 * q_hi)
+    return 8 * (11 * pairs + 12 * span + 2 * q_hi)
 
 
 def _runs(idx: np.ndarray, labels: np.ndarray) -> list:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from divvar import constants
 from divvar.constants import (
+    EulerConstantResult,
     _CHUNK_PRIMES,
     _factor_log_bound,
     _factor_logs,
@@ -153,6 +154,27 @@ def test_a_k_of_q_matches_factorization(k, q_lo, q_hi):
     want = np.array([base.value * math.prod(_inv_frak_a(k, 1.0 / p) for p in ps)
                      for ps in _radicals(q_lo, q_hi)])
     assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+
+# a_3(q)/a_3 for q = 1020 ... 1040, as float.hex, from the sieve that kept
+# an exponent array per prime: 1024 = 2^10, 1029 = 3 7^3, and the primes
+# 1021, 1031, 1033 and 1039 come from the cofactor
+_A3_OF_Q_1020 = (
+    "0x1.cd575eff52e05p-15", "0x1.fb82404036048p-1", "0x1.441383be82066p-9",
+    "0x1.2c0bed58d36b7p-6", "0x1.3b13b13b13b14p-7", "0x1.258c3942c1d01p-3",
+    "0x1.55a1a04639539p-12", "0x1.d27dc1332df93p-2", "0x1.304124023be89p-7",
+    "0x1.00899f296233ap-6", "0x1.9b7f6d05b143fp-10", "0x1.fb8d594da42c2p-1",
+    "0x1.b98f71423e6a3p-12", "0x1.fb8f8af1e907dp-1", "0x1.d7e2bf8e9fb43p-9",
+    "0x1.ac2b3af840e5ep-8", "0x1.200ecd93fe14fp-9", "0x1.07aa7e9207344p-1",
+    "0x1.01da1be8303dep-11", "0x1.fb9612f578018p-1", "0x1.ca072169e377fp-11",
+)
+
+
+def test_a_k_of_q_is_pinned_bit_for_bit():
+    # the local factor is the same at every exponent, so the sieve never
+    # replaces it and each value is one product of the same factors
+    got = a_k_of_q(3, 1020, 1040, EulerConstantResult(1.0, 0.0, 10**4))
+    assert [float(v).hex() for v in got] == list(_A3_OF_Q_1020)
 
 
 def test_a_k_of_q_refuses_a_prime_table_past_the_budget():

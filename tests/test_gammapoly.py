@@ -99,7 +99,7 @@ def test_eval_float_matches_float_of_eval(k, u):
 
 
 @pytest.mark.parametrize("k", range(1, 9))
-def test_eval_floats_is_eval_float_at_every_point(k):
+def test_eval_floats_within_the_stated_bound(k):
     # within the bound eval_floats states, against the exact eval: piece j
     # is expanded about c0 = j for j < k/2 and c0 = j + 1 otherwise, and
     # with n its degree, |error| <= g_{2n+1} sum_i |a_i| |h|^i + n 2^-1074

@@ -139,18 +139,52 @@ def test_window_covers_both_ends():
 
 
 def test_sieve_multiplicative_steps_only_on_primes_with_a_multiple():
-    # one n takes a step per prime factor below sqrt(n), then its cofactor
-    # above sqrt(n) with exponent 1; here f = d_2, f(p^e) = e + 1
+    # one n takes a step per prime factor below sqrt(n), asking local for
+    # each power of it that divides n, then its cofactor above sqrt(n)
+    # with exponent 1; here f = d_2, f(p^e) = e + 1
     calls = []
 
     def local(p, e):
-        calls.append((p if isinstance(p, int) else p.tolist(),
-                      e if isinstance(e, int) else e.tolist()))
+        assert isinstance(e, int)
+        calls.append((p if isinstance(p, int) else p.tolist(), e))
         return e + 1
 
     n = 2**3 * 3 * 10007
     assert sieve_multiplicative(n, n, local, np.int64).tolist() == [16]
-    assert calls == [(2, [3]), (3, [1]), ([10007], 1)]
+    assert calls == [(2, 1), (2, 2), (2, 3), (3, 1), ([10007], 1)]
+
+
+def test_a_factor_cannot_turn_from_zero_to_non_zero():
+    # a zero cannot be divided out of the values again
+    with pytest.raises(ValueError, match=r"local\(2, 2\) = 1 replaces local\(2, 1\) = 0"):
+        sieve_multiplicative(1, 100, lambda p, e: 0 if e == 1 else 1, np.int64)
+    # a factor that turns to 0 and stays there is fine: mu
+    mu = sieve_multiplicative(1, 12, lambda p, e: -1 if e == 1 else 0, np.int8)
+    assert mu.tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+# With m = isqrt(x_max), d_k(n) <= d(n)^(k-1) <= (2m)^(k-1) for n <= x_max:
+# below 2^32 the sieve runs in uint32.  (2 * 812)^3 < 2^32 <= (2 * 813)^3
+# with 813^2 = 660969, and 2 * 11 < 2^(32/7) <= 2 * 12 with 12^2 = 144.
+@pytest.mark.parametrize("k, x_min, x_max, width", (
+    (4, 660769, 660968, np.uint32),
+    (4, 660969, 661169, np.uint64),
+    (4, 660868, 661069, np.uint64),       # one window across the switch
+    (8, 1, 143, np.uint32),
+    (8, 1, 144, np.uint64),
+    (8, 100, 200, np.uint64),
+    (3, 2**30 - 30, 2**30 - 1, np.uint32),
+    (3, 2**30, 2**30 + 30, np.uint64),
+))
+def test_sieve_width_switch(k, x_min, x_max, width):
+    assert sieve._sieve_dtype(k, x_max) is width
+    got = sieve_dk(k, x_max, x_min).values
+    if x_max <= 200:
+        want = harmonic_tables(k, x_max)[-1][x_min:]
+    else:
+        want = np.array([dk_single(k, n) for n in range(x_min, x_max + 1)], dtype=np.uint64)
+    assert np.array_equal(got, want)
+    assert got.dtype == np.min_scalar_type(int(want.max()))
 
 
 def test_k_out_of_range():
@@ -161,15 +195,18 @@ def test_k_out_of_range():
 
 
 def test_memory_budget_enforced():
-    # about 33 GB: refused before anything is allocated
+    # about 18 GB, 9 bytes for each of 2 * 10^9 n: refused before anything
+    # is allocated
     with pytest.raises(MemoryBudgetError):
         sieve_dk(2, 2 * 10**9)
     with pytest.raises(MemoryBudgetError):
         sieve_dk(2, 3 * 10**9, 10**9)
     # the estimate counts the window, not [1, x_max]
-    window, full = sieve_bytes(10**9, 2 * 10**9), sieve_bytes(1, 2 * 10**9)
+    window, full = sieve_bytes(2, 10**9, 2 * 10**9), sieve_bytes(2, 1, 2 * 10**9)
     assert window <= MEMORY_BUDGET_BYTES < full
-    assert window == (10**9 + 1) * 12 + (10**9 // 2 + 1) * 9
+    assert window == (10**9 + 1) * 9 + 64 * (44721 // 2 + 1) + 2**12
+    # uint64 values from (2 isqrt(x_max))^(k-1) >= 2^32 on
+    assert sieve_bytes(4, 10**9, 2 * 10**9) == (10**9 + 1) * 16 + 64 * (44721 // 2 + 1) + 2**12
 
 
 def test_values_read_only(table_k2):
@@ -275,23 +312,42 @@ def test_stored_dtype_is_the_narrowest(k, x_min, x_max, dtype):
     assert top == dk_single(k, x_min + int(values.argmax()))
 
 
-# Peak traced bytes per n of the window, measured on this grid (numpy 2.4,
-# Python 3.11): 18.0 to 21.9.  The gate is 10 times the worst of them,
-# 220 bytes per n.  A sieve over [1, x_max] needs at least 16.5 bytes for
-# each of the 4 * 10^6 n, 66 MB, 6 to 30 times the gate, so it fails.  A
-# table kept in uint64 holds 8 bytes per n where uint16 holds 2.
-@pytest.mark.parametrize("k", (2, 3))
-@pytest.mark.parametrize("length", (10**4, 5 * 10**4))
-def test_sieve_dk_window_memory_peak(k, length):
-    x_max = 4 * 10**6
-    x_min = x_max - length + 1
-    sieve_dk(k, x_max, x_min)  # first call: memoised primes
+def _traced_sieve(k, x_min, x_max):
+    """sieve_dk's table and the peak bytes tracemalloc saw while it ran."""
     tracemalloc.start()
     try:
         table = sieve_dk(k, x_max, x_min)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 22 * length
+    return table, kept, peak
+
+
+# Peak traced bytes per n of the window, measured on this grid (numpy 2.4,
+# Python 3.11): 9.05 to 9.34, from 4 bytes of values, 4 of cofactor and 1
+# of mask per n.  The gate is 10 times the worst of them, 94 bytes per n.
+# A sieve over [1, x_max] needs at least 9 bytes for each of the 4 * 10^6
+# n, 36 MB, 7.6 to 38 times the gate, so it fails.  A table kept in uint32
+# holds 4 bytes per n where uint16 holds 2.
+@pytest.mark.parametrize("k", (2, 3))
+@pytest.mark.parametrize("length", (10**4, 5 * 10**4))
+def test_sieve_dk_window_memory_peak(k, length):
+    x_max = 4 * 10**6
+    x_min = x_max - length + 1
+    sieve_dk(k, x_max, x_min)  # first call: memoised primes
+    table, kept, peak = _traced_sieve(k, x_min, x_max)
+    assert peak <= 94 * length
     assert kept <= 2 * length + 2**12
     assert table.values.nbytes == 2 * length
+
+
+# cache-k3's and sweep-k2's windows [X, 2X + H]: 9.01 to 9.02 bytes per n
+# were traced, cold primes included
+@pytest.mark.parametrize("k, x_min, x_max", (
+    (3, 398107, 2 * 398107 + 1499), (2, 262605, 2 * 262605 + 1000),
+    (4, 10**6, 10**6 + 5000), (8, 10**9, 10**9), (2, 1, 1)))
+def test_sieve_bytes_bounds_the_traced_peak(k, x_min, x_max, fresh_primes):
+    peak = _traced_sieve(k, x_min, x_max)[2]
+    assert peak <= sieve_bytes(k, x_min, x_max)
+    if k <= 3 and x_max > 1:
+        assert peak <= 11 * (x_max - x_min + 1)

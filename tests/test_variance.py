@@ -732,7 +732,7 @@ def test_delta_k_modulus_side_peak_per_pair(psi, phi):
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
     # at X = 100 the moduli set the peak: 7.1 MB and 14.0 MB were traced
-    # against bounds of 12.9 MB and 25.8 MB
+    # against bounds of 12.7 MB and 25.4 MB
     X = 100
     table = sieve_dk(2, 2 * X, X)
     delta_k(table, Q, X, psi, phi)  # first call: one-off allocations
@@ -766,6 +766,17 @@ def test_divisor_pairs_sum_mobius_to_the_indicator_of_one():
     assert np.array_equal(np.repeat(ds2, count2), d[keep])
     assert np.array_equal(m2, m[keep])
     assert np.array_equal(np.repeat(mu2, count2), sign[keep])
+    # and trial division agrees: every d <= N has a multiple in [1, N], so
+    # the ds are the squarefree d <= N; multiples of p^2 and of p^3 (8,
+    # 27, 10^3) are left out
+    want = {}
+    for n in range(1, 10**4 + 1):
+        f = factorize(n)
+        if all(e == 1 for _, e in f):
+            want[n] = (-1) ** len(f)
+    low = ds <= 10**4
+    assert ds[low].tolist() == list(want) and mu[low].tolist() == list(want.values())
+    assert mu.dtype == np.int64 and not {8, 24, 27, 1000} & set(ds.tolist())
 
 
 def test_fft_size_is_short_and_smooth():
