@@ -35,15 +35,15 @@ or --c-grid without --samples, a c-grid value that is not finite and
 positive, gamma's --samples with k = 1, below 10^4 or with a c-grid
 value not below k, variance with --q below 2, a Q^c that overflows a
 float, a --q whose moduli [Q, 2Q] may need more than
-sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes), or an X (given, or
-round(Q^c) from --c-grid) whose c = log X/log Q is outside (0, k), X = 1
-included, or whose sieve window [X, 2X + H] needs more than
-sieve.MEMORY_BUDGET_BYTES, a constants --prime-limit below
-constants.MIN_PRIME_LIMIT, or rmt with k N above rmt.KN_BOUND; one
-"invalid config:" line on stderr, before anything is computed), 2
-computation error (including a report with any error row, and a
-constants --q whose primes up to sqrt(q) would need more than
-sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an --out that cannot
+sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes, O(Q) words: Q up to
+about 3.5 10^7 passes), or an X (given, or round(Q^c) from --c-grid)
+whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
+window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
+constants --prime-limit below constants.MIN_PRIME_LIMIT, or rmt with k N
+above rmt.KN_BOUND; one "invalid config:" line on stderr, before
+anything is computed), 2 computation error (including a report with any
+error row, and a constants --q whose primes up to sqrt(q) would need
+more than sieve.MEMORY_BUDGET_BYTES), 3 I/O error (an --out that cannot
 be written, or a --cache-dir that cannot be made or written, such as a
 regular file or a path under one; one "i/o error" line on stderr).
 """

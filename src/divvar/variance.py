@@ -10,7 +10,10 @@ Delta_k is the only route to the per-modulus variances V_k(q;X).  Pairs
 m = n (mod q) are shifts m - n = tq, so every modulus is served by the
 lag sums of the sequence u_d of d_k(n) psi(n/X) along the multiples of
 each squarefree d <= 2Q (Möbius inversion removes the condition
-(n, q) = 1; mu comes from sieve.sieve_multiplicative on [1, 2Q]).  Each
+(n, q) = 1).  What the moduli need that does not depend on X (Phi, mu
+from sieve.sieve_multiplicative on [1, 2Q], the pair counts, phi(q) and
+log q) is built once per run, O(Q) words (`moduli_plan`), and the pairs
+(d, m), q = dm, are generated from it for each X a block at a time.  Each
 u_d gets them the cheaper of two ways: by its class sums modulo each of
 its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence of length
 n_d, or straight from the spectra of real FFTs, cut into at most 8
@@ -43,6 +46,7 @@ exact-q prediction evaluates gamma_k at every modulus as one array
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -215,56 +219,85 @@ def _progressions(first, step, count) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _divisor_pairs(q_lo: int, q_hi: int):
-    """The pairs (d, m), d squarefree, with q = dm in [q_lo, q_hi], by d.
+# `delta_k` generates the pairs (d, m) and adds them into the per-q sums
+# for the rows of at most this many pairs at a time, plus one row
+_PAIRS = 2**20
 
-    Returns (ds, mu(ds), count, m) as int64 arrays: the d that have pairs,
-    increasing, with mu(d) and their numbers of pairs, and the m of every
-    pair, ordered by d and then m.  So the pairs of ds[i] are count[i]
-    consecutive entries of m, the first of them the least.
+
+@dataclass(frozen=True)
+class ModuliPlan:
+    """The moduli q_lo <= q <= q_hi of Delta_k(Q;X) and its prediction,
+    everything about them that does not depend on X (`moduli_plan`)."""
+
+    q_lo: int
+    weight: np.ndarray  # Phi(q/Q)
+    ds: np.ndarray  # the squarefree d with pairs (d, m), q = dm, increasing
+    mu: np.ndarray  # mu(d), int8
+    count: np.ndarray  # the number of pairs of each d
+    totient: np.ndarray  # phi(q), int64
+    log_q: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def moduli_plan(Q: int, phi: SmoothWeight) -> ModuliPlan:
+    """The `ModuliPlan` of the moduli q >= 2 with q/Q in phi's support.
+
+    One entry is memoised, so the calls of one run at one Q share it: Phi
+    is sampled once, mu by one sieve_multiplicative over [1, q_hi] and
+    phi(q) by one over the window, and log q is taken once.  The pairs of
+    d are the count = floor(q_hi/d) - ceil(q_lo/d) + 1 multiples q = dm in
+    the window, so no pair is held: `delta_k` generates them from ds.
     """
+    q_lo, weight = phi.sample(Q, 2)
+    q_hi = q_lo + weight.size - 1
     mu = sieve_multiplicative(1, q_hi, lambda p, e: -1 if e == 1 else 0, np.int8)
     ds = np.flatnonzero(mu) + 1
-    m_lo = -(-q_lo // ds)
-    count = q_hi // ds - m_lo + 1
-    live = count > 0
-    ds, m_lo, count = ds[live], m_lo[live], count[live]
-    return ds, mu[ds - 1].astype(np.int64), count, _progressions(m_lo, 1, count)
+    count = q_hi // ds - -(-q_lo // ds) + 1  # floor(q_hi/d) - ceil(q_lo/d) + 1
+    ds, count = ds[count > 0], count[count > 0]
+    totient = sieve_multiplicative(q_lo, q_hi, lambda p, e: (p - 1) * p ** (e - 1),
+                                   np.int64)
+    arrays = (weight, ds, mu[ds - 1], count, totient, np.log(np.arange(q_lo, q_hi + 1)))
+    for a in arrays:
+        a.setflags(write=False)  # every caller of the memo shares them
+    return ModuliPlan(q_lo, *arrays)
 
 
 def modulus_bytes(q_lo: int, q_hi: int) -> int:
     """An upper bound on the bytes `delta_k` and `conjectured_values` take
-    for the moduli q_lo <= q <= q_hi, found in O(1).
+    for the moduli q_lo <= q <= q_hi, found in O(1): O(q_hi) words and one
+    block of pairs.
 
-    Pairs: L = q_hi - q_lo + 1 consecutive integers hold at most L/d + 1
-    multiples of d, at most one when d > L and none when d > q_hi, so the
-    pairs (d, m) of `_divisor_pairs` number at most L H_L + q_hi, where
-    H_L <= ln L + 1 < floor(ln L) + 2.  `delta_k` peaks at its last
-    np.bincount, holding 6 words a pair: m, the row index, the lag sum and
-    q - q_lo, and mu(d) m with its float64 copy in np.bincount.  Beside
-    them it holds about 11 words per squarefree d (d, mu(d), pair count,
-    first pair, start, length, sums, batch keys) and 4 per modulus.  11
-    words a pair of the count above cover all of it: only squarefree d
-    have pairs, so on [Q, 2Q] the pairs are 0.55 to 0.59 of that count for
-    Q = 10^2 ... 10^6.  Per modulus, `conjectured_values` holds at most 12
-    words: a_k(q), log q, phi(q/Q), c_q and gamma_k(c_q), then two
-    temporaries of the weighted terms and exact_sum's frexp mantissas,
-    exponents (half a word) and mantissa halves; eval_floats works on a
-    fixed-size batch of moduli at a time.  Per integer of [1, q_hi], the
-    mu sieve holds at most 2 words: int8 values, cofactors (4 bytes below
-    2^32, else 8) and the one-byte mask of those above 1.  The three are
-    summed, although they are not live together.
+    Per modulus, at most 30 words: the plan's Phi(q/Q), phi(q) and log q;
+    `delta_k`'s three sums over the pairs, a_q, b_q and a weighted term
+    with exact_sum's frexp mantissas, exponents (half a word) and mantissa
+    halves; `conjectured_values`' a_k(q), c_q, gamma_k(c_q), (log q)^{k^2-1}
+    and two temporaries of its weighted term with exact_sum's.  Per
+    squarefree d <= q_hi, at most 20 words: the plan's d, pair count and
+    mu(d), and `delta_k`'s 16 arrays over its rows (start, length, mu,
+    count, m_lo, live moduli, first pair, T_d, T2_d, mu T_d, mu T2_d, the
+    indices of the rows without lags, batch keys, the block labels and
+    what they cut), a byte or a word a row.  The multiples of 4 or 9 are
+    not squarefree, so there are at most 2 q_hi / 3 + 2 such d, and 14
+    words per integer of [1, q_hi] cover them; they also cover the mu
+    sieve's int8 values, cofactors and mask, at most 10 bytes per integer,
+    while the plan is built.  Per pair of one block, 3 words: q - q_lo,
+    its term and the cumulative sum that builds them; a block holds at most
+    _PAIRS pairs and the pairs of one row, at most q_hi - q_lo + 1.  The
+    terms are summed, although they are not all live together.  The pairs
+    with lags (m < n_d) are not counted: they exist only once the window
+    of n is about as long as q_lo, and `delta_k` states their cost.
 
-    At k = 2, X = 100 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of
-    `delta_k` plus that of `conjectured_values` is 5.7 MB at Q = 10^4,
-    62.2 MB at Q = 10^5 and 691 MB at Q = 10^6 (`delta_k` alone: 68, 64
-    and 62 B a pair; `conjectured_values` 0.81, 6.95 and 69.1 MB, or 81,
-    70 and 69 B a modulus); this bound reads 12.7 MB, 145 MB and 1.62 GB
-    there.
+    At k = 2 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of building
+    the plan, `delta_k` and `conjectured_values` is 1.4 and 2.6 MB at
+    (Q, X) = (10^4, 100) and (10^4, 5000), 13.7 and 28.2 MB at (10^5, 100)
+    and (10^5, 5 10^4), and 122 and 198 MB at (10^6, 100) and
+    (10^6, 5 10^5) (691 MB at (10^6, 100) while every pair was held); this
+    bound reads 30.0, 74.0 and 513 MB there, and 4.9 GB at Q = 10^7, where
+    `variance --k 2 --q 10^7 --x 10^6` peaked at 1.26 GiB of RSS (median
+    of 5 runs, imports included).
     """
     span = q_hi - q_lo + 1
-    pairs = span * (int(math.log(span)) + 2) + q_hi
-    return 8 * (11 * pairs + 12 * span + 2 * q_hi)
+    return 8 * (30 * span + 14 * q_hi + 3 * (_PAIRS + span))
 
 
 def _runs(idx: np.ndarray, labels: np.ndarray) -> list:
@@ -450,11 +483,18 @@ def delta_k(
         phi(q) = sum_{d|q} mu(d) q/d.
 
     So one pass over the squarefree d <= 2Q serves every modulus: u_d has
-    length n_d, about X/d, and every sum over d | q is one np.bincount over
-    the pairs (d, m) with q = dm in range.  `_divisor_pairs` groups them by
-    d, with one mu(d) and one pair count per d, so a pair holds only its m,
-    its row and its lag sum: mu(d) multiplies T_d and T2_d per d before
-    they are gathered to the pairs.
+    length n_d, about X/d, and every sum over d | q adds a term of each
+    pair (d, m) with q = dm in range.  The moduli come from `moduli_plan`,
+    built by the first call at a Q and reused by the next: Phi(q/Q), the
+    squarefree d with mu(d) and their numbers of pairs, and phi(q) from
+    one sieve_multiplicative over the moduli.  So only the rows with
+    n_d > 0 are taken, the d <= 2X at c < 1: a row with no n adds only to
+    phi(q), and the plan holds phi(q).  Their pairs are generated by rows,
+    in blocks of at most _PAIRS = 2^20 pairs and one row, and each pair
+    adds mu(d) T_d, mu(d) T2_d and, if it has lags, mu(d) times its lag
+    sum into the sums of its q by np.add.at.  np.add.at adds one value at a
+    time, in the order of the pairs, by d and then m, so the sums are those
+    of one np.bincount over all the pairs, to the bit, whatever the blocks.
 
     A row's lag sums are needed at its live moduli M_d, the m with
     m < n_d, and each row with lags takes the cheaper of two routes to them:
@@ -522,10 +562,12 @@ def delta_k(
     0.69 per entry of the inverse at most, on the oracle grid and the
     sweep-k2 points.  Rows with no lags take no batch: their values are
     gathered flat by `_progressions`, in parts of at most w.size entries
-    plus one row, and summed row by row by np.add.reduceat; rows with
-    n_d = 0 are skipped.  At c < 1 no row has lags: at (2, 10^6, 10^3),
-    where 1,215 of the 1,215,877 rows hold any n, the call takes about
-    1 s, most of it in passes over the 10^7 pairs.
+    plus one row, and summed row by row by np.add.reduceat.  At c < 1 no
+    row has lags.  At Q = 10^6 the plan took 0.21 s, and a call 0.33 s at
+    X = 10^3, where 1,215 of the 1,215,877 rows hold any n and 56.5 % of
+    the 10^7 pairs are theirs, and 0.45-0.51 s at X = 251,189 (c = 0.9,
+    89.9 % of the pairs), most of it in the blocks' np.add.at and the five
+    exact sums over the 10^6 moduli (2-vCPU x86-64 box).
 
     Memory per n of the psi window: w takes 8 B, and a row on the FFT
     route its block spectra, 16-20 B per n of the row (the transform size
@@ -543,13 +585,17 @@ def delta_k(
     only one root and one live modulus are held: C_M, at most
     max(2Q, |w| / 8) entries, C_q, and the fold's products of at most
     _FOLD_ENTRIES entries.  At (3, 100, 398107) a second call peaks at
-    4.0 MiB, 10.6 B per n.  When the moduli outnumber the window, the
-    pairs set the peak instead, at the closing np.bincount calls
-    (`modulus_bytes` states what is live there): a second call at
-    (2, 10^5, 100) peaks at 55.5 MB, 64 B for each of its 862,844 pairs,
-    and at (2, 10^5, 100100), where the d = 1 row serves, at 58.7 MB, 68 B
-    a pair.  Each piece is summed against Phi(q/Q) exactly and rounded
-    once by `exact_sum`, which returns math.fsum's value.
+    4.0 MiB, 10.6 B per n.  When the moduli outnumber the window, they set
+    the peak instead, O(Q) words and one block of pairs (`modulus_bytes`
+    states what is live): a second call at (2, 10^5, 100) peaks at 9.2 MB,
+    92 B a modulus, and at (2, 10^5, 100100), where the d = 1 row serves
+    and all 862,844 pairs take one block, at 34.3 MB, 343 B a modulus
+    (55.5 and 58.7 MB while every pair was held).  The pairs with lags are
+    held together, about 6 words each at the closing np.add.at: a row's lag
+    sums come in route order, not by d.  There are at most
+    sum_d min(|M_d|, n_d) of them, none at c < 1.  Each piece is summed
+    against Phi(q/Q) exactly and rounded once by `exact_sum`, which
+    returns math.fsum's value.
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
@@ -573,23 +619,25 @@ def delta_k(
         raise ValueError("phi must be normalized to unit integral")
     lo, w = psi.sample(X, 1)
     w *= table.window(lo, lo + w.size - 1)
-    q_lo, phi_w = phi.sample(Q, 2)
-    ds, mu, count, m = _divisor_pairs(q_lo, q_lo + phi_w.size - 1)
-    # one row u_d = w[start::d] of length n per d; its pairs are consecutive
-    # from index `first`, by increasing m, so those with lags (m < n) are
-    # the first `moduli` of them
-    first = np.cumsum(count) - count
-    row = np.repeat(np.arange(ds.size), count)
+    plan = moduli_plan(Q, phi)
+    # one row u_d = w[start::d] of length n per d <= lo + w.size - 1 with
+    # n > 0; its pairs (d, m) run from m = m_lo, so those with lags (m < n)
+    # are the first `moduli` of them
+    ds = plan.ds[: np.searchsorted(plan.ds, lo + w.size - 1, "right")]
     start = -(-lo // ds) * ds - lo
-    n = np.maximum(-(-(w.size - start) // ds), 0)
-    moduli = np.bincount(row[m < n[row]], minlength=ds.size)
-    fold = (moduli > 0) & _folds(n, moduli, m[: moduli[0]])
+    n = -(-(w.size - start) // ds)
+    hold = n > 0
+    ds, start, n = ds[hold], start[hold], n[hold]
+    mu, count = plan.mu[: hold.size][hold], plan.count[: hold.size][hold]
+    m_lo = -(-plan.q_lo // ds)
+    moduli = np.clip(n - m_lo, 0, count)
+    fold = (moduli > 0) & _folds(n, moduli, np.arange(m_lo[0], m_lo[0] + moduli[0]))
 
     t = np.zeros(ds.size)
     t2 = np.zeros(ds.size)
     # rows without lags need only T_d and T2_d: gathered flat, at most about
     # w.size entries at a time, and summed row by row
-    free = np.flatnonzero((moduli == 0) & (n > 0))
+    free = np.flatnonzero(moduli == 0)
     for part in _runs(free, (np.cumsum(n[free]) - 1) // w.size):
         u = w[_progressions(start[part], ds[part], n[part])]
         at = np.cumsum(n[part]) - n[part]
@@ -597,6 +645,10 @@ def delta_k(
         t2[part] = np.add.reduceat(np.square(u, out=u), at)
 
     live = np.flatnonzero(moduli)
+    # the pairs with lags, row by row: the m of row i's from index first[i]
+    first = np.cumsum(moduli) - moduli
+    row = np.repeat(live, moduli[live])
+    m = _progressions(m_lo[live], 1, moduli[live])
     lag_sum = np.zeros(m.size)
     if fold[0]:
         # the d = 1 row (row 0, u_1 = w) folds: each lag pair (d, m) reads
@@ -606,13 +658,12 @@ def delta_k(
         for i, s0, d in zip(live.tolist(), start[live].tolist(), ds[live].tolist()):
             v = w[s0::d]
             t2[i] = np.einsum("i,i", v, v)
-        p = _progressions(first[live], 1, moduli[live])
-        r = row[p]
         # the pairs of each q, one of the d = 1 row's live moduli
         pairs = defaultdict(list)
+        p = np.arange(m.size)
         for qi, i, ri, s0, d, head in zip(
-                (ds[r] * m[p]).tolist(), p.tolist(), r.tolist(),
-                start[r].tolist(), ds[r].tolist(), (p == first[r]).tolist()):
+                (ds[row] * m).tolist(), p.tolist(), row.tolist(),
+                start[row].tolist(), ds[row].tolist(), (p == first[row]).tolist()):
             pairs[qi].append((i, ri, s0, d, head))
         for q, c in _class_sums(w, m[: moduli[0]]):
             for i, ri, s0, d, head in pairs[q]:
@@ -620,7 +671,7 @@ def delta_k(
                 lag_sum[i] = s @ s
                 if head:
                     t[ri] = s.sum()
-        lag_sum[p] = (lag_sum[p] - t2[r]) / 2
+        lag_sum = (lag_sum - t2[row]) / 2
         live = live[:0]  # no row is left to fold on its own or to batch
     for i in live[fold[live]].tolist():  # each row that folds on its own
         v = np.ascontiguousarray(w[start[i] :: ds[i]])
@@ -654,13 +705,20 @@ def delta_k(
             lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
             del spectra
 
-    at = ds[row] * m - q_lo
-    coprime_sum = np.bincount(at, (mu * t)[row], phi_w.size)
-    d_q = np.bincount(at, (mu * t2)[row], phi_w.size)
-    g_q = 2 * np.bincount(at, mu[row] * lag_sum, phi_w.size)
-    totient = np.bincount(at, mu[row] * m, phi_w.size)
+    # each pair adds into its q = dm, in the order of the pairs (by d, then
+    # m), the pairs of at most about _PAIRS at a time: np.add.at adds one
+    # value at a time, as one np.bincount over all of them would
+    coprime_sum, d_q, g_q = (np.zeros(plan.weight.size) for _ in range(3))
+    mt, mt2 = mu * t, mu * t2
+    for part in _runs(np.arange(ds.size), (np.cumsum(count) - 1) // _PAIRS):
+        at = _progressions(ds[part] * m_lo[part] - plan.q_lo, ds[part], count[part])
+        np.add.at(coprime_sum, at, np.repeat(mt[part], count[part]))
+        np.add.at(d_q, at, np.repeat(mt2[part], count[part]))
+        del at  # not held beside the next block's, or the sums below
+    np.add.at(g_q, ds[row] * m - plan.q_lo, 2 * mu[row] * lag_sum)
     a_q = d_q + g_q
-    b_q = coprime_sum * coprime_sum / totient
+    b_q = coprime_sum * coprime_sum / plan.totient
+    phi_w = plan.weight
     return VarianceBreakdown(
         delta=exact_sum(phi_w * (a_q - b_q)),
         a_term=exact_sum(phi_w * a_q),
@@ -730,6 +788,11 @@ def _exact_sums(w: np.ndarray) -> tuple[int, int]:
     return total, total_sq
 
 
+# a_k(q) on the moduli of the last run, which `conjectured_values` takes at
+# every X
+_a_k_of_q = functools.lru_cache(maxsize=1)(a_k_of_q)
+
+
 def conjectured_values(
     k: int,
     Q: int,
@@ -744,10 +807,11 @@ def conjectured_values(
     variant; gamma_k and the off-diagonal polynomial P_k are the memoised
     gamma_exact(k) and p_k(k).  The exact-q smooth prediction
     sum_q a_k(q) X gamma_k(log X/log q) (log q)^{k^2-1} Phi(q/Q) takes
-    a_k(q) from one constants.a_k_of_q sieve over the moduli window and
-    gamma_k(c_q) for every modulus from one eval_floats call, within the
-    a-priori Horner bound g_{2n+1} sum_i |a_i| |h|^i that eval_floats
-    states.  The leading, diagonal and off-diagonal gamma_k and P_k
+    Phi(q/Q) and log q from `moduli_plan`, a_k(q) from one
+    constants.a_k_of_q sieve over the moduli window, memoised as the plan
+    is, and gamma_k(c_q) for every modulus from one eval_floats call,
+    within the a-priori Horner bound g_{2n+1} sum_i |a_i| |h|^i that
+    eval_floats states.  The leading, diagonal and off-diagonal gamma_k and P_k
     values are exact before their one rounding to float, and the sum over
     the moduli is exact before its one rounding (`exact_sum`).
     """
@@ -768,11 +832,11 @@ def conjectured_values(
     else:
         offdiag = float("nan")
 
-    q_lo, pw = phi.sample(Q, 2)
-    aq = a_k_of_q(k, q_lo, q_lo + pw.size - 1, base)
-    lq = np.log(np.arange(q_lo, q_lo + pw.size))
+    plan = moduli_plan(Q, phi)
+    aq = _a_k_of_q(k, plan.q_lo, plan.q_lo + plan.weight.size - 1, base)
+    lq = plan.log_q
     g = gamma.eval_floats(math.log(X) / lq)
-    exact_q = exact_sum(aq * X * g * lq ** (kk - 1) * pw)
+    exact_q = exact_sum(aq * X * g * lq ** (kk - 1) * plan.weight)
 
     return Prediction(
         c=c,

@@ -26,6 +26,7 @@ from divvar.cli import (
 )
 from divvar.constants import a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
+from divvar.weights import Normalization, SmoothWeight
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -337,17 +338,18 @@ def test_variance_refuses_q_or_x_below_2_before_computing(argv, capsys,
 
 def test_variance_refuses_a_q_whose_moduli_exceed_the_budget(capsys,
                                                               monkeypatch):
-    # the bound at Q = 10^5 is about 1.5e8 bytes: under a 10^8-byte budget
-    # that Q is refused before any table is built, and Q = 60 still runs
+    # the bound at Q = 10^6 is about 5.1e8 bytes: under a 10^8-byte budget
+    # that Q is refused before any table or plan is built, and Q = 60 still
+    # runs
     def unreachable(*args):
         raise AssertionError("computed before refusing")
 
-    assert variance.modulus_bytes(10**5, 2 * 10**5) > 10**8
+    assert variance.modulus_bytes(10**6, 2 * 10**6) > 10**8
     monkeypatch.setattr(sieve, "MEMORY_BUDGET_BYTES", 10**8)
     for module, name in ((sieve, "sieve_dk"), (variance, "delta_k"),
-                         (consts, "a_k_const")):
+                         (variance, "moduli_plan"), (consts, "a_k_const")):
         monkeypatch.setattr(module, name, unreachable)
-    assert main(["variance", "--k", "2", "--q", "100000", "--x", "100"]) == 1
+    assert main(["variance", "--k", "2", "--q", "1000000", "--x", "1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("invalid config: Q = ")
@@ -356,9 +358,37 @@ def test_variance_refuses_a_q_whose_moduli_exceed_the_budget(capsys,
     assert main(["variance", "--k", "2", "--q", "60", "--x", "500"]) == 0
 
 
-@pytest.mark.parametrize("Q", (100, 1050, 46416))
+@pytest.mark.parametrize("Q", (100, 1050, 46416, 10**7))
 def test_variance_moduli_of_the_benchmark_and_research_q_fit_the_budget(Q):
     assert variance.modulus_bytes(Q, 2 * Q) <= sieve.MEMORY_BUDGET_BYTES
+
+
+def test_one_moduli_plan_serves_the_c_grid(tmp_path, monkeypatch):
+    # three X at one Q: Phi(q/Q) is sampled once, and mu on [1, 2Q], phi(q)
+    # and a_k(q) on [Q, 2Q] are sieved once, for the run, not once per X
+    sieved, sampled = [], []
+    sieve_multiplicative = sieve.sieve_multiplicative
+    sample = SmoothWeight.sample
+
+    def sieve_spy(x_min, x_max, local, dtype):
+        sieved.append((x_min, x_max))
+        return sieve_multiplicative(x_min, x_max, local, dtype)
+
+    def sample_spy(self, scale, least):
+        sampled.append((self.normalization, scale))
+        return sample(self, scale, least)
+
+    variance.moduli_plan.cache_clear()
+    variance._a_k_of_q.cache_clear()
+    for module in (variance, consts):
+        monkeypatch.setattr(module, "sieve_multiplicative", sieve_spy)
+    monkeypatch.setattr(SmoothWeight, "sample", sample_spy)
+    code, text = run_cli(["variance", "--k", "2", "--q", "50",
+                          "--c-grid", "0.5,0.7,0.9"], tmp_path)
+    assert code == 0 and len(text.splitlines()) == 4
+    assert sorted(sieved) == [(1, 100), (50, 100), (50, 100)]
+    assert sampled.count((Normalization.INTEGRAL_ONE, 50)) == 1
+    assert sampled.count((Normalization.INTEGRAL_OF_SQUARE_ONE, 7)) == 1
 
 
 @pytest.mark.parametrize("argv, unset", (

@@ -1,7 +1,9 @@
 import math
 import tracemalloc
+import types
 from collections import defaultdict
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,13 @@ from sieve_oracle import factorize
 from divvar.cli import _default_c_grid
 from divvar.constants import _inv_frak_a, a_k_const, a_tilde_k
 from divvar.gammapoly import gamma_exact
+from divvar.summation import exact_sum
 from divvar import variance
 from divvar.sieve import CoverageError, sieve_dk
+from divvar.weights import Normalization, make_bump
 from divvar.variance import (
     _block_spectra,
     _class_sums,
-    _divisor_pairs,
     _exact_sums,
     _fft_size,
     _lag_sums,
@@ -443,6 +446,81 @@ def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
             assert folded == []
 
 
+@pytest.mark.parametrize("fold", _ROUTES)
+def test_small_pair_blocks_change_no_bit(oracle_tables, psi, phi, monkeypatch,
+                                         fold):
+    # blocks of 16 pairs cut the pairs of every grid point into 3 or more;
+    # np.add.at adds them into the per-q sums in the same order as one
+    # block, so every field is the same to the bit, and within budget of
+    # residue binning on each forced route
+    _route(monkeypatch, fold)
+    runs, pairs, blocks = variance._runs, variance._PAIRS, []
+
+    def spy(idx, labels):
+        out = runs(idx, labels)
+        blocks.append(len(out))
+        return out
+
+    table = oracle_tables[2]
+    for Q, c in _ORACLE_GRID:
+        X = round(Q**c)
+        whole = delta_k(table, Q, X, psi, phi)
+        monkeypatch.setattr(variance, "_PAIRS", 16)
+        monkeypatch.setattr(variance, "_runs", spy)
+        blocks.clear()
+        cut = delta_k(table, Q, X, psi, phi)
+        monkeypatch.setattr(variance, "_PAIRS", pairs)
+        monkeypatch.setattr(variance, "_runs", runs)
+        assert blocks[-1] >= 3, (Q, c)  # the last cut is the pairs'
+        assert cut == whole, (Q, c)
+        assert_within_budget(cut, delta_binned(table, Q, X, psi, phi))
+
+
+@pytest.mark.parametrize("Q, X", ((10**4, 100), (2000, 700), (200, 7)))
+def test_rows_without_an_n_add_nothing(table_k2, psi, phi, Q, X):
+    # c < 1: the rows d > 2X hold no n of [X, 2X] and are skipped.  With
+    # T_d = T2_d = 0 for them, and the others summed by np.add.reduceat as
+    # delta_k's flat gather sums them, one np.bincount over every pair of
+    # the plan gives every field to the bit: those rows add only zeros
+    plan = variance.moduli_plan(Q, phi)
+    ds, mu, count, m = _pairs(Q, phi)
+    w = table_k2.window(X, 2 * X) * psi.sample(X, 1)[1]
+    start = -(-X // ds) * ds - X
+    t, t2 = np.zeros(ds.size), np.zeros(ds.size)
+    for i in np.flatnonzero(start < w.size).tolist():
+        v = np.ascontiguousarray(w[start[i] :: ds[i]])
+        t[i], t2[i] = np.add.reduceat(v, [0])[0], np.add.reduceat(v * v, [0])[0]
+    assert not np.all(start < w.size)  # some rows hold no n
+    at = np.repeat(ds, count) * m - plan.q_lo
+    row = np.repeat(np.arange(ds.size), count)
+    s = np.bincount(at, (mu * t)[row], plan.weight.size)
+    d_q = np.bincount(at, (mu * t2)[row], plan.weight.size)
+    b_q = s * s / plan.totient
+    pw = plan.weight
+    want = variance.VarianceBreakdown(
+        delta=exact_sum(pw * (d_q - b_q)), a_term=exact_sum(pw * d_q),
+        b_term=exact_sum(pw * b_q), d_term=exact_sum(pw * d_q), g_term=0.0)
+    assert delta_k(table_k2, Q, X, psi, phi) == want
+
+
+def test_the_benchmark_tracer_binds_delta_k(table_k2, psi, phi):
+    # perfbench/tracing.py, read and run here without writing anything,
+    # binds delta_k's arguments by name (Q, X, psi, phi) and reads delta,
+    # a_term and b_term off its result, as the traced benchmark does
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(), str(path), "exec"), tracing.__dict__)
+    tracer = tracing.Tracer()
+    traced = tracer.wrap("variance.delta_k", delta_k, tracing._delta_attrs)
+    bd = traced(table_k2, 50, 1000, psi, phi)
+    (span,) = tracer.spans
+    attrs = span["attrs"]
+    assert (attrs["Q"], attrs["X"]) == (50, 1000)
+    assert attrs["psi"] == attrs["phi"] == [1, 2]
+    assert attrs["residual"] == abs(bd.delta - (bd.a_term - bd.b_term)) / abs(bd.delta)
+    assert attrs["residual"] < 1e-12
+
+
 def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
     # c = 0.75 < 1: every modulus exceeds 2X, so no row has lags, and every
     # T_d and T2_d comes from the flat gather, here in 6 parts of about
@@ -462,7 +540,7 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
     for name in ("_rows", "_block_spectra", "_class_sums"):
         monkeypatch.setattr(variance, name, refuse)
     got = delta_k(table_k2, Q, X, psi, phi)
-    assert parts == [6, 0]
+    assert parts == [6, 0, 1]  # and the pairs take one block
     assert got.g_term == 0.0
     assert_within_budget(got, delta_binned(table_k2, Q, X, psi, phi))
 
@@ -532,7 +610,7 @@ def test_rows_that_fold_on_their_own_skip_the_batches(psi, phi, monkeypatch):
     delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
     (lags, alone), = decided
     assert lags.sum() == 1246 and alone.sum() == 527 and not alone[0]
-    ds = _divisor_pairs(1025, 2050)[0]
+    ds = variance.moduli_plan(1025, phi).ds  # every row holds an n of [X, 2X]
     assert sorted(gathered) == ds[lags & ~alone].tolist()
     assert sum(transformed) == 1246 - 527
 
@@ -548,7 +626,7 @@ _D1_ROUTES = {
 
 
 @pytest.mark.parametrize("Q, X, folds, alone", _D1_ROUTES.values(), ids=_D1_ROUTES)
-def test_route_decision_of_the_d1_row(monkeypatch, Q, X, folds, alone):
+def test_route_decision_of_the_d1_row(monkeypatch, phi, Q, X, folds, alone):
     # The routes `_folds` picks for the rows u_d of delta_k: the n_d
     # multiples of d in the psi-window [X, 2X], with the moduli m < n_d of
     # their pairs (d, m), q = dm in [Q, 2Q].  The d = 1 row is w, X + 1
@@ -558,7 +636,7 @@ def test_route_decision_of_the_d1_row(monkeypatch, Q, X, folds, alone):
     # to find that out.  At the selftest's (10, 2000) the row takes the FFT
     # route and rows 3 and 7 fold on their own; at (5, 2000) it is shorter
     # than _PLAN_COST and folds, each modulus on its own, serving every row
-    ds, _, count, m = _divisor_pairs(Q, 2 * Q)
+    ds, _, count, m = _pairs(Q, phi)
     n = 2 * X // ds - (X - 1) // ds
     row = np.repeat(np.arange(ds.size), count)
     moduli = np.bincount(row[m < n[row]], minlength=ds.size)
@@ -703,70 +781,92 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
     assert _second_call_peak(sieve_dk(3, 2 * X, X), 100, X, psi, phi) <= 5 * 2**20
 
 
-def test_delta_k_peak_per_pair_when_w_serves(psi, phi):
+def test_delta_k_peak_per_modulus_when_w_serves(psi, phi):
     # c = 1.0: the d = 1 row folds its 101 live moduli, each about 10^5,
-    # one at a time; the pairs set the peak, at most as many bytes a pair
-    # as in test_delta_k_modulus_side_peak_per_pair.  68 B a pair were
-    # traced, and 161 B when all 101 C_q were held at once
+    # one at a time; every row holds an n, and its 862,844 pairs take one
+    # block.  343 B a modulus were traced (58.7 MB, 68 B a pair, while
+    # every pair was held)
     Q, X = 10**5, 100100
-    pairs = _divisor_pairs(Q, 2 * Q)[3].size
-    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 72 * pairs
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 360 * (Q + 1)
 
 
-def test_delta_k_modulus_side_peak_per_pair(psi, phi):
-    # at X = 100 the pairs (d, m) of the moduli [Q, 2Q] set the peak: a
-    # second call traced 55.5 MB at Q = 10^5, 64 B for each of 862,844 pairs
+def test_delta_k_modulus_side_peak_per_modulus(psi, phi):
+    # at X = 100 the moduli set the peak, in the per-q sums and the exact
+    # sums over them: a second call, with the plan built, traced 9.2 MB at
+    # Q = 10^5, 92 B a modulus (55.5 MB, 64 B a pair, while every pair was
+    # held)
     Q, X = 10**5, 100
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 100 * (Q + 1)
+
+
+def _traced_run_peak(Q, X, psi, phi):
+    """The tracemalloc peak of one run's calls at (2, Q, X): the moduli plan
+    built afresh, `delta_k`, then `conjectured_values` with the plan held."""
     table = sieve_dk(2, 2 * X, X)
-    pairs = _divisor_pairs(Q, 2 * Q)[3].size
-    delta_k(table, Q, X, psi, phi)  # first call: one-off allocations
+    delta_k(table, Q, X, psi, phi)  # first calls: one-off allocations
+    conjectured_values(2, Q, X, _BASE, _TILDE, phi)
+    variance.moduli_plan.cache_clear()
+    variance._a_k_of_q.cache_clear()
     tracemalloc.start()
     try:
         delta_k(table, Q, X, psi, phi)
-        peak = tracemalloc.get_traced_memory()[1]
+        conjectured_values(2, Q, X, _BASE, _TILDE, phi)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 72 * pairs
 
 
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
-    # at X = 100 the moduli set the peak: 7.1 MB and 14.0 MB were traced
-    # against bounds of 12.7 MB and 25.4 MB
-    X = 100
-    table = sieve_dk(2, 2 * X, X)
-    delta_k(table, Q, X, psi, phi)  # first call: one-off allocations
-    peaks = []
-    tracemalloc.start()
-    try:
-        delta_k(table, Q, X, psi, phi)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-        tracemalloc.reset_peak()
-        conjectured_values(2, Q, X, _BASE, _TILDE, phi)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert sum(peaks) <= variance.modulus_bytes(Q, 2 * Q)
+    # at X = 100 and at X = Q / 2, where every row d <= Q holds an n and no
+    # row has lags, the moduli set the peak: 1.4 and 2.6 MB were traced at
+    # Q = 10^4 and 2.8 and 5.3 MB at 2 10^4, against bounds of 30.0 and
+    # 34.9 MB, most of them one block of 2^20 pairs
+    for X in (100, Q // 2):
+        assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
 
 
-def test_divisor_pairs_sum_mobius_to_the_indicator_of_one():
+@pytest.mark.parametrize("Q, X", ((10**4, 100), (10**4, 5000), (3 * 10**4, 15000)))
+def test_modulus_bytes_bounds_the_traced_peak_in_small_blocks(psi, phi, monkeypatch,
+                                                              Q, X):
+    # blocks of 2^12 pairs, so the per-modulus and per-d terms of the bound
+    # carry it: 0.26, 0.41 and 0.41 of it were traced
+    monkeypatch.setattr(variance, "_PAIRS", 2**12)
+    assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
+
+
+def _pairs(Q, phi):
+    """The plan's squarefree d, mu(d) and pair counts at Q, and the m of
+    every pair (d, m), q = dm in the plan's window, by d and then m."""
+    plan = variance.moduli_plan(Q, phi)
+    first = np.cumsum(plan.count) - plan.count
+    m_lo = -(-plan.q_lo // plan.ds)
+    m = np.arange(plan.count.sum()) - np.repeat(first - m_lo, plan.count)
+    return plan.ds, plan.mu, plan.count, m
+
+
+def test_plan_pairs_sum_mobius_to_the_indicator_of_one(phi):
     # sum_{d | n} mu(d) = [n = 1] for every n <= 10^5 determines mu; the
-    # pairs (d, m) with d squarefree are every d | n with mu(d) != 0
+    # pairs (d, m) with d squarefree are every d | n with mu(d) != 0.  Phi
+    # supported on (2 / 10^5, 1) gives the window [2, 10^5]
     N = 10**5
-    ds, mu, count, m = _divisor_pairs(1, N)
-    assert count.sum() == m.size
+    wide = make_bump(2 / N, 1, Normalization.INTEGRAL_ONE)
+    ds, mu, count, m = _pairs(N, wide)
+    assert variance.moduli_plan(N, wide).q_lo == 2
+    assert count.sum() == m.size and np.all(count > 0)
     assert np.all(np.diff(ds) > 0)
     assert set(np.unique(mu).tolist()) == {-1, 1}
     d, sign = np.repeat(ds, count), np.repeat(mu, count)
+    assert np.all((d * m >= 2) & (d * m <= N))
     sums = np.bincount(d * m, weights=sign, minlength=N + 1)
-    assert sums[1] == 1 and not np.any(sums[2:])
+    assert not np.any(sums[2:])
     # q_lo cuts the pairs without changing mu
-    ds2, mu2, count2, m2 = _divisor_pairs(N // 2, N)
+    ds2, mu2, count2, m2 = _pairs(N // 2, phi)
     keep = d * m >= N // 2
     assert np.array_equal(np.repeat(ds2, count2), d[keep])
     assert np.array_equal(m2, m[keep])
     assert np.array_equal(np.repeat(mu2, count2), sign[keep])
-    # and trial division agrees: every d <= N has a multiple in [1, N], so
+    # and trial division agrees: every d <= N has a multiple in [2, N], so
     # the ds are the squarefree d <= N; multiples of p^2 and of p^3 (8,
     # 27, 10^3) are left out
     want = {}
@@ -776,7 +876,26 @@ def test_divisor_pairs_sum_mobius_to_the_indicator_of_one():
             want[n] = (-1) ** len(f)
     low = ds <= 10**4
     assert ds[low].tolist() == list(want) and mu[low].tolist() == list(want.values())
-    assert mu.dtype == np.int64 and not {8, 24, 27, 1000} & set(ds.tolist())
+    assert mu.dtype == np.int8 and not {8, 24, 27, 1000} & set(ds.tolist())
+
+
+@pytest.mark.parametrize("Q", (2, 1000, 12345))
+def test_plan_totient_is_the_mobius_count_of_the_pairs(phi, Q):
+    # phi(q) = sum_{d | q} mu(d) q/d, summed over the pairs (d, m) of each q
+    plan = variance.moduli_plan(Q, phi)
+    ds, mu, count, m = _pairs(Q, phi)
+    count_q = np.bincount(np.repeat(ds, count) * m - plan.q_lo,
+                          np.repeat(mu, count) * m, plan.weight.size)
+    assert plan.totient.dtype == np.int64
+    assert np.array_equal(plan.totient, count_q)
+    q = np.arange(plan.q_lo, plan.q_lo + plan.weight.size)
+    assert plan.totient[:20].tolist() == [
+        sum(math.gcd(a, int(v)) == 1 for a in range(int(v))) for v in q[:20]]
+    assert np.array_equal(plan.log_q, np.log(q))
+    assert np.array_equal(plan.weight, phi.sample(Q, 2)[1])
+    # the memo hands the same arrays to every caller: none can be written
+    arrays = (plan.weight, plan.ds, plan.mu, plan.count, plan.totient, plan.log_q)
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_fft_size_is_short_and_smooth():
