@@ -36,7 +36,7 @@ positive, gamma's --samples with k = 1, below 10^4 or with a c-grid
 value not below k, variance with --q below 2, a Q^c that overflows a
 float, a --q whose moduli [Q, 2Q] may need more than
 sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes, O(Q) words: Q up to
-about 3.5 10^7 passes), or an X (given, or round(Q^c) from --c-grid)
+about 3.7 10^7 passes), or an X (given, or round(Q^c) from --c-grid)
 whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
 window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
 constants --prime-limit below constants.MIN_PRIME_LIMIT, or rmt with k N
@@ -434,7 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _default_c_grid(k: int) -> list:
-    return [0.5, 0.8, 1.0, 1.2, 1.5, (k + 2) / k - 0.1]
+    """The Theorem-1 sweep, the c < k of it: c = log X/log Q must lie in (0, k)."""
+    return [c for c in (0.5, 0.8, 1.0, 1.2, 1.5, (k + 2) / k - 0.1) if c < k]
 
 
 def build_config(args: argparse.Namespace) -> dict:

@@ -11,17 +11,19 @@ m = n (mod q) are shifts m - n = tq, so every modulus is served by the
 lag sums of the sequence u_d of d_k(n) psi(n/X) along the multiples of
 each squarefree d <= 2Q (Möbius inversion removes the condition
 (n, q) = 1).  What the moduli need that does not depend on X (Phi, mu
-from sieve.sieve_multiplicative on [1, 2Q], the pair counts, phi(q) and
-log q) is built once per run, O(Q) words (`moduli_plan`), and the pairs
-(d, m), q = dm, are generated from it for each X a block at a time.  Each
-u_d gets them the cheaper of two ways: by its class sums modulo each of
-its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence of length
-n_d, or straight from the spectra of real FFTs, cut into at most 8
-equal blocks for long sequences and batched into 2-D transforms for
-short ones, about n_d log n_d, without forming the autocorrelation:
-beside the spectra, 16-20 bytes per n, only three buffers of one
-block's transform are live.  That is sum_d min(|M_d| n_d, n_d log n_d)
-work, at most O(X log X log Q), instead of the O(QX) of binning every
+from sieve.sieve_multiplicative on [1, 2Q], phi(q) and log q) is built
+once per run, O(Q) words (`moduli_plan`).  For each X the sums of
+T_d = sum u_d and of sum u_d^2 over the d | q reach every modulus as
+strided slices (`_divisor_sums`), with no pair (d, m), q = dm,
+generated.  The lag sums of each u_d come the cheaper of two ways: by
+its class sums modulo each of its |M_d| moduli m = q/d, about |M_d| n_d
+work for a sequence of length n_d, or straight from the spectra of real
+FFTs, cut into at most 8 equal blocks for long sequences and batched
+into 2-D transforms for short ones, about n_d log n_d, without forming
+the autocorrelation: beside the spectra, 16-20 bytes per n, only three
+buffers of one block's transform are live.  That is
+sum_d min(|M_d| n_d, n_d log n_d) work, at most O(X log X log Q),
+instead of the O(QX) of binning every
 modulus by residue class.  A fold passes over a long sequence once per
 root, not once per modulus: the class sums mod m are a fold of those
 mod any multiple of m, so a greedy cover of the moduli by common
@@ -219,9 +221,34 @@ def _progressions(first, step, count) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-# `delta_k` generates the pairs (d, m) and adds them into the per-q sums
-# for the rows of at most this many pairs at a time, plus one row
-_PAIRS = 2**20
+def _divisor_sums(ds, values, q_lo: int, q_hi: int) -> np.ndarray:
+    """sum_{d | q} g(d) for each q_lo <= q <= q_hi, where g(ds[i]) = values[i]
+    for the increasing ds and g(d) = 0 at every other d.
+
+    g is laid out densely, g[d - 1] = g(d) for d <= max ds, and the pairs
+    (d, m), q = dm, split at s = isqrt(q_hi), the hyperbola method: each
+    d <= s adds g[d - 1] into the stride-d slice of its multiples, in
+    increasing d; then m runs from s down to 1, and adds the run
+    g[lo - 1 : hi] of the d > s with dm in the window into one stride-m
+    slice.  A pair with d > s has m <= q_hi / (s + 1) < s + 1, so every pair
+    is added once, and the terms of each q come in increasing d: the
+    d <= s first, then the d > s as m falls.  That is the order of
+    np.add.at, or of one np.bincount, over every pair by d and then m, so
+    the sums are theirs to the bit, and no pair is generated: about
+    2 sqrt(q_hi) slices, with work the number of pairs.  The zeros of g
+    off ds add nothing: x + 0.0 = x + (-0.0) = x unless x is -0.0, and a
+    sum that starts at 0.0 never is.
+    """
+    g = np.bincount(ds - 1, values)  # g[d - 1] = g(d), d <= max ds
+    out = np.zeros(q_hi - q_lo + 1)
+    s = math.isqrt(q_hi)
+    for d in range(1, min(s, g.size) + 1):
+        out[-(-q_lo // d) * d - q_lo :: d] += g[d - 1]
+    for m in range(s, 0, -1):
+        lo, hi = max(s + 1, -(-q_lo // m)), min(q_hi // m, g.size)
+        if lo <= hi:  # else the stop could be negative, and wrap around
+            out[lo * m - q_lo : hi * m - q_lo + 1 : m] += g[lo - 1 : hi]
+    return out
 
 
 @dataclass(frozen=True)
@@ -231,9 +258,7 @@ class ModuliPlan:
 
     q_lo: int
     weight: np.ndarray  # Phi(q/Q)
-    ds: np.ndarray  # the squarefree d with pairs (d, m), q = dm, increasing
-    mu: np.ndarray  # mu(d), int8
-    count: np.ndarray  # the number of pairs of each d
+    mu: np.ndarray  # mu(d) for 1 <= d <= q_hi, int8
     totient: np.ndarray  # phi(q), int64
     log_q: np.ndarray
 
@@ -244,19 +269,17 @@ def moduli_plan(Q: int, phi: SmoothWeight) -> ModuliPlan:
 
     One entry is memoised, so the calls of one run at one Q share it: Phi
     is sampled once, mu by one sieve_multiplicative over [1, q_hi] and
-    phi(q) by one over the window, and log q is taken once.  The pairs of
-    d are the count = floor(q_hi/d) - ceil(q_lo/d) + 1 multiples q = dm in
-    the window, so no pair is held: `delta_k` generates them from ds.
+    phi(q) by one over the window, and log q is taken once.  mu stays the
+    dense int8 array the sieve returns: `delta_k` takes its squarefree d,
+    and each one's count = floor(q_hi/d) - ceil(q_lo/d) + 1 multiples
+    q = dm in the window, from it for each X.
     """
     q_lo, weight = phi.sample(Q, 2)
     q_hi = q_lo + weight.size - 1
     mu = sieve_multiplicative(1, q_hi, lambda p, e: -1 if e == 1 else 0, np.int8)
-    ds = np.flatnonzero(mu) + 1
-    count = q_hi // ds - -(-q_lo // ds) + 1  # floor(q_hi/d) - ceil(q_lo/d) + 1
-    ds, count = ds[count > 0], count[count > 0]
     totient = sieve_multiplicative(q_lo, q_hi, lambda p, e: (p - 1) * p ** (e - 1),
                                    np.int64)
-    arrays = (weight, ds, mu[ds - 1], count, totient, np.log(np.arange(q_lo, q_hi + 1)))
+    arrays = (weight, mu, totient, np.log(np.arange(q_lo, q_hi + 1)))
     for a in arrays:
         a.setflags(write=False)  # every caller of the memo shares them
     return ModuliPlan(q_lo, *arrays)
@@ -264,40 +287,39 @@ def moduli_plan(Q: int, phi: SmoothWeight) -> ModuliPlan:
 
 def modulus_bytes(q_lo: int, q_hi: int) -> int:
     """An upper bound on the bytes `delta_k` and `conjectured_values` take
-    for the moduli q_lo <= q <= q_hi, found in O(1): O(q_hi) words and one
-    block of pairs.
+    for the moduli q_lo <= q <= q_hi, found in O(1): O(q_hi) words.
 
     Per modulus, at most 30 words: the plan's Phi(q/Q), phi(q) and log q;
-    `delta_k`'s three sums over the pairs, a_q, b_q and a weighted term
-    with exact_sum's frexp mantissas, exponents (half a word) and mantissa
-    halves; `conjectured_values`' a_k(q), c_q, gamma_k(c_q), (log q)^{k^2-1}
-    and two temporaries of its weighted term with exact_sum's.  Per
-    squarefree d <= q_hi, at most 20 words: the plan's d, pair count and
-    mu(d), and `delta_k`'s 16 arrays over its rows (start, length, mu,
-    count, m_lo, live moduli, first pair, T_d, T2_d, mu T_d, mu T2_d, the
-    indices of the rows without lags, batch keys, the block labels and
-    what they cut), a byte or a word a row.  The multiples of 4 or 9 are
-    not squarefree, so there are at most 2 q_hi / 3 + 2 such d, and 14
-    words per integer of [1, q_hi] cover them; they also cover the mu
-    sieve's int8 values, cofactors and mask, at most 10 bytes per integer,
-    while the plan is built.  Per pair of one block, 3 words: q - q_lo,
-    its term and the cumulative sum that builds them; a block holds at most
-    _PAIRS pairs and the pairs of one row, at most q_hi - q_lo + 1.  The
-    terms are summed, although they are not all live together.  The pairs
-    with lags (m < n_d) are not counted: they exist only once the window
-    of n is about as long as q_lo, and `delta_k` states their cost.
+    `delta_k`'s sums over the divisors of each q, a_q, b_q and a weighted
+    term with exact_sum's frexp mantissas, exponents (half a word) and
+    mantissa halves; `conjectured_values`' a_k(q), c_q, gamma_k(c_q),
+    (log q)^{k^2-1} and two temporaries of its weighted term with
+    exact_sum's.  Per integer of [1, q_hi], at most 14 words: the plan's
+    dense mu(d) (a byte), `delta_k`'s dense mu(d) T_d, then mu(d) T2_d (a
+    word), and its arrays over the rows, one per squarefree d, at most 18
+    words a row (d, start, length, mu, m_lo, pair count, live moduli, the
+    route costs `_folds` weighs, T_d, T2_d, mu T_d, the indices of the
+    rows without lags, first pair, batch keys, and what they are cut or
+    scattered by).  The multiples of 4 or 9 are not squarefree, so there
+    are at most 2 q_hi / 3 + 2 rows, 12 words per integer; the mu sieve's
+    int8 values, cofactors and mask, at most 10 bytes per integer, are
+    freed before `delta_k` starts.  The terms are summed, although they
+    are not all live together.  The pairs with lags (m < n_d) are not
+    counted: they exist only once the window of n is about as long as
+    q_lo, and `delta_k` states their cost.
 
     At k = 2 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of building
-    the plan, `delta_k` and `conjectured_values` is 1.4 and 2.6 MB at
-    (Q, X) = (10^4, 100) and (10^4, 5000), 13.7 and 28.2 MB at (10^5, 100)
-    and (10^5, 5 10^4), and 122 and 198 MB at (10^6, 100) and
-    (10^6, 5 10^5) (691 MB at (10^6, 100) while every pair was held); this
-    bound reads 30.0, 74.0 and 513 MB there, and 4.9 GB at Q = 10^7, where
-    `variance --k 2 --q 10^7 --x 10^6` peaked at 1.26 GiB of RSS (median
-    of 5 runs, imports included).
+    the plan, `delta_k` and `conjectured_values` is 1.1 and 1.7 MB at
+    (Q, X) = (10^4, 100) and (10^4, 5000), 10.4 and 15.9 MB at (10^5, 100)
+    and (10^5, 5 10^4), 23.3 MB at (10^5, 10^5), where every squarefree
+    d <= 2Q is a row, and 103 and 162 MB at (10^6, 100) and (10^6, 5 10^5);
+    this bound reads 4.6, 46.4 and 464 MB there, and 4.6 GB at Q = 10^7,
+    where `variance --k 2 --q 10^7 --x 10^6` peaked at 1071 MiB of RSS in
+    each of 3 runs, imports included (1.26 GiB while the pairs (d, m) were
+    generated in blocks).
     """
     span = q_hi - q_lo + 1
-    return 8 * (30 * span + 14 * q_hi + 3 * (_PAIRS + span))
+    return 8 * (30 * span + 14 * q_hi)
 
 
 def _runs(idx: np.ndarray, labels: np.ndarray) -> list:
@@ -485,16 +507,17 @@ def delta_k(
     So one pass over the squarefree d <= 2Q serves every modulus: u_d has
     length n_d, about X/d, and every sum over d | q adds a term of each
     pair (d, m) with q = dm in range.  The moduli come from `moduli_plan`,
-    built by the first call at a Q and reused by the next: Phi(q/Q), the
-    squarefree d with mu(d) and their numbers of pairs, and phi(q) from
-    one sieve_multiplicative over the moduli.  So only the rows with
-    n_d > 0 are taken, the d <= 2X at c < 1: a row with no n adds only to
-    phi(q), and the plan holds phi(q).  Their pairs are generated by rows,
-    in blocks of at most _PAIRS = 2^20 pairs and one row, and each pair
-    adds mu(d) T_d, mu(d) T2_d and, if it has lags, mu(d) times its lag
-    sum into the sums of its q by np.add.at.  np.add.at adds one value at a
-    time, in the order of the pairs, by d and then m, so the sums are those
-    of one np.bincount over all the pairs, to the bit, whatever the blocks.
+    built by the first call at a Q and reused by the next: Phi(q/Q), mu(d)
+    as one dense int8 array over d <= 2Q, and phi(q) from one
+    sieve_multiplicative over the moduli.  The rows are the squarefree d
+    there with n_d > 0, the d <= 2X at c < 1: a row with no n adds only to
+    phi(q), and the plan holds phi(q).  The sums of mu(d) T_d and of
+    mu(d) T2_d over the d | q come for every q from `_divisor_sums`, over
+    one dense array of them (0 off the rows): strided slices that add the
+    terms of each q in the order of one np.bincount over every pair, by d
+    and then m, so its sums to the bit, with no pair generated.  Only the
+    pairs with lags are: each adds mu(d) times its lag sum, which depends
+    on m, into the sum of its q by np.add.at.
 
     A row's lag sums are needed at its live moduli M_d, the m with
     m < n_d, and each row with lags takes the cheaper of two routes to them:
@@ -563,11 +586,11 @@ def delta_k(
     sweep-k2 points.  Rows with no lags take no batch: their values are
     gathered flat by `_progressions`, in parts of at most w.size entries
     plus one row, and summed row by row by np.add.reduceat.  At c < 1 no
-    row has lags.  At Q = 10^6 the plan took 0.21 s, and a call 0.33 s at
-    X = 10^3, where 1,215 of the 1,215,877 rows hold any n and 56.5 % of
-    the 10^7 pairs are theirs, and 0.45-0.51 s at X = 251,189 (c = 0.9,
-    89.9 % of the pairs), most of it in the blocks' np.add.at and the five
-    exact sums over the 10^6 moduli (2-vCPU x86-64 box).
+    row has lags.  At Q = 10^6 the plan took 0.10 s, and a call 0.13-0.14 s
+    at X = 10^3, whose rows are the 1,215 squarefree d <= 2000, and
+    0.23-0.25 s at X = 251,189 (c = 0.9), most of it in the two
+    `_divisor_sums` (0.05 and 0.09 s) and the five exact sums over the
+    10^6 moduli (0.07 s; best of 3 calls, 2-vCPU x86-64 box).
 
     Memory per n of the psi window: w takes 8 B, and a row on the FFT
     route its block spectra, 16-20 B per n of the row (the transform size
@@ -586,13 +609,13 @@ def delta_k(
     max(2Q, |w| / 8) entries, C_q, and the fold's products of at most
     _FOLD_ENTRIES entries.  At (3, 100, 398107) a second call peaks at
     4.0 MiB, 10.6 B per n.  When the moduli outnumber the window, they set
-    the peak instead, O(Q) words and one block of pairs (`modulus_bytes`
-    states what is live): a second call at (2, 10^5, 100) peaks at 9.2 MB,
-    92 B a modulus, and at (2, 10^5, 100100), where the d = 1 row serves
-    and all 862,844 pairs take one block, at 34.3 MB, 343 B a modulus
-    (55.5 and 58.7 MB while every pair was held).  The pairs with lags are
-    held together, about 6 words each at the closing np.add.at: a row's lag
-    sums come in route order, not by d.  There are at most
+    the peak instead, O(Q) words (`modulus_bytes` states what is live): a
+    second call at (2, 10^5, 100) peaks at 7.8 MB, 78 B a modulus, and at
+    (2, 10^5, 100100), where the d = 1 row serves, at 20.5 MB, 205 B a
+    modulus (9.2 and 34.3 MB while the pairs were generated in blocks of
+    2^20, 55.5 and 58.7 MB while every pair was held).  The pairs with
+    lags are held together, about 6 words each at the closing np.add.at: a
+    row's lag sums come in route order, not by d.  There are at most
     sum_d min(|M_d|, n_d) of them, none at c < 1.  Each piece is summed
     against Phi(q/Q) exactly and rounded once by `exact_sum`, which
     returns math.fsum's value.
@@ -620,17 +643,17 @@ def delta_k(
     lo, w = psi.sample(X, 1)
     w *= table.window(lo, lo + w.size - 1)
     plan = moduli_plan(Q, phi)
-    # one row u_d = w[start::d] of length n per d <= lo + w.size - 1 with
-    # n > 0; its pairs (d, m) run from m = m_lo, so those with lags (m < n)
-    # are the first `moduli` of them
-    ds = plan.ds[: np.searchsorted(plan.ds, lo + w.size - 1, "right")]
+    q_hi = plan.q_lo + plan.weight.size - 1
+    # one row u_d = w[start::d] of length n per squarefree d <= lo + w.size - 1
+    # with n > 0; its floor(q_hi/d) - m_lo + 1 pairs (d, m) run from
+    # m = m_lo, so those with lags (m < n) are the first `moduli` of them
+    ds = np.flatnonzero(plan.mu[: lo + w.size - 1]) + 1
     start = -(-lo // ds) * ds - lo
+    ds, start = ds[start < w.size], start[start < w.size]
     n = -(-(w.size - start) // ds)
-    hold = n > 0
-    ds, start, n = ds[hold], start[hold], n[hold]
-    mu, count = plan.mu[: hold.size][hold], plan.count[: hold.size][hold]
+    mu = plan.mu[ds - 1]
     m_lo = -(-plan.q_lo // ds)
-    moduli = np.clip(n - m_lo, 0, count)
+    moduli = np.clip(n - m_lo, 0, q_hi // ds - m_lo + 1)
     fold = (moduli > 0) & _folds(n, moduli, np.arange(m_lo[0], m_lo[0] + moduli[0]))
 
     t = np.zeros(ds.size)
@@ -705,26 +728,20 @@ def delta_k(
             lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
             del spectra
 
-    # each pair adds into its q = dm, in the order of the pairs (by d, then
-    # m), the pairs of at most about _PAIRS at a time: np.add.at adds one
-    # value at a time, as one np.bincount over all of them would
-    coprime_sum, d_q, g_q = (np.zeros(plan.weight.size) for _ in range(3))
-    mt, mt2 = mu * t, mu * t2
-    for part in _runs(np.arange(ds.size), (np.cumsum(count) - 1) // _PAIRS):
-        at = _progressions(ds[part] * m_lo[part] - plan.q_lo, ds[part], count[part])
-        np.add.at(coprime_sum, at, np.repeat(mt[part], count[part]))
-        np.add.at(d_q, at, np.repeat(mt2[part], count[part]))
-        del at  # not held beside the next block's, or the sums below
+    # mu(d) T_d and mu(d) T2_d summed over the d | q of each modulus; the
+    # lag sums by np.add.at, since a pair's depends on m
+    coprime_sum = _divisor_sums(ds, mu * t, plan.q_lo, q_hi)
+    d_q = _divisor_sums(ds, mu * t2, plan.q_lo, q_hi)
+    g_q = np.zeros(plan.weight.size)
     np.add.at(g_q, ds[row] * m - plan.q_lo, 2 * mu[row] * lag_sum)
     a_q = d_q + g_q
     b_q = coprime_sum * coprime_sum / plan.totient
-    phi_w = plan.weight
     return VarianceBreakdown(
-        delta=exact_sum(phi_w * (a_q - b_q)),
-        a_term=exact_sum(phi_w * a_q),
-        b_term=exact_sum(phi_w * b_q),
-        d_term=exact_sum(phi_w * d_q),
-        g_term=exact_sum(phi_w * g_q),
+        delta=exact_sum(plan.weight * (a_q - b_q)),
+        a_term=exact_sum(plan.weight * a_q),
+        b_term=exact_sum(plan.weight * b_q),
+        d_term=exact_sum(plan.weight * d_q),
+        g_term=exact_sum(plan.weight * g_q),
     )
 
 

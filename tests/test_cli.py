@@ -474,6 +474,17 @@ def test_variance_echoes_the_default_grid(tmp_path):
     assert [row["X"] for row in report["rows"]] == xs
 
 
+def test_variance_k1_default_grid_keeps_c_below_k(tmp_path):
+    # the default grid's c >= 1 lie outside (0, k) = (0, 1), so k = 1 keeps
+    # c = 0.5 and 0.8 alone: X = 10 and 40 at Q = 100
+    code, text = run_cli(["variance", "--k", "1", "--q", "100",
+                          "--format", "json"], tmp_path)
+    assert code == 0
+    report = json.loads(text)
+    assert report["config"]["c_grid"] == [0.5, 0.8]
+    assert [row["X"] for row in report["rows"]] == [10, 40]
+
+
 def test_report_with_error_rows_exit_code(tmp_path, monkeypatch):
     # a partial failure: X = 32 gets its row, X = 63 an error row
     delta_k = variance.delta_k

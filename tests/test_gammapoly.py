@@ -67,12 +67,13 @@ def test_eval_reads_a_float_as_its_exact_value(c):
 
 
 def _exact_q_cs(k):
-    """The c_q = log X / log q that conjectured_values evaluates gamma_k at:
-    q over [Q, 2Q], X = round(Q^c) on the default c-grid, Q = 100 and 300."""
+    """The c_q = log X / log q that conjectured_values evaluates gamma_k at,
+    those in [0, k]: q over [Q, 2Q], X = round(Q^c), Q = 100 and 300, on the
+    whole Theorem-1 sweep, whose c < k are the default c-grid."""
     cs = []
     for Q in (100, 300):
         qs = np.arange(Q, 2 * Q + 1)
-        for c in _default_c_grid(k):
+        for c in (0.5, 0.8, 1.0, 1.2, 1.5, (k + 2) / k - 0.1):
             cs += (math.log(round(Q**c)) / np.log(qs)).tolist()
     return [c for c in cs if 0 <= c <= k]
 

@@ -446,42 +446,13 @@ def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
             assert folded == []
 
 
-@pytest.mark.parametrize("fold", _ROUTES)
-def test_small_pair_blocks_change_no_bit(oracle_tables, psi, phi, monkeypatch,
-                                         fold):
-    # blocks of 16 pairs cut the pairs of every grid point into 3 or more;
-    # np.add.at adds them into the per-q sums in the same order as one
-    # block, so every field is the same to the bit, and within budget of
-    # residue binning on each forced route
-    _route(monkeypatch, fold)
-    runs, pairs, blocks = variance._runs, variance._PAIRS, []
-
-    def spy(idx, labels):
-        out = runs(idx, labels)
-        blocks.append(len(out))
-        return out
-
-    table = oracle_tables[2]
-    for Q, c in _ORACLE_GRID:
-        X = round(Q**c)
-        whole = delta_k(table, Q, X, psi, phi)
-        monkeypatch.setattr(variance, "_PAIRS", 16)
-        monkeypatch.setattr(variance, "_runs", spy)
-        blocks.clear()
-        cut = delta_k(table, Q, X, psi, phi)
-        monkeypatch.setattr(variance, "_PAIRS", pairs)
-        monkeypatch.setattr(variance, "_runs", runs)
-        assert blocks[-1] >= 3, (Q, c)  # the last cut is the pairs'
-        assert cut == whole, (Q, c)
-        assert_within_budget(cut, delta_binned(table, Q, X, psi, phi))
-
-
 @pytest.mark.parametrize("Q, X", ((10**4, 100), (2000, 700), (200, 7)))
 def test_rows_without_an_n_add_nothing(table_k2, psi, phi, Q, X):
     # c < 1: the rows d > 2X hold no n of [X, 2X] and are skipped.  With
     # T_d = T2_d = 0 for them, and the others summed by np.add.reduceat as
-    # delta_k's flat gather sums them, one np.bincount over every pair of
-    # the plan gives every field to the bit: those rows add only zeros
+    # delta_k's flat gather sums them, one np.bincount over every pair
+    # (d, m) of the window gives every field to the bit: those rows add
+    # only zeros
     plan = variance.moduli_plan(Q, phi)
     ds, mu, count, m = _pairs(Q, phi)
     w = table_k2.window(X, 2 * X) * psi.sample(X, 1)[1]
@@ -524,7 +495,8 @@ def test_the_benchmark_tracer_binds_delta_k(table_k2, psi, phi):
 def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
     # c = 0.75 < 1: every modulus exceeds 2X, so no row has lags, and every
     # T_d and T2_d comes from the flat gather, here in 6 parts of about
-    # w.size entries: the rows hold about 6 times as many as w
+    # w.size entries: the rows hold about 6 times as many as w.  The batch
+    # loop then has no group to run
     Q, X = 10**4, 10**3
     parts = []
     runs = variance._runs
@@ -540,7 +512,7 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
     for name in ("_rows", "_block_spectra", "_class_sums"):
         monkeypatch.setattr(variance, name, refuse)
     got = delta_k(table_k2, Q, X, psi, phi)
-    assert parts == [6, 0, 1]  # and the pairs take one block
+    assert parts == [6, 0]
     assert got.g_term == 0.0
     assert_within_budget(got, delta_binned(table_k2, Q, X, psi, phi))
 
@@ -610,7 +582,7 @@ def test_rows_that_fold_on_their_own_skip_the_batches(psi, phi, monkeypatch):
     delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
     (lags, alone), = decided
     assert lags.sum() == 1246 and alone.sum() == 527 and not alone[0]
-    ds = variance.moduli_plan(1025, phi).ds  # every row holds an n of [X, 2X]
+    ds = _pairs(1025, phi)[0]  # every row holds an n of [X, 2X]
     assert sorted(gathered) == ds[lags & ~alone].tolist()
     assert sum(transformed) == 1246 - 527
 
@@ -783,20 +755,20 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
 
 def test_delta_k_peak_per_modulus_when_w_serves(psi, phi):
     # c = 1.0: the d = 1 row folds its 101 live moduli, each about 10^5,
-    # one at a time; every row holds an n, and its 862,844 pairs take one
-    # block.  343 B a modulus were traced (58.7 MB, 68 B a pair, while
-    # every pair was held)
+    # one at a time; every squarefree d <= 2Q is a row that holds an n.
+    # 205 B a modulus were traced (343 B while the 862,844 pairs (d, m)
+    # were generated as one block, 587 B while every pair was held)
     Q, X = 10**5, 100100
-    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 360 * (Q + 1)
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 250 * (Q + 1)
 
 
 def test_delta_k_modulus_side_peak_per_modulus(psi, phi):
     # at X = 100 the moduli set the peak, in the per-q sums and the exact
-    # sums over them: a second call, with the plan built, traced 9.2 MB at
-    # Q = 10^5, 92 B a modulus (55.5 MB, 64 B a pair, while every pair was
-    # held)
+    # sums over them: a second call, with the plan built, traced 7.8 MB at
+    # Q = 10^5, 78 B a modulus (9.2 MB while the pairs (d, m) were
+    # generated in blocks, 55.5 MB while every pair was held)
     Q, X = 10**5, 100
-    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 100 * (Q + 1)
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 90 * (Q + 1)
 
 
 def _traced_run_peak(Q, X, psi, phi):
@@ -819,30 +791,26 @@ def _traced_run_peak(Q, X, psi, phi):
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
     # at X = 100 and at X = Q / 2, where every row d <= Q holds an n and no
-    # row has lags, the moduli set the peak: 1.4 and 2.6 MB were traced at
-    # Q = 10^4 and 2.8 and 5.3 MB at 2 10^4, against bounds of 30.0 and
-    # 34.9 MB, most of them one block of 2^20 pairs
-    for X in (100, Q // 2):
+    # row has lags, and at X = Q, where every squarefree d <= 2Q does, the
+    # moduli set the peak: 1.1, 1.7 and 2.3 MB were traced at Q = 10^4 and
+    # 2.1, 3.2 and 4.7 MB at 2 10^4, against bounds of 4.6 and 9.3 MB
+    for X in (100, Q // 2, Q):
         assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
 
 
-@pytest.mark.parametrize("Q, X", ((10**4, 100), (10**4, 5000), (3 * 10**4, 15000)))
-def test_modulus_bytes_bounds_the_traced_peak_in_small_blocks(psi, phi, monkeypatch,
-                                                              Q, X):
-    # blocks of 2^12 pairs, so the per-modulus and per-d terms of the bound
-    # carry it: 0.26, 0.41 and 0.41 of it were traced
-    monkeypatch.setattr(variance, "_PAIRS", 2**12)
-    assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
-
-
 def _pairs(Q, phi):
-    """The plan's squarefree d, mu(d) and pair counts at Q, and the m of
-    every pair (d, m), q = dm in the plan's window, by d and then m."""
+    """The squarefree d with a pair (d, m), q = dm in the window of the
+    plan at Q, increasing, their mu(d) and pair counts, and the m of every
+    pair, by d and then m: from the plan's dense mu alone."""
     plan = variance.moduli_plan(Q, phi)
-    first = np.cumsum(plan.count) - plan.count
-    m_lo = -(-plan.q_lo // plan.ds)
-    m = np.arange(plan.count.sum()) - np.repeat(first - m_lo, plan.count)
-    return plan.ds, plan.mu, plan.count, m
+    q_lo, q_hi = plan.q_lo, plan.q_lo + plan.weight.size - 1
+    assert plan.mu.size == q_hi
+    ds = np.flatnonzero(plan.mu) + 1
+    count = q_hi // ds - -(-q_lo // ds) + 1
+    ds, count = ds[count > 0], count[count > 0]
+    first, m_lo = np.cumsum(count) - count, -(-q_lo // ds)
+    m = np.arange(count.sum()) - np.repeat(first - m_lo, count)
+    return ds, plan.mu[ds - 1], count, m
 
 
 def test_plan_pairs_sum_mobius_to_the_indicator_of_one(phi):
@@ -894,8 +862,46 @@ def test_plan_totient_is_the_mobius_count_of_the_pairs(phi, Q):
     assert np.array_equal(plan.log_q, np.log(q))
     assert np.array_equal(plan.weight, phi.sample(Q, 2)[1])
     # the memo hands the same arrays to every caller: none can be written
-    arrays = (plan.weight, plan.ds, plan.mu, plan.count, plan.totient, plan.log_q)
+    arrays = (plan.weight, plan.mu, plan.totient, plan.log_q)
     assert not any(a.flags.writeable for a in arrays)
+
+
+# (q_lo, q_hi, the largest d with a term): q_hi a square (45^2, 100^2)
+# or one less, the `wide` Phi's q_lo = 2, q_hi != 2 q_lo, and terms only
+# at d below sqrt(q_hi), as at the rows of c < 1
+_DIVISOR_WINDOWS = {
+    "square": (1000, 2025, 2025),
+    "square-less-one": (1012, 2024, 2024),
+    "from-2": (2, 10**4, 10**4),
+    "from-2-less-one": (2, 9999, 700),
+    "narrow": (1500, 2400, 1800),
+    "short": (1000, 2000, 30),
+}
+
+
+@pytest.mark.parametrize("q_lo, q_hi, top", _DIVISOR_WINDOWS.values(),
+                         ids=_DIVISOR_WINDOWS)
+def test_divisor_sums_match_one_bincount_over_the_pairs(q_lo, q_hi, top):
+    # random terms at the squarefree d <= top, a fifth of them +-0.0 (as
+    # mu(d) T_d is at rows without an n), 0 at every other d: every sum
+    # equals, to the bit, one np.bincount over every pair (d, m), q = dm in
+    # the window, by d and then m
+    rng = np.random.default_rng(q_lo + q_hi + top)
+    squarefree = np.ones(top, dtype=bool)
+    for p in range(2, math.isqrt(top) + 1):
+        squarefree[p * p - 1 :: p * p] = False
+    ds = np.flatnonzero(squarefree) + 1
+    values = rng.standard_normal(ds.size)
+    values[rng.random(ds.size) < 0.2] *= 0.0
+    m_lo, m_hi = -(-q_lo // ds), q_hi // ds
+    count = np.maximum(m_hi - m_lo + 1, 0)
+    m = np.concatenate([np.arange(a, b + 1)
+                        for a, b in zip(m_lo.tolist(), m_hi.tolist())])
+    want = np.bincount(np.repeat(ds, count) * m - q_lo, np.repeat(values, count),
+                       q_hi - q_lo + 1)
+    got = variance._divisor_sums(ds, values, q_lo, q_hi)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert np.count_nonzero(got) > (q_hi - q_lo) // 2
 
 
 def test_fft_size_is_short_and_smooth():
