@@ -12,12 +12,14 @@ lag sums of the sequence u_d of d_k(n) psi(n/X) along the multiples of
 each squarefree d <= 2Q (Möbius inversion removes the condition
 (n, q) = 1).  What the moduli need that does not depend on X (Phi, mu
 from sieve.sieve_multiplicative on [1, 2Q], phi(q) and log q) is built
-once per run, O(Q) words (`moduli_plan`).  For each X the sums of
-T_d = sum u_d and of sum u_d^2 over the d | q reach every modulus as
-strided slices (`_divisor_sums`), with no pair (d, m), q = dm,
-generated.  The lag sums of each u_d come the cheaper of two ways: by
-its class sums modulo each of its |M_d| moduli m = q/d, about |M_d| n_d
-work for a sequence of length n_d, or straight from the spectra of real
+once per run, O(Q) words (`moduli_plan`).  For each X, T_d = sum u_d
+and T2_d = sum u_d^2 come for every d from one sweep over the multiples
+in the window (`_multiple_sums`), and their sums over the d | q reach
+every modulus (`_divisor_sums`, its transpose): strided slices both,
+with no pair (d, m), q = dm, or (d, j), n = dj, generated.  The lag
+sums of each u_d come the cheaper of two ways: by its class sums modulo
+each of its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence
+of length n_d, or straight from the spectra of real
 FFTs, cut into at most 8 equal blocks for long sequences and batched
 into 2-D transforms for short ones, about n_d log n_d, without forming
 the autocorrelation: beside the spectra, 16-20 bytes per n, only three
@@ -38,8 +40,8 @@ folds is folded on its own, from one contiguous copy, and the FFT
 batches carry only the sequences on the FFT route.  `delta_k` states the
 derivation, the memory per n and the error budget against that binning,
 which lives under tests/ as the oracle.
-Rows u_d too short to have lags need only their sums, and are gathered
-flat.  No step holds a Python float per modulus: the weighted sums over
+Only the u_d with lags are rows of the routes, and none is at c < 1.
+No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
 exact-q prediction evaluates gamma_k at every modulus as one array
 (`PiecewisePolynomial.eval_floats`).
@@ -188,20 +190,17 @@ def _lag_sums(spectra, block: int, row, m, count) -> np.ndarray:
             acc += tmp
         np.fft.irfft(acc, size, out=corr)
         # the pairs p, each lag progression's first index and its length
-        if len(spectra) == 1:  # one block holds every lag, at r size + t m
-            p, first, num = np.arange(m.size), row * size + m, count
-        else:
-            base = j * block
-            halves = [(base, base + block, -base)]
-            if j:
-                halves.append((base - block + 1, base, size - base))
-            parts = []
-            for lo, hi, shift in halves:  # lo <= t m < hi, at r size + t m + shift
-                t_lo = np.maximum(-(-lo // m), 1)
-                num = np.minimum((hi - 1) // m, count) - t_lo + 1
-                p = np.flatnonzero(num > 0)
-                parts.append((p, row[p] * size + t_lo[p] * m[p] + shift, num[p]))
-            p, first, num = (np.concatenate(x) for x in zip(*parts))
+        base = j * block
+        halves = [(base, base + block, -base)]
+        if j:
+            halves.append((base - block + 1, base, size - base))
+        parts = []
+        for lo, hi, shift in halves:  # lo <= t m < hi, at r size + t m + shift
+            t_lo = np.maximum(-(-lo // m), 1)
+            num = np.minimum((hi - 1) // m, count) - t_lo + 1
+            p = np.flatnonzero(num > 0)
+            parts.append((p, row[p] * size + t_lo[p] * m[p] + shift, num[p]))
+        p, first, num = (np.concatenate(x) for x in zip(*parts))
         if p.size:
             lags = corr.reshape(-1)[_progressions(first, m[p], num)]
             np.add.at(out, p, np.add.reduceat(lags, np.cumsum(num) - num))
@@ -221,34 +220,68 @@ def _progressions(first, step, count) -> np.ndarray:
     return np.cumsum(out, out=out)
 
 
-def _divisor_sums(ds, values, q_lo: int, q_hi: int) -> np.ndarray:
-    """sum_{d | q} g(d) for each q_lo <= q <= q_hi, where g(ds[i]) = values[i]
-    for the increasing ds and g(d) = 0 at every other d.
+def _divisor_sums(g: np.ndarray, q_lo: int, q_hi: int) -> np.ndarray:
+    """sum_{d | q} g[d - 1] for each q_lo <= q <= q_hi, with g(d) = 0 at every
+    d > g.size.
 
-    g is laid out densely, g[d - 1] = g(d) for d <= max ds, and the pairs
-    (d, m), q = dm, split at s = isqrt(q_hi), the hyperbola method: each
-    d <= s adds g[d - 1] into the stride-d slice of its multiples, in
-    increasing d; then m runs from s down to 1, and adds the run
-    g[lo - 1 : hi] of the d > s with dm in the window into one stride-m
-    slice.  A pair with d > s has m <= q_hi / (s + 1) < s + 1, so every pair
-    is added once, and the terms of each q come in increasing d: the
-    d <= s first, then the d > s as m falls.  That is the order of
+    The pairs (d, m), q = dm, split at s = isqrt(q_hi), the hyperbola
+    method: each d <= s with g[d - 1] != 0 adds it into the stride-d slice
+    of its multiples, in increasing d; then m runs from s down to 1, and
+    adds the run g[lo - 1 : hi] of the d > s with dm in the window into one
+    stride-m slice.  A pair with d > s has m <= q_hi / (s + 1) < s + 1, so
+    every pair is added once, and the terms of each q come in increasing d:
+    the d <= s first, then the d > s as m falls.  That is the order of
     np.add.at, or of one np.bincount, over every pair by d and then m, so
-    the sums are theirs to the bit, and no pair is generated: about
-    2 sqrt(q_hi) slices, with work the number of pairs.  The zeros of g
-    off ds add nothing: x + 0.0 = x + (-0.0) = x unless x is -0.0, and a
-    sum that starts at 0.0 never is.
+    the sums are theirs to the bit, and no pair is generated: at most about
+    2 sqrt(q_hi) slices, with work at most the number of pairs.  The zeros
+    of g add nothing, skipped or not: x + 0.0 = x + (-0.0) = x unless x is
+    -0.0, and a sum that starts at 0.0 never is.
     """
-    g = np.bincount(ds - 1, values)  # g[d - 1] = g(d), d <= max ds
     out = np.zeros(q_hi - q_lo + 1)
     s = math.isqrt(q_hi)
-    for d in range(1, min(s, g.size) + 1):
+    for d in (np.flatnonzero(g[:s]) + 1).tolist():
         out[-(-q_lo // d) * d - q_lo :: d] += g[d - 1]
     for m in range(s, 0, -1):
         lo, hi = max(s + 1, -(-q_lo // m)), min(q_hi // m, g.size)
         if lo <= hi:  # else the stop could be negative, and wrap around
             out[lo * m - q_lo : hi * m - q_lo + 1 : m] += g[lo - 1 : hi]
     return out
+
+
+def _multiple_sums(w: np.ndarray, lo: int, mu: np.ndarray) -> tuple:
+    """(T, T2): T[d - 1] and T2[d - 1] the sums of w_n and of w_n^2 over the
+    multiples n of d in the window [lo, hi] of w (w[i] = w_{lo + i},
+    hi = lo + w.size - 1), for each d <= mu.size; 0 at the d <= isqrt(hi)
+    with mu[d - 1] = 0.
+
+    The transpose of `_divisor_sums`: the pairs (d, j), n = dj, split at
+    s = isqrt(hi).  Each d <= s with mu[d - 1] != 0 sums its stride-d view
+    of w, by sum and by np.einsum (strided BLAS dots stall as
+    `_FOLD_ENTRIES` states), with no copy.  Then for each j <= s the run
+    a <= d <= b of the d > s with dj in the window is one stride-j slice of
+    w, added into T[a - 1 : b], and its square into T2[a - 1 : b].  A d > s
+    has every multiple at j <= hi / (s + 1) < s + 1, so every pair is added
+    once: about 2 sqrt(hi) slices, with work at most the number of pairs.
+    The one temporary is the square of one run, at most mu.size - s
+    entries, and at most w.size / j + 1: so as long as w only at j = 1,
+    which needs lo <= mu.size, where the moduli's O(mu.size) words
+    outweigh it.
+    """
+    hi = lo + w.size - 1
+    t = np.zeros(mu.size)
+    t2 = np.zeros(mu.size)
+    s = math.isqrt(hi)
+    for d in (np.flatnonzero(mu[:s]) + 1).tolist():
+        v = w[-(-lo // d) * d - lo :: d]
+        t[d - 1] = v.sum()
+        t2[d - 1] = np.einsum("i,i", v, v)
+    for j in range(1, s + 1):
+        a, b = max(s + 1, -(-lo // j)), min(hi // j, mu.size)
+        if a <= b:
+            v = w[a * j - lo : b * j - lo + 1 : j]
+            t[a - 1 : b] += v
+            t2[a - 1 : b] += v * v
+    return t, t2
 
 
 @dataclass(frozen=True)
@@ -295,28 +328,31 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     mantissa halves; `conjectured_values`' a_k(q), c_q, gamma_k(c_q),
     (log q)^{k^2-1} and two temporaries of its weighted term with
     exact_sum's.  Per integer of [1, q_hi], at most 14 words: the plan's
-    dense mu(d) (a byte), `delta_k`'s dense mu(d) T_d, then mu(d) T2_d (a
-    word), and its arrays over the rows, one per squarefree d, at most 18
-    words a row (d, start, length, mu, m_lo, pair count, live moduli, the
-    route costs `_folds` weighs, T_d, T2_d, mu T_d, the indices of the
-    rows without lags, first pair, batch keys, and what they are cut or
-    scattered by).  The multiples of 4 or 9 are not squarefree, so there
-    are at most 2 q_hi / 3 + 2 rows, 12 words per integer; the mu sieve's
+    dense mu(d) (a byte); `delta_k`'s T_d and T2_d, dense over
+    d <= min(2X, q_hi), and the square of one run of `_multiple_sums`
+    (3 words); the dense mu(d) T_d, then mu(d) T2_d (a word); and at most
+    14 words per squarefree d: picking the rows takes d, its length,
+    m_lo, live moduli, their temporaries and the copies kept, and a row
+    with lags holds those, its start, mu, first pair, the route costs
+    `_folds` weighs, its batch key and what the keys are sorted by.  The
+    multiples of 4 or 9 are not squarefree, so there are at most
+    2 q_hi / 3 + 2 of them, under 10 words per integer; the mu sieve's
     int8 values, cofactors and mask, at most 10 bytes per integer, are
     freed before `delta_k` starts.  The terms are summed, although they
     are not all live together.  The pairs with lags (m < n_d) are not
-    counted: they exist only once the window of n is about as long as
-    q_lo, and `delta_k` states their cost.
+    counted: they exist only once the window of n is longer than q_lo,
+    and `delta_k` states their cost.
 
     At k = 2 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of building
-    the plan, `delta_k` and `conjectured_values` is 1.1 and 1.7 MB at
-    (Q, X) = (10^4, 100) and (10^4, 5000), 10.4 and 15.9 MB at (10^5, 100)
-    and (10^5, 5 10^4), 23.3 MB at (10^5, 10^5), where every squarefree
-    d <= 2Q is a row, and 103 and 162 MB at (10^6, 100) and (10^6, 5 10^5);
+    the plan, `delta_k` and `conjectured_values` is 1.1 and 1.3 MB at
+    (Q, X) = (10^4, 100) and (10^4, 5000), 10.4 and 12.4 MB at (10^5, 100)
+    and (10^5, 5 10^4), 15.3 MB at (10^5, 10^5), where every squarefree
+    d <= 2Q is a row, and 103 and 124 MB at (10^6, 100) and (10^6, 5 10^5)
+    (1.7, 15.9, 23.3 and 162 MB while the rows were every d with an n);
     this bound reads 4.6, 46.4 and 464 MB there, and 4.6 GB at Q = 10^7,
-    where `variance --k 2 --q 10^7 --x 10^6` peaked at 1071 MiB of RSS in
-    each of 3 runs, imports included (1.26 GiB while the pairs (d, m) were
-    generated in blocks).
+    where `variance --k 2 --q 10^7 --x 10^6` peaked at 1025 MiB of RSS in
+    each of 3 runs, imports included (1071 MiB while the rows were every d
+    with an n, 1.26 GiB while the pairs (d, m) were generated in blocks).
     """
     span = q_hi - q_lo + 1
     return 8 * (30 * span + 14 * q_hi)
@@ -509,18 +545,24 @@ def delta_k(
     pair (d, m) with q = dm in range.  The moduli come from `moduli_plan`,
     built by the first call at a Q and reused by the next: Phi(q/Q), mu(d)
     as one dense int8 array over d <= 2Q, and phi(q) from one
-    sieve_multiplicative over the moduli.  The rows are the squarefree d
-    there with n_d > 0, the d <= 2X at c < 1: a row with no n adds only to
-    phi(q), and the plan holds phi(q).  The sums of mu(d) T_d and of
-    mu(d) T2_d over the d | q come for every q from `_divisor_sums`, over
-    one dense array of them (0 off the rows): strided slices that add the
-    terms of each q in the order of one np.bincount over every pair, by d
-    and then m, so its sums to the bit, with no pair generated.  Only the
-    pairs with lags are: each adds mu(d) times its lag sum, which depends
-    on m, into the sum of its q by np.add.at.
+    sieve_multiplicative over the moduli.  T_d and T2_d come for every
+    d <= min(2X, 2Q) from one sweep over the multiples n = dj in the
+    window (`_multiple_sums`): a stride-d view of w for each squarefree
+    d <= sqrt(2X), then one stride-j slice of w for each j <= sqrt(2X),
+    added into the T_d of the run of d > sqrt(2X) with dj in the window.
+    A d with no n has T_d = T2_d = 0, and adds only to phi(q), which the
+    plan holds.  The sums of mu(d) T_d and of mu(d) T2_d over the d | q
+    come for every q from `_divisor_sums`, over the dense products: the
+    transposed sweep, strided slices that add the terms of each q in the
+    order of one np.bincount over every pair, by d and then m, so its
+    sums to the bit.  So T_d and T2_d do not depend on the routes below,
+    and no pair (d, m) or (d, j) is generated but the pairs with lags:
+    each adds mu(d) times its lag sum, which depends on m, into the sum
+    of its q by np.add.at.
 
     A row's lag sums are needed at its live moduli M_d, the m with
-    m < n_d, and each row with lags takes the cheaper of two routes to them:
+    m < n_d.  The rows are only the squarefree d with lags, none at c < 1,
+    where no route runs; each takes the cheaper of two routes to them:
 
     - folding (`_class_sums`): the class sums S of u_d mod m, at most
       about |M_d| n_d work, and the lag sum
@@ -551,23 +593,20 @@ def delta_k(
     s_d + d r (mod q), where s_d + d r < q; so the class sums of u_d mod m
     are the m entries C_q[s_d::d] of those of w mod q, over the same
     values, and the lag sum is formed from them as above.  The pairs are
-    taken as their q come, in root order, one C_q at a time.  T_d is the
-    sum of the view of the row's first pair, and T2_d one reduction over
-    the strided w[s_d::d] (np.einsum: strided BLAS dots stall as
-    `_FOLD_ENTRIES` states).  So no row d >= 2 is gathered, folded or
-    transformed.  At (k, Q, X) = (3, 100, 398107) the d = 1 row folds its
-    101 moduli through 31 roots: 12.3 M entries of w and 2.6 M of the
-    roots' class sums, and it serves the 446 pairs of the 122 rows with
-    lags; a call took 14.1 ms (median of 41 calls in one process, on a
-    2-vCPU x86-64 box).  At (3, 100, 10^5) the row, 100,001 long, is below
+    taken as their q come, in root order, one C_q at a time.  So no row
+    d >= 2 is gathered, folded or transformed.  At (k, Q, X) =
+    (3, 100, 398107) the d = 1 row folds its 101 moduli through 31 roots:
+    12.3 M entries of w and 2.6 M of the roots' class sums, and it serves
+    the 446 pairs of the 122 rows with lags; a call took 16-18 ms (median
+    of 41 calls in one process, on a 2-vCPU x86-64 box, as before the
+    sweep).  At (3, 100, 10^5) the row, 100,001 long, is below
     _PLAN_COST and folds once per modulus.  When the d = 1 row takes the
     FFT route, each other row takes its own: at (2, 1025, 262605) 527 of
     1246 rows fold, but none of the rows d <= 23, such as the d = 1 row
     with its 1026 moduli, whose choice plans no roots.  A row that folds
-    is then folded from one contiguous copy of w[s_d::d], which gives T_d
-    as its sum, T2_d as one np.einsum and its lag sums by `_class_sums` as
-    above.  Only the rows on the FFT route are read from w as the rows of
-    2-D arrays.
+    is then folded from one contiguous copy of w[s_d::d], which gives its
+    lag sums by `_class_sums` as above.  Only the rows on the FFT route
+    are read from w as the rows of 2-D arrays.
 
     On the FFT route a row longer than 2^14 is a batch of its own, cut
     into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
@@ -575,31 +614,32 @@ def delta_k(
     and its temporaries, and no short last block costs a whole transform.
     Shorter rows are one block each, grouped by transform size, and each
     group is cut into batches of at most _BATCH = 2^17 entries (rows times
-    size), one 2-D transform each.  T_d and T2_d are the row sums of u and
-    u^2.  The lags t m of an FFT batch are gathered one inverse block at a
-    time, only those in its window.  When
+    size), one 2-D transform each.  The lags t m of an FFT batch are
+    gathered one inverse block at a time, only those in its window.  When
     q_hi <= 2 q_lo (Phi supported in [1, 2], as in the CLI) a row's live
     moduli are the integers in some [a, b], b <= 2a, and
     sum_{a <= m <= 2a} 1/m <= 3/2, so a window of 2L - 1 lags holds at
     most 1.5 (2L - 1) + |M_d| of them, and a single block at most 1.5 n_d:
     0.69 per entry of the inverse at most, on the oracle grid and the
-    sweep-k2 points.  Rows with no lags take no batch: their values are
-    gathered flat by `_progressions`, in parts of at most w.size entries
-    plus one row, and summed row by row by np.add.reduceat.  At c < 1 no
-    row has lags.  At Q = 10^6 the plan took 0.10 s, and a call 0.13-0.14 s
-    at X = 10^3, whose rows are the 1,215 squarefree d <= 2000, and
-    0.23-0.25 s at X = 251,189 (c = 0.9), most of it in the two
-    `_divisor_sums` (0.05 and 0.09 s) and the five exact sums over the
-    10^6 moduli (0.07 s; best of 3 calls, 2-vCPU x86-64 box).
+    sweep-k2 points.
+
+    The sweep reads each multiple in the window once for T_d and once
+    for T2_d, about 2 X log(min(2X, 2Q)) entries: at the sweep-k2 points
+    (Q = 1025) it took 0.8 ms a call at c = 1.2 and 7-10 ms at c = 1.8,
+    and at (3, 100, 398107) 6 ms (best of 7 calls, 2-vCPU x86-64 box).
+    At c < 1 no d has lags, so a call is the sweep, the two
+    `_divisor_sums` and the five exact sums over the moduli.  At Q = 10^6
+    the plan took 0.11-0.12 s, and a call 0.14-0.17 s at X = 10^3 and
+    0.21-0.24 s at X = 251,189 (c = 0.9), of which the sweep took 0.02 s
+    and each `_divisor_sums` 0.04 s (best of 3 calls, 2-vCPU x86-64 box).
 
     Memory per n of the psi window: w takes 8 B, and a row on the FFT
     route its block spectra, 16-20 B per n of the row (the transform size
     is 2L - 1 rounded up by at most 25 %), and three buffers of one
     block's transform.  The long rows come after the short ones, and a
-    long d = 1 row last: its T and T2 are summed first, and once its
-    spectra exist w is dropped, so w and the d = 1 row's spectra are live
-    together only while the spectra are taken, never beside the inverse
-    buffers.
+    long d = 1 row last: once its spectra exist w is dropped, so w and the
+    d = 1 row's spectra are live together only while the spectra are
+    taken, never beside the inverse buffers.
     So the peak is set by the d = 1 row when it takes the FFT route: a
     second call at (2, 1025, 262605) peaks at 7.3 MiB of traced
     allocations, 29 B per n, and `variance --k 2 --q 46416 --x 10^7` at
@@ -608,12 +648,15 @@ def delta_k(
     only one root and one live modulus are held: C_M, at most
     max(2Q, |w| / 8) entries, C_q, and the fold's products of at most
     _FOLD_ENTRIES entries.  At (3, 100, 398107) a second call peaks at
-    4.0 MiB, 10.6 B per n.  When the moduli outnumber the window, they set
-    the peak instead, O(Q) words (`modulus_bytes` states what is live): a
-    second call at (2, 10^5, 100) peaks at 7.8 MB, 78 B a modulus, and at
-    (2, 10^5, 100100), where the d = 1 row serves, at 20.5 MB, 205 B a
-    modulus (9.2 and 34.3 MB while the pairs were generated in blocks of
-    2^20, 55.5 and 58.7 MB while every pair was held).  The pairs with
+    4.0 MiB, 10.6 B per n.  The sweep allocates T_d and T2_d, dense over
+    d <= min(2X, 2Q), and the square of one run of them.  When the moduli
+    outnumber the window, they set the peak instead, O(Q) words
+    (`modulus_bytes` states what is live): a second call at (2, 10^5, 100)
+    peaks at 7.8 MB, 78 B a modulus, and at (2, 10^5, 100100), where the
+    d = 1 row serves, at 12.7 MB, 127 B a modulus (20.5 MB while the rows
+    were every d with an n and their T_d were formed on each route, 34.3
+    MB while the pairs were generated in blocks of 2^20, 58.7 MB while
+    every pair was held).  The pairs with
     lags are held together, about 6 words each at the closing np.add.at: a
     row's lag sums come in route order, not by d.  There are at most
     sum_d min(|M_d|, n_d) of them, none at c < 1.  Each piece is summed
@@ -630,11 +673,12 @@ def delta_k(
     (a_term / delta is 1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at
     k = 2), so its relative error may reach a_term / delta times that
     budget.  The largest errors seen on the grid are, for delta,
-    5.9e-16 * a_term when the d = 1 row serves, 2.1e-15 * a_term when it
-    takes the FFT route and the others fold, and 1.1e-15 * a_term with
+    5.6e-16 * a_term when the d = 1 row serves, 1.9e-15 * a_term when it
+    takes the FFT route and the others fold, and 1.2e-15 * a_term with
     every row on the FFT route, and 9.1e-15 relative for d_term (the
-    Möbius sum of T2_d cancels most).  The batch cap changes only the
-    rounding, not this budget.
+    Möbius sum of T2_d cancels most), the same on every route: b_term and
+    d_term are the same to the bit whatever the routes.  The batch cap
+    changes only the rounding, not this budget.
     """
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
@@ -644,94 +688,71 @@ def delta_k(
     w *= table.window(lo, lo + w.size - 1)
     plan = moduli_plan(Q, phi)
     q_hi = plan.q_lo + plan.weight.size - 1
-    # one row u_d = w[start::d] of length n per squarefree d <= lo + w.size - 1
-    # with n > 0; its floor(q_hi/d) - m_lo + 1 pairs (d, m) run from
-    # m = m_lo, so those with lags (m < n) are the first `moduli` of them
-    ds = np.flatnonzero(plan.mu[: lo + w.size - 1]) + 1
-    start = -(-lo // ds) * ds - lo
-    ds, start = ds[start < w.size], start[start < w.size]
-    n = -(-(w.size - start) // ds)
-    mu = plan.mu[ds - 1]
+    # T_d and T2_d for every d <= min(hi, q_hi), hi = lo + w.size - 1
+    t, t2 = _multiple_sums(w, lo, plan.mu[: lo + w.size - 1])
+    # one row u_d = w[start::d] of length n per squarefree d with lags: its
+    # pairs (d, m) run from m = m_lo, and those with lags (m < n) are the
+    # first `moduli` of them
+    ds = np.flatnonzero(plan.mu[: t.size]) + 1
+    n = (lo + w.size - 1) // ds - (lo - 1) // ds
     m_lo = -(-plan.q_lo // ds)
-    moduli = np.clip(n - m_lo, 0, q_hi // ds - m_lo + 1)
-    fold = (moduli > 0) & _folds(n, moduli, np.arange(m_lo[0], m_lo[0] + moduli[0]))
-
-    t = np.zeros(ds.size)
-    t2 = np.zeros(ds.size)
-    # rows without lags need only T_d and T2_d: gathered flat, at most about
-    # w.size entries at a time, and summed row by row
-    free = np.flatnonzero(moduli == 0)
-    for part in _runs(free, (np.cumsum(n[free]) - 1) // w.size):
-        u = w[_progressions(start[part], ds[part], n[part])]
-        at = np.cumsum(n[part]) - n[part]
-        t[part] = np.add.reduceat(u, at)
-        t2[part] = np.add.reduceat(np.square(u, out=u), at)
-
-    live = np.flatnonzero(moduli)
+    moduli = np.minimum(n - m_lo, q_hi // ds - m_lo + 1)
+    keep = moduli > 0
+    ds, n, m_lo, moduli = ds[keep], n[keep], m_lo[keep], moduli[keep]
+    start = -(-lo // ds) * ds - lo
+    mu = plan.mu[ds - 1]
     # the pairs with lags, row by row: the m of row i's from index first[i]
     first = np.cumsum(moduli) - moduli
-    row = np.repeat(live, moduli[live])
-    m = _progressions(m_lo[live], 1, moduli[live])
+    row = np.repeat(np.arange(ds.size), moduli)
+    m = _progressions(m_lo, 1, moduli)
     lag_sum = np.zeros(m.size)
-    if fold[0]:
-        # the d = 1 row (row 0, u_1 = w) folds: each lag pair (d, m) reads
-        # its class sums off those of w mod q = dm, as C_q[start::d], one q
-        # at a time; T_d off the view of the row's first pair, T2_d by one
-        # reduction over its strided values
-        for i, s0, d in zip(live.tolist(), start[live].tolist(), ds[live].tolist()):
-            v = w[s0::d]
-            t2[i] = np.einsum("i,i", v, v)
-        # the pairs of each q, one of the d = 1 row's live moduli
-        pairs = defaultdict(list)
-        p = np.arange(m.size)
-        for qi, i, ri, s0, d, head in zip(
-                (ds[row] * m).tolist(), p.tolist(), row.tolist(),
-                start[row].tolist(), ds[row].tolist(), (p == first[row]).tolist()):
-            pairs[qi].append((i, ri, s0, d, head))
+    # no row has lags at c < 1, and then no route runs
+    fold = _folds(n, moduli, m[: moduli[0]]) if ds.size else np.zeros(0, bool)
+    if fold.size and fold[0]:
+        # w serves: the d = 1 row (row 0, u_1 = w) folds, and each pair (d, m)
+        # reads its class sums off those of w mod q = dm, as C_q[start::d],
+        # one q at a time
+        pairs = defaultdict(list)  # the pairs of each q, one of w's moduli
+        for i, (q, s0, d) in enumerate(zip((ds[row] * m).tolist(), start[row].tolist(),
+                                           ds[row].tolist())):
+            pairs[q].append((i, s0, d))
         for q, c in _class_sums(w, m[: moduli[0]]):
-            for i, ri, s0, d, head in pairs[q]:
+            for i, s0, d in pairs[q]:
                 s = c[s0::d]
                 lag_sum[i] = s @ s
-                if head:
-                    t[ri] = s.sum()
-        lag_sum = (lag_sum - t2[row]) / 2
-        live = live[:0]  # no row is left to fold on its own or to batch
-    for i in live[fold[live]].tolist():  # each row that folds on its own
-        v = np.ascontiguousarray(w[start[i] :: ds[i]])
-        t[i] = v.sum()
-        t2[i] = np.einsum("i,i", v, v)
-        p = slice(first[i], first[i] + moduli[i])
-        by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
-        lag_sum[p] = (np.array([by_q[q] for q in m[p].tolist()]) - t2[i]) / 2
-    live = live[~fold[live]]
-
-    # batch key: the transform size of a short row, and for a long row a key
-    # of its own above every transform size, the largest for the d = 1 row
-    # (row 0), which so comes last
-    key = np.zeros(ds.size, dtype=np.int64)
-    key[live] = np.where(n[live] <= _MIN_BLOCK, _fft_size(2 * n[live] - 1),
-                         _BATCH + ds.size - live)
-    order = live[np.lexsort((n[live], key[live]))]
-    for group in _runs(order, key[order]):
-        per = max(1, _BATCH // int(key[group[0]]))
-        for b in range(0, group.size, per):
-            batch = group[b : b + per]
-            u = _rows(w, start[batch], ds[batch], n[batch])
-            t[batch] = u.sum(axis=1)
-            t2[batch] = np.einsum("ij,ij->i", u, u)
-            p = _progressions(first[batch], 1, moduli[batch])
-            pos = np.repeat(np.arange(batch.size), moduli[batch])
-            lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
-            spectra, block = _block_spectra(u)
-            if batch[-1] == order[-1]:  # no batch follows: drop w
-                del w, u
-            lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
-            del spectra
+        lag_sum = (lag_sum - t2[ds[row] - 1]) / 2
+    else:
+        for i in np.flatnonzero(fold).tolist():  # each row that folds on its own
+            v = np.ascontiguousarray(w[start[i] :: ds[i]])
+            p = slice(first[i], first[i] + moduli[i])
+            by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
+            squares = np.array([by_q[q] for q in m[p].tolist()])
+            lag_sum[p] = (squares - t2[ds[i] - 1]) / 2
+        # the others take the FFT route.  Batch key: the transform size of a
+        # short row, and for a long row a key of its own above every transform
+        # size, the largest for the d = 1 row (row 0), which so comes last
+        key = np.where(n <= _MIN_BLOCK, _fft_size(2 * n - 1),
+                       _BATCH + ds.size - np.arange(ds.size))
+        by_fft = np.flatnonzero(~fold)
+        order = by_fft[np.lexsort((n[by_fft], key[by_fft]))]
+        for group in _runs(order, key[order]):
+            per = max(1, _BATCH // int(key[group[0]]))
+            for b in range(0, group.size, per):
+                batch = group[b : b + per]
+                u = _rows(w, start[batch], ds[batch], n[batch])
+                p = _progressions(first[batch], 1, moduli[batch])
+                pos = np.repeat(np.arange(batch.size), moduli[batch])
+                lags = (n[batch[pos]] - 1) // m[p]  # the t >= 1 with t m < n
+                spectra, block = _block_spectra(u)
+                if batch[-1] == order[-1]:  # no batch follows: drop w
+                    del w, u
+                lag_sum[p] = _lag_sums(spectra, block, pos, m[p], lags)
+                del spectra
 
     # mu(d) T_d and mu(d) T2_d summed over the d | q of each modulus; the
     # lag sums by np.add.at, since a pair's depends on m
-    coprime_sum = _divisor_sums(ds, mu * t, plan.q_lo, q_hi)
-    d_q = _divisor_sums(ds, mu * t2, plan.q_lo, q_hi)
+    coprime_sum = _divisor_sums(plan.mu[: t.size] * t, plan.q_lo, q_hi)
+    d_q = _divisor_sums(plan.mu[: t.size] * t2, plan.q_lo, q_hi)
     g_q = np.zeros(plan.weight.size)
     np.add.at(g_q, ds[row] * m - plan.q_lo, 2 * mu[row] * lag_sum)
     a_q = d_q + g_q

@@ -446,22 +446,37 @@ def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
             assert folded == []
 
 
+@pytest.mark.parametrize("fold", _ROUTES)
+def test_b_and_d_terms_do_not_depend_on_the_route(oracle_tables, psi, phi,
+                                                  monkeypatch, fold):
+    # T_d and T2_d come from `_multiple_sums` alone, whatever route the lag
+    # sums take: b_term (from the T_d) and d_term (from the T2_d) are the
+    # same to the bit under each of the _ROUTES as under `_folds`' choice
+    for k in (2, 3):
+        for Q, c in _ORACLE_GRID:
+            X = round(Q**c)
+            chosen = delta_k(oracle_tables[k], Q, X, psi, phi)
+            _route(monkeypatch, fold)
+            forced = delta_k(oracle_tables[k], Q, X, psi, phi)
+            monkeypatch.undo()
+            assert (forced.b_term, forced.d_term) == (chosen.b_term, chosen.d_term), (k, Q, c)
+
+
 @pytest.mark.parametrize("Q, X", ((10**4, 100), (2000, 700), (200, 7)))
 def test_rows_without_an_n_add_nothing(table_k2, psi, phi, Q, X):
-    # c < 1: the rows d > 2X hold no n of [X, 2X] and are skipped.  With
-    # T_d = T2_d = 0 for them, and the others summed by np.add.reduceat as
-    # delta_k's flat gather sums them, one np.bincount over every pair
-    # (d, m) of the window gives every field to the bit: those rows add
-    # only zeros
+    # c < 1: no d has lags, and the d > 2X hold no n of [X, 2X], so
+    # `_multiple_sums` stops at d = 2X.  With T_d = T2_d = 0 above, one
+    # np.bincount over every pair (d, m) of the moduli window gives every
+    # field to the bit: the d without an n add only zeros
     plan = variance.moduli_plan(Q, phi)
     ds, mu, count, m = _pairs(Q, phi)
-    w = table_k2.window(X, 2 * X) * psi.sample(X, 1)[1]
-    start = -(-X // ds) * ds - X
-    t, t2 = np.zeros(ds.size), np.zeros(ds.size)
-    for i in np.flatnonzero(start < w.size).tolist():
-        v = np.ascontiguousarray(w[start[i] :: ds[i]])
-        t[i], t2[i] = np.add.reduceat(v, [0])[0], np.add.reduceat(v * v, [0])[0]
-    assert not np.all(start < w.size)  # some rows hold no n
+    lo, w = psi.sample(X, 1)
+    w *= table_k2.window(lo, lo + w.size - 1)
+    t = np.zeros(ds[-1])  # T_d and T2_d at every d <= max ds
+    t2 = np.zeros(ds[-1])
+    assert 2 * X < ds[-1]  # some d hold no n
+    t[: 2 * X], t2[: 2 * X] = variance._multiple_sums(w, lo, plan.mu[: 2 * X])
+    t, t2 = t[ds - 1], t2[ds - 1]
     at = np.repeat(ds, count) * m - plan.q_lo
     row = np.repeat(np.arange(ds.size), count)
     s = np.bincount(at, (mu * t)[row], plan.weight.size)
@@ -493,28 +508,18 @@ def test_the_benchmark_tracer_binds_delta_k(table_k2, psi, phi):
 
 
 def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
-    # c = 0.75 < 1: every modulus exceeds 2X, so no row has lags, and every
-    # T_d and T2_d comes from the flat gather, here in 6 parts of about
-    # w.size entries: the rows hold about 6 times as many as w.  The batch
-    # loop then has no group to run
-    Q, X = 10**4, 10**3
-    parts = []
-    runs = variance._runs
-
-    def spy(idx, labels):
-        parts.append(len(runs(idx, labels)))
-        return runs(idx, labels)
-
+    # c < 1: every modulus exceeds the X + 1 values of the window, so no d
+    # has lags and there are no rows: no route is weighed, and nothing is
+    # folded, gathered or transformed
     def refuse(*args):
-        raise AssertionError("a lag-free row reached the batch loop")
+        raise AssertionError("a route ran without a row")
 
-    monkeypatch.setattr(variance, "_runs", spy)
-    for name in ("_rows", "_block_spectra", "_class_sums"):
+    for name in ("_folds", "_class_sums", "_rows", "_block_spectra", "_lag_sums"):
         monkeypatch.setattr(variance, name, refuse)
-    got = delta_k(table_k2, Q, X, psi, phi)
-    assert parts == [6, 0]
-    assert got.g_term == 0.0
-    assert_within_budget(got, delta_binned(table_k2, Q, X, psi, phi))
+    for Q, X in ((10**4, 10**3), (2000, 700), (1000, 999)):
+        got = delta_k(table_k2, Q, X, psi, phi)
+        assert got.g_term == 0.0
+        assert_within_budget(got, delta_binned(table_k2, Q, X, psi, phi))
 
 
 def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
@@ -755,11 +760,12 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
 
 def test_delta_k_peak_per_modulus_when_w_serves(psi, phi):
     # c = 1.0: the d = 1 row folds its 101 live moduli, each about 10^5,
-    # one at a time; every squarefree d <= 2Q is a row that holds an n.
-    # 205 B a modulus were traced (343 B while the 862,844 pairs (d, m)
-    # were generated as one block, 587 B while every pair was held)
+    # one at a time; every squarefree d <= 2Q holds an n, and the rows are
+    # those with lags.  127 B a modulus were traced (205 B while every d
+    # with an n was a row, 343 B while the 862,844 pairs (d, m) were
+    # generated as one block, 587 B while every pair was held)
     Q, X = 10**5, 100100
-    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 250 * (Q + 1)
+    assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 150 * (Q + 1)
 
 
 def test_delta_k_modulus_side_peak_per_modulus(psi, phi):
@@ -790,10 +796,10 @@ def _traced_run_peak(Q, X, psi, phi):
 
 @pytest.mark.parametrize("Q", (10**4, 2 * 10**4))
 def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
-    # at X = 100 and at X = Q / 2, where every row d <= Q holds an n and no
-    # row has lags, and at X = Q, where every squarefree d <= 2Q does, the
-    # moduli set the peak: 1.1, 1.7 and 2.3 MB were traced at Q = 10^4 and
-    # 2.1, 3.2 and 4.7 MB at 2 10^4, against bounds of 4.6 and 9.3 MB
+    # at X = 100 and at X = Q / 2, where every d <= Q holds an n and no d
+    # has lags, and at X = Q, where every squarefree d <= 2Q holds one, the
+    # moduli set the peak: 1.1, 1.3 and 1.6 MB were traced at Q = 10^4 and
+    # 2.1, 2.5 and 3.1 MB at 2 10^4, against bounds of 4.6 and 9.3 MB
     for X in (100, Q // 2, Q):
         assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
 
@@ -883,7 +889,7 @@ _DIVISOR_WINDOWS = {
                          ids=_DIVISOR_WINDOWS)
 def test_divisor_sums_match_one_bincount_over_the_pairs(q_lo, q_hi, top):
     # random terms at the squarefree d <= top, a fifth of them +-0.0 (as
-    # mu(d) T_d is at rows without an n), 0 at every other d: every sum
+    # mu(d) T_d is at a d without an n), 0 at every other d: every sum
     # equals, to the bit, one np.bincount over every pair (d, m), q = dm in
     # the window, by d and then m
     rng = np.random.default_rng(q_lo + q_hi + top)
@@ -893,15 +899,51 @@ def test_divisor_sums_match_one_bincount_over_the_pairs(q_lo, q_hi, top):
     ds = np.flatnonzero(squarefree) + 1
     values = rng.standard_normal(ds.size)
     values[rng.random(ds.size) < 0.2] *= 0.0
+    g = np.zeros(top)  # dense, as delta_k's mu(d) T_d: 0 off the squarefree d
+    g[ds - 1] = values
     m_lo, m_hi = -(-q_lo // ds), q_hi // ds
     count = np.maximum(m_hi - m_lo + 1, 0)
     m = np.concatenate([np.arange(a, b + 1)
                         for a, b in zip(m_lo.tolist(), m_hi.tolist())])
     want = np.bincount(np.repeat(ds, count) * m - q_lo, np.repeat(values, count),
                        q_hi - q_lo + 1)
-    got = variance._divisor_sums(ds, values, q_lo, q_hi)
+    got = variance._divisor_sums(g, q_lo, q_hi)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     assert np.count_nonzero(got) > (q_hi - q_lo) // 2
+
+
+# (lo, hi, mu.size): hi a square (45^2, 100^2, 80^2) or one less, lo = 1,
+# and mu.size below isqrt(hi), above it, or the whole window and beyond
+_MULTIPLE_WINDOWS = {
+    "square": (1000, 2025, 2025),
+    "square-less-one": (1012, 2024, 2024),
+    "from-1": (1, 10**4, 10**4),
+    "from-1-less-one": (1, 9999, 700),
+    "below-root": (1000, 2000, 30),
+    "above-root": (3001, 6400, 200),
+    "beyond-window": (5, 99, 150),
+}
+
+
+@pytest.mark.parametrize("lo, hi, size", _MULTIPLE_WINDOWS.values(), ids=_MULTIPLE_WINDOWS)
+def test_multiple_sums_match_a_sum_per_d(table_k3, lo, hi, size):
+    # w the d_3 values as floats, so every sum is of integers below 2^53
+    # and exact in any order: T and T2 equal the sums over the multiples of
+    # each d, taken one d at a time in Python ints, except at the d <= isqrt(hi)
+    # with mu(d) = 0, which are 0
+    values = table_k3.window(lo, hi).tolist()
+    w = np.array(values, dtype=np.float64)
+    mu = np.random.default_rng(lo + hi + size).integers(-1, 2, size, dtype=np.int8)
+    assert not mu[: math.isqrt(hi)].all()  # some d <= sqrt(hi) with mu(d) = 0
+    t, t2 = variance._multiple_sums(w, lo, mu)
+    want_t, want_t2 = [], []
+    for d in range(1, size + 1):
+        v = values[-(-lo // d) * d - lo :: d]
+        skip = d <= math.isqrt(hi) and mu[d - 1] == 0
+        want_t.append(0 if skip else sum(v))
+        want_t2.append(0 if skip else sum(x * x for x in v))
+    assert t.dtype == t2.dtype == np.float64
+    assert t.tolist() == want_t and t2.tolist() == want_t2
 
 
 def test_fft_size_is_short_and_smooth():
