@@ -36,7 +36,7 @@ positive, gamma's --samples with k = 1, below 10^4 or with a c-grid
 value not below k, variance with --q below 2, a Q^c that overflows a
 float, a --q whose moduli [Q, 2Q] may need more than
 sieve.MEMORY_BUDGET_BYTES (variance.modulus_bytes, O(Q) words: Q up to
-about 3.7 10^7 passes), or an X (given, or round(Q^c) from --c-grid)
+about 4.9 10^7 passes), or an X (given, or round(Q^c) from --c-grid)
 whose c = log X/log Q is outside (0, k), X = 1 included, or whose sieve
 window [X, 2X + H] needs more than sieve.MEMORY_BUDGET_BYTES, a
 constants --prime-limit below constants.MIN_PRIME_LIMIT, or rmt with k N

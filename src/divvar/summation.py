@@ -1,10 +1,11 @@
 """Correctly rounded sums of float64 arrays.
 
-`exact_sum` returns what math.fsum returns for the same values (J. R.
-Shewchuk, "Adaptive precision floating-point arithmetic", 1997: the exact
-sum, rounded once), but it reads whole arrays instead of one Python float
-at a time.  Each value is an integer mantissa times a power of two, so the
-sum is exact in integers once the mantissas are grouped by exponent.
+`exact_sum` returns what math.fsum returns for the same finite values
+(J. R. Shewchuk, "Adaptive precision floating-point arithmetic", 1997: the
+exact sum, rounded once), but it reads arrays 2^16 values at a time
+instead of one Python float at a time.  Each value is an integer mantissa
+times a power of two, so the sum is exact in integers once the mantissas
+are grouped by exponent.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 _LOW = 1073
 _BINS = _LOW + 1025
 _HALF = 27
-# A bin sums at most this many halves, each below 2^27 in size, so every
-# partial sum is an integer below 2^53: float64 holds it exactly.
-_PER_BIN = 2**26
+# values per piece: a bin sums at most this many halves, each below 2^27 in
+# size, so every bin is an integer below 2^43, which float64 holds exactly
+_PIECE = 2**16
 
 
 def exact_sum(values) -> float:
@@ -27,60 +28,47 @@ def exact_sum(values) -> float:
 
     np.frexp gives each value as an integer M = m 2^53, |M| < 2^53, times a
     power of two.  M is split exactly in float64 into 27-bit halves,
-    M = 2^27 hi + lo with hi = floor(M / 2^27) and 0 <= lo < 2^27, and
-    np.bincount sums each half by exponent with float64 weights, exactly
-    while at most 2^26 values have been binned; the bins are flushed to one
-    Python int every 2^26 values.  That int times 2^-1126 is the exact sum,
-    rounded once by int true division, which is correctly rounded (ties to
-    even), as fsum's result is.  So the grouping into chunks never moves
-    the result.  On a 2-vCPU x86-64 box, 10^6 uniform values take 0.02 s
-    here and 0.05-0.07 s in fsum of their list; 10^6 Phi-weighted terms,
-    whose bump tails span binary exponents -1036 ... 35, take 0.03 s here
-    and 1.2 s in fsum, which keeps many partials.
+    M = 2^27 hi + lo with hi = floor(M / 2^27) and 0 <= lo < 2^27, and each
+    piece of 2^16 values is binned by exponent and added to one Python int
+    (`_flush`).  That int times 2^-1126 is the exact sum, rounded once by
+    int true division, which is correctly rounded (ties to even), as fsum's
+    result is.  So the grouping into chunks and pieces never moves the
+    result, and only one piece's temporaries are allocated, 2.1 MiB traced
+    whatever the size.  On a 2-vCPU x86-64 box (best of 3), 10^6 uniform
+    values take 8.5 ms here and 17 ms in fsum of their list; 10^6
+    Phi-weighted terms, whose bump tails span binary exponents
+    -1036 ... 35, take 8.3 ms here and 0.97 s in fsum, which keeps many
+    partials; 10^7 of them take 0.10 s here.
 
-    Non-finite values give fsum's answer: a ValueError for +inf with -inf,
-    else nan if there is a nan, else the infinity.  A finite sum beyond the
-    float range raises OverflowError, as fsum does.  fsum also raises it
-    when a partial sum overflows, as in [1e308, 1e308, -1e308]; this sum
-    is exact throughout, so it returns 1e308 there.
+    A nan or an infinity raises ValueError: no caller has a use for fsum's
+    nan or infinite answer.  A finite sum beyond the float range raises
+    OverflowError, as fsum does.  fsum also raises it when a partial sum
+    overflows, as in [1e308, 1e308, -1e308]; this sum is exact throughout,
+    so it returns 1e308 there.
     """
     chunks = (values,) if isinstance(values, np.ndarray) else values
-    hi, lo = np.zeros(_BINS), np.zeros(_BINS)
-    total = binned = 0
-    nan = plus_inf = minus_inf = False
+    total = 0
     for chunk in chunks:
         a = np.asarray(chunk, dtype=np.float64).reshape(-1)
-        finite = np.isfinite(a)
-        if not finite.all():
-            bad = a[~finite]
-            nan |= bool(np.isnan(bad).any())
-            plus_inf |= bool((bad > 0).any())
-            minus_inf |= bool((bad < 0).any())
-            a = a[finite]
-        for i in range(0, a.size, _PER_BIN):
-            piece = a[i : i + _PER_BIN]
-            if binned + piece.size > _PER_BIN:
-                total += _flush(hi, lo)
-                hi[:], lo[:], binned = 0, 0, 0
-            m, e = np.frexp(piece)
-            e += _LOW
+        for i in range(0, a.size, _PIECE):
+            m, e = np.frexp(a[i : i + _PIECE])
+            finite = np.isfinite(m)  # frexp keeps a nan or an infinity as it is
+            if not finite.all():
+                raise ValueError(f"exact_sum of a non-finite value: {m[~finite][0]}")
             m *= 2.0 ** (53 - _HALF)  # exact, as is every step below
             top = np.floor(m)
             m -= top
             m *= 2.0**_HALF
-            hi += np.bincount(e, top, _BINS)
-            lo += np.bincount(e, m, _BINS)
-            binned += piece.size
-    if plus_inf and minus_inf:
-        raise ValueError("-inf + inf in fsum")
-    if nan or plus_inf or minus_inf:
-        return float("nan") if nan else float("inf") if plus_inf else float("-inf")
-    return (total + _flush(hi, lo)) / (1 << 1126)
+            total += _flush(e + _LOW, top, m)
+    return total / (1 << 1126)
 
 
-def _flush(hi: np.ndarray, lo: np.ndarray) -> int:
-    """sum_e (2^27 hi[e] + lo[e]) 2^e over the bins, as one Python int."""
+def _flush(e: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> int:
+    """sum_i (2^27 hi_i + lo_i) 2^(e_i) over one piece, as one Python int:
+    np.bincount sums each half by exponent exactly (see `_PIECE`)."""
+    hi = np.bincount(e, hi, _BINS)
+    lo = np.bincount(e, lo, _BINS)
     out = 0
-    for e in np.flatnonzero((hi != 0) | (lo != 0)).tolist():
-        out += ((int(hi[e]) << _HALF) + int(lo[e])) << e
+    for b in np.flatnonzero((hi != 0) | (lo != 0)).tolist():
+        out += ((int(hi[b]) << _HALF) + int(lo[b])) << b
     return out

@@ -322,12 +322,17 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     """An upper bound on the bytes `delta_k` and `conjectured_values` take
     for the moduli q_lo <= q <= q_hi, found in O(1): O(q_hi) words.
 
-    Per modulus, at most 30 words: the plan's Phi(q/Q), phi(q) and log q;
-    `delta_k`'s sums over the divisors of each q, a_q, b_q and a weighted
-    term with exact_sum's frexp mantissas, exponents (half a word) and
-    mantissa halves; `conjectured_values`' a_k(q), c_q, gamma_k(c_q),
-    (log q)^{k^2-1} and two temporaries of its weighted term with
-    exact_sum's.  Per integer of [1, q_hi], at most 14 words: the plan's
+    Per modulus, at most 16 words: the plan's Phi(q/Q), phi(q) and log q;
+    `delta_k`'s two sums over the divisors of each q, g_q, a_q, b_q and two
+    temporaries, the square b_q is formed from or a weighted term and the
+    difference it is formed from (7 words); `conjectured_values`' a_k(q),
+    c_q, gamma_k(c_q), (log q)^{k^2-1} and two temporaries of its weighted
+    term (6 words, which also cover the a_k(q) sieve's values, cofactors
+    and mask).  `exact_sum` holds about 4 words a value of one piece of
+    2^16 values and its bins, at most 2.1 MiB whatever the count of
+    moduli: no term of its own, as the slack of summing terms that are not
+    all live together covers it from Q = 10^4 on (the peaks below).  Per
+    integer of [1, q_hi], at most 14 words: the plan's
     dense mu(d) (a byte); `delta_k`'s T_d and T2_d, dense over
     d <= min(2X, q_hi), and the square of one run of `_multiple_sums`
     (3 words); the dense mu(d) T_d, then mu(d) T2_d (a word); and at most
@@ -345,17 +350,18 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
 
     At k = 2 and [q_lo, q_hi] = [Q, 2Q], the tracemalloc peak of building
     the plan, `delta_k` and `conjectured_values` is 1.1 and 1.3 MB at
-    (Q, X) = (10^4, 100) and (10^4, 5000), 10.4 and 12.4 MB at (10^5, 100)
-    and (10^5, 5 10^4), 15.3 MB at (10^5, 10^5), where every squarefree
-    d <= 2Q is a row, and 103 and 124 MB at (10^6, 100) and (10^6, 5 10^5)
-    (1.7, 15.9, 23.3 and 162 MB while the rows were every d with an n);
-    this bound reads 4.6, 46.4 and 464 MB there, and 4.6 GB at Q = 10^7,
-    where `variance --k 2 --q 10^7 --x 10^6` peaked at 1025 MiB of RSS in
-    each of 3 runs, imports included (1071 MiB while the rows were every d
-    with an n, 1.26 GiB while the pairs (d, m) were generated in blocks).
+    (Q, X) = (10^4, 100) and (10^4, 5000), 9.6 and 11.7 MB at (10^5, 100)
+    and (10^5, 5 10^4), 14.5 MB at (10^5, 10^5), where every squarefree
+    d <= 2Q is a row, and 76 and 97 MB at (10^6, 100) and (10^6, 5 10^5)
+    (10.4, 12.4, 15.3, 103 and 124 MB while exact_sum binned each array
+    as one piece); this bound reads 3.5, 35.2 and 352 MB there, and 3.5 GB
+    at Q = 10^7, where `variance --k 2 --q 10^7 --x 10^6` peaked at 758
+    MiB of RSS in the larger of 2 runs, imports included (1025 MiB while
+    exact_sum binned each array as one piece, 1071 MiB while the rows were
+    every d with an n).
     """
     span = q_hi - q_lo + 1
-    return 8 * (30 * span + 14 * q_hi)
+    return 8 * (16 * span + 14 * q_hi)
 
 
 def _runs(idx: np.ndarray, labels: np.ndarray) -> list:
@@ -652,16 +658,19 @@ def delta_k(
     d <= min(2X, 2Q), and the square of one run of them.  When the moduli
     outnumber the window, they set the peak instead, O(Q) words
     (`modulus_bytes` states what is live): a second call at (2, 10^5, 100)
-    peaks at 7.8 MB, 78 B a modulus, and at (2, 10^5, 100100), where the
-    d = 1 row serves, at 12.7 MB, 127 B a modulus (20.5 MB while the rows
-    were every d with an n and their T_d were formed on each route, 34.3
-    MB while the pairs were generated in blocks of 2^20, 58.7 MB while
-    every pair was held).  The pairs with
-    lags are held together, about 6 words each at the closing np.add.at: a
-    row's lag sums come in route order, not by d.  There are at most
+    peaks at 7.0 MB, 70 B a modulus, and at (2, 10^5, 100100), where the
+    d = 1 row serves, at 12.0 MB, 120 B a modulus (7.8 and 12.7 MB while
+    exact_sum binned each array as one piece, 20.5 MB at the second while
+    the rows were every d with an n and their T_d were formed on each
+    route, 58.7 MB while every pair was held).  The pairs with lags are
+    held together, about 6 words each at the closing np.add.at: a row's
+    lag sums come in route order, not by d.  There are at most
     sum_d min(|M_d|, n_d) of them, none at c < 1.  Each piece is summed
     against Phi(q/Q) exactly and rounded once by `exact_sum`, which
-    returns math.fsum's value.
+    returns math.fsum's value and allocates only for 2^16 values at a
+    time: at (2, 10^7, 10^6) a call with the plan built peaks at 523 MB
+    traced, what it holds on entering exact_sum and one piece's 2 MB (811
+    MB while exact_sum binned each array as one piece).
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
     100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
@@ -808,22 +817,23 @@ def short_interval_variance(table: DivisorTable, X: int, H: int) -> float:
 def _exact_sums(w: np.ndarray) -> tuple[int, int]:
     """(sum w_i, sum w_i^2) of a uint64 array, exactly, as Python ints.
 
-    Both are summed in int64 chunks short enough that no chunk sum can
-    exceed 2^63 - 1, given the largest entry.
+    When every square fits in int64, the plain sum is exact in uint64 (for
+    fewer than 2^32 values, each below 2^32), and the squares, taken in
+    place in an int64 copy, are summed in chunks short enough that no
+    chunk sum can exceed 2^63 - 1: one np.add.reduceat sums every chunk,
+    and Python adds the chunk totals.  Otherwise both are Python-int sums.
     """
     top = int(w.max(initial=0))
     limit = int(np.iinfo(np.int64).max)
     if top * top > limit:
         ints = w.tolist()
         return sum(ints), sum(v * v for v in ints)
+    total = int(w.sum())
     step = limit // max(top * top, 1)
     w = w.astype(np.int64)
-    total = total_sq = 0
-    for i in range(0, w.size, step):
-        chunk = w[i : i + step]
-        total += int(chunk.sum())
-        total_sq += int(np.dot(chunk, chunk))
-    return total, total_sq
+    w *= w
+    chunks = np.add.reduceat(w, np.arange(0, w.size, step))
+    return total, sum(chunks.tolist())
 
 
 # a_k(q) on the moduli of the last run, which `conjectured_values` takes at

@@ -338,7 +338,7 @@ def test_variance_refuses_q_or_x_below_2_before_computing(argv, capsys,
 
 def test_variance_refuses_a_q_whose_moduli_exceed_the_budget(capsys,
                                                               monkeypatch):
-    # the bound at Q = 10^6 is about 5.1e8 bytes: under a 10^8-byte budget
+    # the bound at Q = 10^6 is about 3.5e8 bytes: under a 10^8-byte budget
     # that Q is refused before any table or plan is built, and Q = 60 still
     # runs
     def unreachable(*args):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from divvar.summation import exact_sum
+from divvar.weights import Normalization, make_bump
 
 
 def _fsum(values):
@@ -55,18 +57,35 @@ def test_exact_sum_is_fsum_for_any_chunking(values, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.one_of(_value, st.sampled_from((math.inf, -math.inf, math.nan))),
-                max_size=50),
+@given(st.lists(_value, max_size=50), st.sampled_from((math.inf, -math.inf, math.nan)),
        st.data())
-def test_non_finite_values_give_fsums_result_or_error(values, data):
-    # the finite values stay far below overflow, so fsum's answer is its
-    # special one: nan, an infinity, or ValueError for inf - inf
-    want = _fsum(values)
-    for got in (_exact(np.array(values, dtype=np.float64)), _exact(_chunks(data.draw, values))):
-        if isinstance(want, float) and math.isnan(want):
-            assert isinstance(got, float) and math.isnan(got)
-        else:
-            assert got == want
+def test_any_non_finite_value_raises(values, bad, data):
+    # fsum would answer nan or an infinity; exact_sum refuses, wherever the
+    # value sits and however the values are chunked
+    values.insert(data.draw(st.integers(0, len(values))), bad)
+    for arg in (np.array(values, dtype=np.float64), _chunks(data.draw, values)):
+        with pytest.raises(ValueError, match=str(bad)):
+            exact_sum(arg)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_after_finite_pieces_raises(monkeypatch, bad):
+    # at every position of 3 chunks cut into pieces of 5: in a chunk's
+    # first piece, in a later one, and in a short last piece
+    from divvar import summation
+    monkeypatch.setattr(summation, "_PIECE", 5)
+    for at in range(23):
+        x = np.ones(23)
+        x[at] = bad
+        for arg in (x, np.array_split(x, [7, 19])):
+            with pytest.raises(ValueError, match=str(bad)):
+                exact_sum(arg)
+    # and unpatched, past a whole piece of 2^16 finite values
+    monkeypatch.undo()
+    x = np.ones(2**16 + 3)
+    x[-1] = bad
+    with pytest.raises(ValueError, match=str(bad)):
+        exact_sum(x)
 
 
 def test_inf_minus_inf_across_chunks_raises_like_fsum():
@@ -105,11 +124,30 @@ def test_seeded_wide_arrays_equal_fsum():
 
 
 def test_bins_flush_past_their_exact_capacity(monkeypatch):
-    # with a bin flushed every 5 values, the 27-bit halves of 2^53 - 1 at
-    # one exponent are summed in many pieces, across chunk boundaries too
+    # with pieces of 5 values, the 27-bit halves of 2^53 - 1 at one exponent
+    # are summed in many pieces, which end inside chunks and at their ends
     from divvar import summation
-    monkeypatch.setattr(summation, "_PER_BIN", 5)
+    monkeypatch.setattr(summation, "_PIECE", 5)
     x = np.full(23, 1 - 2.0**-53)
     x[::4] = -2.0**-1074
     assert exact_sum(x) == math.fsum(x.tolist())
     assert exact_sum(np.array_split(x, 4)) == math.fsum(x.tolist())
+    assert exact_sum(np.array_split(x, [3, 10, 15])) == math.fsum(x.tolist())
+
+
+def test_peak_is_a_few_pieces():
+    # 2^22 Phi-weighted normal values, binary exponents -1073 ... 4: 2.1 MiB
+    # traced, about 4 words per value of one piece of 2^16 (122 MB while a
+    # whole array was binned as one piece).  The bound, 6 words per value of
+    # such a piece, is not read from _PIECE, so that larger pieces fail it
+    phi = make_bump(1, 2, Normalization.INTEGRAL_ONE)
+    _, w = phi.sample(2**22, 2)
+    x = w * np.random.default_rng(7).standard_normal(w.size)
+    tracemalloc.start()
+    try:
+        got = exact_sum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * 2**16
+    assert got == exact_sum(np.array_split(x, 5))

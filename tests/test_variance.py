@@ -761,18 +761,20 @@ def test_delta_k_memory_peak_when_rows_fold(psi, phi):
 def test_delta_k_peak_per_modulus_when_w_serves(psi, phi):
     # c = 1.0: the d = 1 row folds its 101 live moduli, each about 10^5,
     # one at a time; every squarefree d <= 2Q holds an n, and the rows are
-    # those with lags.  127 B a modulus were traced (205 B while every d
-    # with an n was a row, 343 B while the 862,844 pairs (d, m) were
-    # generated as one block, 587 B while every pair was held)
+    # those with lags.  120 B a modulus were traced (127 B while exact_sum
+    # binned each array as one piece, 205 B while every d with an n was a
+    # row, 343 B while the 862,844 pairs (d, m) were generated as one
+    # block, 587 B while every pair was held)
     Q, X = 10**5, 100100
     assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 150 * (Q + 1)
 
 
 def test_delta_k_modulus_side_peak_per_modulus(psi, phi):
     # at X = 100 the moduli set the peak, in the per-q sums and the exact
-    # sums over them: a second call, with the plan built, traced 7.8 MB at
-    # Q = 10^5, 78 B a modulus (9.2 MB while the pairs (d, m) were
-    # generated in blocks, 55.5 MB while every pair was held)
+    # sums over them: a second call, with the plan built, traced 7.0 MB at
+    # Q = 10^5, 70 B a modulus (7.8 MB while exact_sum binned each array as
+    # one piece, 9.2 MB while the pairs (d, m) were generated in blocks,
+    # 55.5 MB while every pair was held)
     Q, X = 10**5, 100
     assert _second_call_peak(sieve_dk(2, 2 * X, X), Q, X, psi, phi) <= 90 * (Q + 1)
 
@@ -799,7 +801,7 @@ def test_modulus_bytes_bounds_the_traced_peak(psi, phi, Q):
     # at X = 100 and at X = Q / 2, where every d <= Q holds an n and no d
     # has lags, and at X = Q, where every squarefree d <= 2Q holds one, the
     # moduli set the peak: 1.1, 1.3 and 1.6 MB were traced at Q = 10^4 and
-    # 2.1, 2.5 and 3.1 MB at 2 10^4, against bounds of 4.6 and 9.3 MB
+    # 2.2, 2.6 and 3.2 MB at 2 10^4, against bounds of 3.5 and 7.0 MB
     for X in (100, Q // 2, Q):
         assert _traced_run_peak(Q, X, psi, phi) <= variance.modulus_bytes(Q, 2 * Q)
 
@@ -1007,8 +1009,13 @@ def test_short_interval_variance_peak_is_one_piece(k, X, H):
 
 
 def test_exact_sums_chunk_and_overflow():
-    # 20 squares near 2^60 overflow one int64 sum; 2^40 squared overflows int64
-    for ints in ([2**30 - i for i in range(20)], [2**40, 3, 2**32], [], [0, 0]):
+    # 20 squares near 2^60 overflow one int64 sum; 2^40 squared overflows
+    # int64; just below sqrt(2^63) each square is a chunk of its own, and
+    # at 1.5 10^9 the chunks hold 4 squares, the last one 3
+    below = [3037000499 - i for i in range(7)]
+    chunks = [1_500_000_000 - i for i in range(11)]
+    for ints in ([2**30 - i for i in range(20)], [2**40, 3, 2**32], [], [0, 0],
+                 below, chunks):
         w = np.array(ints, dtype=np.uint64)
         assert _exact_sums(w) == (sum(ints), sum(v * v for v in ints))
 
