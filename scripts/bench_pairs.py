@@ -59,13 +59,15 @@ from pathlib import Path
 
 # The research-scale points: the c < 1 grid at Q = 10^6, c = 1.5 at
 # Q = 46416, Q = 10^7 at c < 1, c = 1.03 at Q = 10^6 (every squarefree
-# d <= 2Q a row with an n) and the k = 8 secular coefficients at N = 60,
-# each run in fresh processes
+# d <= 2Q a row with an n), c = 1.9 at Q = 2000 (every row by FFT, the
+# largest known cost of not folding rows on their own) and the k = 8
+# secular coefficients at N = 60, each run in fresh processes
 RESEARCH = [
     ["variance", "--k", "2", "--q", "1000000", "--c-grid", "0.5,0.7,0.9"],
     ["variance", "--k", "2", "--q", "46416", "--x", "10000000"],
     ["variance", "--k", "2", "--q", "10000000", "--x", "1000000"],
     ["variance", "--k", "2", "--q", "1000000", "--x", "1500000"],
+    ["variance", "--k", "2", "--q", "2000", "--x", "1870497"],
     ["rmt", "--k", "8", "--n", "60"],
 ]
 RESEARCH_PAIRS = 5

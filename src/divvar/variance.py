@@ -17,29 +17,26 @@ and T2_d = sum u_d^2 come for every d from one sweep over the multiples
 in the window (`_multiple_sums`), and their sums over the d | q reach
 every modulus (`_divisor_sums`, its transpose): strided slices both,
 with no pair (d, m), q = dm, or (d, j), n = dj, generated.  The lag
-sums of each u_d come the cheaper of two ways: by its class sums modulo
-each of its |M_d| moduli m = q/d, about |M_d| n_d work for a sequence
-of length n_d, or straight from the spectra of real
-FFTs, cut into at most 8 equal blocks for long sequences and batched
-into 2-D transforms for short ones, about n_d log n_d, without forming
-the autocorrelation: beside the spectra, 16-20 bytes per n, only three
-buffers of one block's transform are live.  That is
-sum_d min(|M_d| n_d, n_d log n_d) work, at most O(X log X log Q),
-instead of the O(QX) of binning every
-modulus by residue class.  A fold passes over a long sequence once per
-root, not once per modulus: the class sums mod m are a fold of those
-mod any multiple of m, so a greedy cover of the moduli by common
-multiples, each at most max(max m, n_d / 8), serves them all from a
-third as many passes at (k, Q, X) = (3, 100, 398107).  When the d = 1
-sequence, the window w itself, folds, it serves every other one:
+sums come one of two ways, decided once per call.  The d = 1 sequence,
+the window w itself, may fold into its class sums modulo each of its
+|M_1| moduli q, about |M_1| X work, and serve every other sequence:
 u_d = w[s_d::d], so the class sums of u_d mod m are the strided view
-C_q[s_d::d] of those of w mod q = dm, which w's fold forms anyway.  No
-other sequence is then gathered, folded or transformed, and only one
-C_q is held at a time.  When w takes the FFT route, a sequence that
-folds is folded on its own, from one contiguous copy, and the FFT
-batches carry only the sequences on the FFT route.  `delta_k` states the
-derivation, the memory per n and the error budget against that binning,
-which lives under tests/ as the oracle.
+C_q[s_d::d] of those of w mod q = dm.  No other sequence is then
+gathered, folded or transformed, and only one C_q is held at a time.  A
+fold passes over w once per root, not once per modulus: the class sums
+mod q are a fold of those mod any multiple of q, so a greedy cover of
+the moduli by common multiples, each at most max(max q, X / 8), serves
+them all from a third as many passes at (k, Q, X) = (3, 100, 398107).
+Otherwise every u_d takes its lag sums straight from the spectra of real
+FFTs, cut into at most 8 equal blocks for long sequences and batched
+into 2-D transforms for short ones, about n_d log n_d for a sequence of
+length n_d, without forming the autocorrelation: beside the spectra,
+16-20 bytes per n, only three buffers of one block's transform are
+live.  w serves when its folds cost less than the FFT route of every
+sequence, so the work is at most sum_d n_d log n_d, O(X log X log Q),
+instead of the O(QX) of binning every modulus by residue class.
+`delta_k` states the derivation, the memory per n and the error budget
+against that binning, which lives under tests/ as the oracle.
 Only the u_d with lags are rows of the routes, and none is at c < 1.
 No step holds a Python float per modulus: the weighted sums over
 the moduli are exact, rounded once (`summation.exact_sum`), and the
@@ -338,8 +335,8 @@ def modulus_bytes(q_lo: int, q_hi: int) -> int:
     (3 words); the dense mu(d) T_d, then mu(d) T2_d (a word); and at most
     14 words per squarefree d: picking the rows takes d, its length,
     m_lo, live moduli, their temporaries and the copies kept, and a row
-    with lags holds those, its start, mu, first pair, the route costs
-    `_folds` weighs, its batch key and what the keys are sorted by.  The
+    with lags holds those, its start, mu, first pair, the FFT costs
+    `_serves` sums, its batch key and what the keys are sorted by.  The
     multiples of 4 or 9 are not squarefree, so there are at most
     2 q_hi / 3 + 2 of them, under 10 words per integer; the mu sieve's
     int8 values, cofactors and mask, at most 10 bytes per integer, are
@@ -400,9 +397,8 @@ _FOLD_ENTRIES = 2**13
 # OpenBLAS 0.3.31): a fold costs 0.30-0.37 ns per entry, narrow or wide,
 # and 2.3 us per call, 3-4 us per modulus with its lag sum, 8000-13000
 # entries; the FFT route 2.2-4.4 ns per n log2 n, 6 to 12 folded entries.
-# _FOLD_OVERHEAD stays at the 16000 measured before wide folds, which
-# keeps every route choice at the sweep-k2 and cache-k3 points (at 12000,
-# 264 more rows fold at each c = 1.8 point of sweep-k2).  At n = 100001
+# _FOLD_OVERHEAD stays at the 16000 measured before wide folds; at 12000
+# the route of every sweep-k2 and cache-k3 call would be the same.  At n = 100001
 # and the 101 moduli 100 ... 200 the planned fold took 3.2 ms and the
 # unplanned one 2.2 ms; at n = 398108, 6.9 ms and 12.3 ms.
 _FFT_COST = 8.0
@@ -493,30 +489,30 @@ def _class_sums(u: np.ndarray, ms):
             yield q, (c if q == root else _fold(c, q, ones))
 
 
-def _folds(n, moduli, ms):
-    """Whether folding beats the FFT route, elementwise, for rows of length n
-    with the given numbers of live moduli, each row's moduli folded on
-    their own; except row 0, the d = 1 row, with live moduli ms, which
-    folds when the work of its roots (`_roots`) is less.
+def _serves(n, ms) -> bool:
+    """Whether w, row 0 of the rows with lags (of lengths n), folds through
+    its live moduli ms and serves every row: whether the work of its roots
+    (`_roots`) is less than the FFT route of every row.
 
-    Row 0's roots are not planned to decide when folding each of its
-    moduli on its own already costs less (the row folds), when it is
-    shorter than _PLAN_COST (each modulus is then its own root), or when
-    no plan can win: each modulus takes at least one fold, and each fold of
-    the row serves at most the most moduli that one M <= cap is a multiple
-    of, which one np.bincount over the multiples of ms finds.
+    The roots are not planned when folding w once per modulus already
+    costs less (w serves), when w is shorter than _PLAN_COST (each
+    modulus is then its own root), or when no plan could beat even w's own
+    FFT route: each modulus takes at least one fold, and each fold of w
+    serves at most the most moduli that one M <= cap is a multiple of,
+    which one np.bincount over the multiples of ms finds.
     """
-    fft = _FFT_COST * n * np.log2(np.maximum(n, 1))
-    out = moduli * (n + _FOLD_OVERHEAD) < fft
-    if out[0] or not moduli[0] or n[0] < _PLAN_COST:
-        return out
-    n0 = int(n[0])
+    fft = _FFT_COST * n * np.log2(n)
+    total, n0 = float(fft.sum()), int(n[0])
+    if ms.size * (n0 + _FOLD_OVERHEAD) < total:
+        return True
+    if n0 < _PLAN_COST:
+        return False
     most = np.bincount(_progressions(ms, ms, _cap(ms, n0) // ms)).max()
-    if -(-ms.size // most) * n0 + ms.size * _FOLD_OVERHEAD < fft[0]:
-        work = sum(n0 + _FOLD_OVERHEAD + sum(M + _FOLD_OVERHEAD for q in qs if q != M)
-                   for M, qs in _roots(ms, n0))
-        out[0] = work < fft[0]
-    return out
+    if -(-ms.size // most) * n0 + ms.size * _FOLD_OVERHEAD >= fft[0]:
+        return False
+    work = sum(n0 + _FOLD_OVERHEAD + sum(M + _FOLD_OVERHEAD for q in qs if q != M)
+               for M, qs in _roots(ms, n0))
+    return work < total
 
 
 def delta_k(
@@ -568,32 +564,41 @@ def delta_k(
 
     A row's lag sums are needed at its live moduli M_d, the m with
     m < n_d.  The rows are only the squarefree d with lags, none at c < 1,
-    where no route runs; each takes the cheaper of two routes to them:
+    where no route runs.  `_serves` decides once per call which of two
+    routes every row takes:
 
-    - folding (`_class_sums`): the class sums S of u_d mod m, at most
-      about |M_d| n_d work, and the lag sum
-      sum_{t>=1} R_d(t m) = (sum_a S_a^2 - T2_d) / 2.  A row of 2^17 or
-      more is folded once per root, a common multiple M <= max(max M_d,
-      n_d / 8) of the moduli it serves (`_roots`), and each root's class
-      sums down to those moduli, M additions each: the class sums mod m
-      are a fold of those mod any multiple of m;
-    - the FFT route: the lag sums straight from the block spectra of u_d
-      (`_block_spectra`, `_lag_sums`), about n_d log n_d work; R_d is
-      never formed.
+    - w serves: the d = 1 row u_1 = w is folded (`_class_sums`) into its
+      class sums S mod each of its live moduli q, about |M_1| n_1 work at
+      most, every other row reads its own off them (below), and the lag
+      sum is sum_{t>=1} R_d(t m) = (sum_a S_a^2 - T2_d) / 2.  A w of 2^17
+      or more is folded once per root, a common multiple M <= max(max M_1,
+      n_1 / 8) of the moduli it serves (`_roots`), and each root's class
+      sums down to those moduli, M additions each: the class sums mod q
+      are a fold of those mod any multiple of q;
+    - the FFT route: every row takes its lag sums straight from its block
+      spectra (`_block_spectra`, `_lag_sums`), about n_d log n_d work;
+      R_d is never formed.
 
-    `_folds` picks the fold when |M_d| (n_d + _FOLD_OVERHEAD) is below
-    _FFT_COST n_d log2 n_d, two costs measured as stated beside them, and
-    for the d = 1 row also when the work of its roots is: at
-    (3, 300, round(300^2.8)) its 301 moduli take 77 roots, and a call took
-    0.8-1.2 s against 2.0-2.9 s by the FFT route, which folding each
-    modulus on its own would not have beaten (single runs, 2-vCPU x86-64
-    box, 165 MiB of RSS against 293).  So the work is
-    sum_d min(|M_d| n_d, n_d log n_d), at most O(X log X log Q), where
-    binning every modulus separately costs O(QX).
+    w serves when its folds cost less than _FFT_COST n_d log2 n_d summed
+    over every row, costs measured as stated beside them: folding w once
+    per modulus costs |M_1| (n_1 + _FOLD_OVERHEAD), and its
+    roots are planned to weigh their work only when that is more, w is
+    2^17 or longer, and a lower bound on their work beats w's own FFT
+    route.  At (3, 300, round(300^2.8)) folding w once per modulus
+    already costs 0.40 of the FFT route of every row, so no roots are
+    planned to decide; the fold takes 77 roots for the 301 moduli, and a
+    call took 0.8-1.2 s against 2.0-2.9 s by the FFT route (single runs,
+    2-vCPU x86-64 box, 165 MiB of RSS against 293).  At
+    (2, 1025, round(1025^1.95)) only the roots' work, 0.82 of the FFT
+    route of every row, lets w serve.  At sweep-k2's (2, 1025, 262605)
+    the lower bound is 1.33 times w's own FFT route, so the roots of its
+    1026 moduli, 25-45 ms of planning, are not planned, and every row
+    takes the FFT route.  So the work is at most sum_d n_d log n_d,
+    O(X log X log Q), where binning every modulus separately costs O(QX).
 
-    When the d = 1 row folds, its class sums serve every pair.  The row
-    u_1 = w is folded through the roots of its live moduli q, and every
-    pair (d, m) with lags has q = dm among them: m < n_d gives
+    When w serves, its class sums serve every pair.  The row u_1 = w is
+    folded through the roots of its live moduli q, and every pair (d, m)
+    with lags has q = dm among them: m < n_d gives
     d m <= s_d + d (n_d - 1) < |w|.  The row u_d has u_d[i] = w[s_d + d i]
     with s_d < d, and i = r (mod m) holds exactly when s_d + d i =
     s_d + d r (mod q), where s_d + d r < q; so the class sums of u_d mod m
@@ -606,13 +611,7 @@ def delta_k(
     the 446 pairs of the 122 rows with lags; a call took 16-18 ms (median
     of 41 calls in one process, on a 2-vCPU x86-64 box, as before the
     sweep).  At (3, 100, 10^5) the row, 100,001 long, is below
-    _PLAN_COST and folds once per modulus.  When the d = 1 row takes the
-    FFT route, each other row takes its own: at (2, 1025, 262605) 527 of
-    1246 rows fold, but none of the rows d <= 23, such as the d = 1 row
-    with its 1026 moduli, whose choice plans no roots.  A row that folds
-    is then folded from one contiguous copy of w[s_d::d], which gives its
-    lag sums by `_class_sums` as above.  Only the rows on the FFT route
-    are read from w as the rows of 2-D arrays.
+    _PLAN_COST and folds once per modulus.
 
     On the FFT route a row longer than 2^14 is a batch of its own, cut
     into B = ceil(n / max(ceil(n/8), 2^14)) equal blocks of L = ceil(n/B),
@@ -649,9 +648,8 @@ def delta_k(
     So the peak is set by the d = 1 row when it takes the FFT route: a
     second call at (2, 1025, 262605) peaks at 7.3 MiB of traced
     allocations, 29 B per n, and `variance --k 2 --q 46416 --x 10^7` at
-    362 MiB of RSS.  A fold allocates O(m), and a row folded on its own
-    one contiguous copy of itself.  When the d = 1 row serves, beside w
-    only one root and one live modulus are held: C_M, at most
+    362 MiB of RSS.  When w serves, beside it only one root and one live
+    modulus are held: C_M, at most
     max(2Q, |w| / 8) entries, C_q, and the fold's products of at most
     _FOLD_ENTRIES entries.  At (3, 100, 398107) a second call peaks at
     4.0 MiB, 10.6 B per n.  The sweep allocates T_d and T2_d, dense over
@@ -673,21 +671,18 @@ def delta_k(
     MB while exact_sum binned each array as one piece).
 
     Error budget, checked against residue binning on k = 2, 3, Q = 50,
-    100, 200 and c = 0.5 to 2.8, with the route chosen by `_folds` and
-    forced to each of three: every row folds (so the d = 1 row serves
-    them all), the d = 1 row takes the FFT route and every other row
-    folds, and every row takes the FFT route.  a_term, b_term and d_term
-    agree to 1e-12 relative, g_term to 1e-12 * a_term absolute and delta
-    to 1e-14 * a_term absolute.  delta = A - B cancels as c grows
-    (a_term / delta is 1.6e5 at k = 3, c = 2.8, Q = 100, and 1.9e8 at
-    k = 2), so its relative error may reach a_term / delta times that
-    budget.  The largest errors seen on the grid are, for delta,
-    5.6e-16 * a_term when the d = 1 row serves, 1.9e-15 * a_term when it
-    takes the FFT route and the others fold, and 1.2e-15 * a_term with
-    every row on the FFT route, and 9.1e-15 relative for d_term (the
-    Möbius sum of T2_d cancels most), the same on every route: b_term and
-    d_term are the same to the bit whatever the routes.  The batch cap
-    changes only the rounding, not this budget.
+    100, 200 and c = 0.5 to 2.8, with the route chosen by `_serves` and
+    forced to each of two: w serves every row, and every row takes the
+    FFT route.  a_term, b_term and d_term agree to 1e-12 relative,
+    g_term to 1e-12 * a_term absolute and delta to 1e-14 * a_term
+    absolute.  delta = A - B cancels as c grows (a_term / delta is 1.6e5
+    at k = 3, c = 2.8, Q = 100, and 1.9e8 at k = 2), so its relative error
+    may reach a_term / delta times that budget.  The largest errors seen
+    on the grid are, for delta, 5.6e-16 * a_term when w serves and
+    1.2e-15 * a_term with every row on the FFT route, and 9.1e-15
+    relative for d_term (the Möbius sum of T2_d cancels most), the same
+    on both routes: b_term and d_term are the same to the bit whatever
+    the route.  The batch cap changes only the rounding, not this budget.
     """
     if psi.normalization is not Normalization.INTEGRAL_OF_SQUARE_ONE:
         raise ValueError("psi must be normalized to unit square integral")
@@ -716,8 +711,7 @@ def delta_k(
     m = _progressions(m_lo, 1, moduli)
     lag_sum = np.zeros(m.size)
     # no row has lags at c < 1, and then no route runs
-    fold = _folds(n, moduli, m[: moduli[0]]) if ds.size else np.zeros(0, bool)
-    if fold.size and fold[0]:
+    if ds.size and _serves(n, m[: moduli[0]]):
         # w serves: the d = 1 row (row 0, u_1 = w) folds, and each pair (d, m)
         # reads its class sums off those of w mod q = dm, as C_q[start::d],
         # one q at a time
@@ -731,19 +725,12 @@ def delta_k(
                 lag_sum[i] = s @ s
         lag_sum = (lag_sum - t2[ds[row] - 1]) / 2
     else:
-        for i in np.flatnonzero(fold).tolist():  # each row that folds on its own
-            v = np.ascontiguousarray(w[start[i] :: ds[i]])
-            p = slice(first[i], first[i] + moduli[i])
-            by_q = {q: s @ s for q, s in _class_sums(v, m[p])}
-            squares = np.array([by_q[q] for q in m[p].tolist()])
-            lag_sum[p] = (squares - t2[ds[i] - 1]) / 2
-        # the others take the FFT route.  Batch key: the transform size of a
+        # every row takes the FFT route.  Batch key: the transform size of a
         # short row, and for a long row a key of its own above every transform
         # size, the largest for the d = 1 row (row 0), which so comes last
         key = np.where(n <= _MIN_BLOCK, _fft_size(2 * n - 1),
                        _BATCH + ds.size - np.arange(ds.size))
-        by_fft = np.flatnonzero(~fold)
-        order = by_fft[np.lexsort((n[by_fft], key[by_fft]))]
+        order = np.lexsort((n, key))
         for group in _runs(order, key[order]):
             per = max(1, _BATCH // int(key[group[0]]))
             for b in range(0, group.size, per):

@@ -70,28 +70,32 @@ def test_selftest_fails_on_a_perturbed_fold(tmp_path, monkeypatch):
 
 
 def test_selftest_checks_every_route_of_delta_k(tmp_path, monkeypatch):
-    # variance_decomposition at X = 2000 folds w (2001 values), where the
-    # d = 1 row serves every row, folds rows 7 and 3 (286 and 667 values)
-    # on their own, and takes the other rows by FFT.  Each is shorter than
-    # variance._PLAN_COST, so each modulus is its own root: one fold of the
-    # row per live modulus, and none of a root's class sums
-    folded, transformed = [], []
-    fold, lag_sums = variance._fold, variance._lag_sums
+    # variance_decomposition at (Q, X) = (20, 1000) takes every row by FFT
+    # and folds nothing; at (5, 2000) it folds w (2001 values), and the
+    # d = 1 row serves every row.  w is shorter than variance._PLAN_COST, so
+    # each modulus is its own root: one fold of w per live modulus, and none
+    # of a root's class sums
+    folded, transformed = {}, []  # folded: the folds of each (Q, X)
+    delta_k, fold, lag_sums = variance.delta_k, variance._fold, variance._lag_sums
+
+    def delta_spy(table, Q, X, psi, phi):
+        folded[Q, X] = []
+        return delta_k(table, Q, X, psi, phi)
 
     def fold_spy(v, m, ones):
-        folded.append((v.size, m))
+        folded[next(reversed(folded))].append((v.size, m))
         return fold(v, m, ones)
 
     def fft_spy(*args):
         transformed.append(args[3].size)
         return lag_sums(*args)
 
+    monkeypatch.setattr(variance, "delta_k", delta_spy)
     monkeypatch.setattr(variance, "_fold", fold_spy)
     monkeypatch.setattr(variance, "_lag_sums", fft_spy)
     code, _ = run_cli(["selftest"], tmp_path)
     assert code == 0
-    assert sorted(folded) == [(286, 2), (667, 4), (667, 5), (667, 6)] + [
-        (2001, q) for q in range(5, 11)]
+    assert folded == {(20, 1000): [], (5, 2000): [(2001, q) for q in range(5, 11)]}
     assert transformed
 
 

@@ -395,13 +395,12 @@ def test_no_fold_product_exceeds_the_entry_cap(monkeypatch, ms):
         assert np.all(np.abs(sums[q] - want) <= 1e-13 * np.sum(u * u))
 
 
-# The three routes `_route` forces: every row folds, so the d = 1 row
-# serves them all (True); the d = 1 row takes the FFT route and every other
-# row folds on its own ("rows"); every row takes the FFT route (False)
-_ROUTES = (True, "rows", False)
+# The two routes `_route` forces: the d = 1 row folds and serves every row
+# (True); every row takes the FFT route (False)
+_ROUTES = (True, False)
 
 
-def _route(monkeypatch, fold):
+def _route(monkeypatch, serves):
     """Force one of the _ROUTES; under True, gathering or transforming a row
     fails.  Returns the list that gets the length of each array folded."""
     folded = []
@@ -411,52 +410,45 @@ def _route(monkeypatch, fold):
         folded.append(u.size)
         return real(u, ms)
 
-    def folds(n, moduli, ms):
-        out = np.full(np.shape(n), bool(fold))
-        out[0] = fold is True  # row 0 is the d = 1 row
-        return out
-
     def refuse(*args):
         raise AssertionError("a row was gathered or transformed")
 
-    monkeypatch.setattr(variance, "_folds", folds)
+    monkeypatch.setattr(variance, "_serves", lambda n, ms: serves)
     monkeypatch.setattr(variance, "_class_sums", class_sums)
-    if fold is True:
+    if serves:
         for name in ("_rows", "_block_spectra", "_lag_sums"):
             monkeypatch.setattr(variance, name, refuse)
     return folded
 
 
-@pytest.mark.parametrize("fold", _ROUTES)
+@pytest.mark.parametrize("serves", _ROUTES)
 @pytest.mark.parametrize("k", (2, 3))
 def test_each_route_alone_matches_binning_oracle(oracle_tables, psi, phi,
-                                                 monkeypatch, k, fold):
-    folded = _route(monkeypatch, fold)
+                                                 monkeypatch, k, serves):
+    folded = _route(monkeypatch, serves)
     for Q, c in _ORACLE_GRID:
         X = round(Q**c)
         table = oracle_tables[k]
         folded.clear()
         assert_within_budget(delta_k(table, Q, X, psi, phi),
                              delta_binned(table, Q, X, psi, phi))
-        if fold is True:  # only w, the d = 1 row, is folded
+        if serves:  # only w, the d = 1 row, is folded
             assert set(folded) <= {X + 1}
-        elif fold == "rows":  # only rows d >= 2, each on its own
-            assert all(size < X + 1 for size in folded)
         else:
             assert folded == []
 
 
-@pytest.mark.parametrize("fold", _ROUTES)
+@pytest.mark.parametrize("serves", _ROUTES)
 def test_b_and_d_terms_do_not_depend_on_the_route(oracle_tables, psi, phi,
-                                                  monkeypatch, fold):
+                                                  monkeypatch, serves):
     # T_d and T2_d come from `_multiple_sums` alone, whatever route the lag
     # sums take: b_term (from the T_d) and d_term (from the T2_d) are the
-    # same to the bit under each of the _ROUTES as under `_folds`' choice
+    # same to the bit under each of the _ROUTES as under `_serves`' choice
     for k in (2, 3):
         for Q, c in _ORACLE_GRID:
             X = round(Q**c)
             chosen = delta_k(oracle_tables[k], Q, X, psi, phi)
-            _route(monkeypatch, fold)
+            _route(monkeypatch, serves)
             forced = delta_k(oracle_tables[k], Q, X, psi, phi)
             monkeypatch.undo()
             assert (forced.b_term, forced.d_term) == (chosen.b_term, chosen.d_term), (k, Q, c)
@@ -514,7 +506,7 @@ def test_lag_free_rows_skip_the_batches(table_k2, psi, phi, monkeypatch):
     def refuse(*args):
         raise AssertionError("a route ran without a row")
 
-    for name in ("_folds", "_class_sums", "_rows", "_block_spectra", "_lag_sums"):
+    for name in ("_serves", "_class_sums", "_rows", "_block_spectra", "_lag_sums"):
         monkeypatch.setattr(variance, name, refuse)
     for Q, X in ((10**4, 10**3), (2000, 700), (1000, 999)):
         got = delta_k(table_k2, Q, X, psi, phi)
@@ -527,8 +519,9 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
     # cache-k3's c = 2.8 point: the d = 1 row folds, so only w is folded,
     # once for each of the 31 roots of its 101 live moduli q = 100 ... 200,
     # and each root's class sums down to the other moduli it serves; no row
-    # is gathered, transformed or folded on its own.  sweep-k2's (1025, 1.8):
-    # the d = 1 row (1026 moduli) takes the FFT route
+    # is gathered or transformed.  sweep-k2's (1025, 1.8): every one of the
+    # 1246 rows with lags is transformed once, the d = 1 row (1026 moduli)
+    # among them, and nothing is folded
     folds, rows = [], []
     real = variance._fold
 
@@ -554,80 +547,52 @@ def test_route_choice_at_the_benchmark_points(oracle_tables, psi, phi,
         rows.append(u.shape)
         return _block_spectra(u)
 
+    folds.clear()
+    monkeypatch.setattr(variance, "_fold", fold)
     monkeypatch.setattr(variance, "_block_spectra", block_spectra)
     X = round(1025**1.8)
     delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
-    assert (1, X + 1) in rows
+    assert (1, X + 1) in rows and sum(r for r, _ in rows) == 1246
+    assert folds == []
 
 
-def test_rows_that_fold_on_their_own_skip_the_batches(psi, phi, monkeypatch):
-    # sweep-k2's (1025, 1.8): the d = 1 row takes the FFT route, and 527 of
-    # the 1246 rows with lags fold on their own; the batches gather and
-    # transform each of the other 719 once, and none of the 527
-    decided, gathered, transformed = [], [], []
-    folds, rows = variance._folds, variance._rows
-
-    def folds_spy(n, moduli, ms):
-        out = folds(n, moduli, ms)
-        decided.append((moduli > 0, (moduli > 0) & out))
-        return out
-
-    def rows_spy(w, start, step, length):
-        gathered.extend(step.tolist())
-        return rows(w, start, step, length)
-
-    def spectra_spy(u):
-        transformed.append(u.shape[0])
-        return _block_spectra(u)
-
-    monkeypatch.setattr(variance, "_folds", folds_spy)
-    monkeypatch.setattr(variance, "_rows", rows_spy)
-    monkeypatch.setattr(variance, "_block_spectra", spectra_spy)
-    X = round(1025**1.8)
-    delta_k(sieve_dk(2, 2 * X, X), 1025, X, psi, phi)
-    (lags, alone), = decided
-    assert lags.sum() == 1246 and alone.sum() == 527 and not alone[0]
-    ds = _pairs(1025, phi)[0]  # every row holds an n of [X, 2X]
-    assert sorted(gathered) == ds[lags & ~alone].tolist()
-    assert sum(transformed) == 1246 - 527
-
-
-# id: (Q, X, whether the d = 1 row folds, the d of the rows that then fold
-# on their own or their number)
+# id: (Q, X, whether the d = 1 row serves, whether its roots are planned
+# to decide)
 _D1_ROUTES = {
-    "300-2.8-True": (300, round(300**2.8), True, None),
-    "1025-1.8-False": (1025, round(1025**1.8), False, 527),
-    "10-2000-False": (10, 2000, False, [3, 7]),
-    "5-2000-True": (5, 2000, True, None),
+    "5-2000-True": (5, 2000, True, False),
+    "10-2000-True": (10, 2000, True, False),
+    "300-2.2-True": (300, round(300**2.2), True, False),
+    "300-2.8-True": (300, round(300**2.8), True, False),
+    "1025-1.95-True": (1025, round(1025**1.95), True, True),
+    "1025-1.8-False": (1025, round(1025**1.8), False, False),
 }
 
 
-@pytest.mark.parametrize("Q, X, folds, alone", _D1_ROUTES.values(), ids=_D1_ROUTES)
-def test_route_decision_of_the_d1_row(monkeypatch, phi, Q, X, folds, alone):
-    # The routes `_folds` picks for the rows u_d of delta_k: the n_d
-    # multiples of d in the psi-window [X, 2X], with the moduli m < n_d of
-    # their pairs (d, m), q = dm in [Q, 2Q].  The d = 1 row is w, X + 1
-    # values, with every modulus live.  At (300, 2.8) its roots beat the
-    # FFT route, which folding each modulus on its own would not; at
-    # sweep-k2's (1025, 1.8) the FFT route wins, and no roots are planned
-    # to find that out.  At the selftest's (10, 2000) the row takes the FFT
-    # route and rows 3 and 7 fold on their own; at (5, 2000) it is shorter
-    # than _PLAN_COST and folds, each modulus on its own, serving every row
+@pytest.mark.parametrize("Q, X, serves, planned", _D1_ROUTES.values(), ids=_D1_ROUTES)
+def test_route_decision_of_the_d1_row(monkeypatch, phi, Q, X, serves, planned):
+    # The route `_serves` picks for the rows u_d of delta_k: the n_d
+    # multiples of d in the psi-window [X, 2X] that have lags, moduli
+    # m < n_d of their pairs (d, m), q = dm in [Q, 2Q].  The d = 1 row is
+    # w, X + 1 values, with every modulus live.  At (5, 2000) and
+    # (10, 2000), below _PLAN_COST, and at (300, 2.2) and (300, 2.8)
+    # folding w once per modulus costs less than the FFT route of every
+    # row; at (1025, 1.95) only the roots do; at sweep-k2's
+    # (1025, 1.8) every row takes the FFT route, and no roots are planned
+    # to find that out
     ds, _, count, m = _pairs(Q, phi)
     n = 2 * X // ds - (X - 1) // ds
     row = np.repeat(np.arange(ds.size), count)
     moduli = np.bincount(row[m < n[row]], minlength=ds.size)
     ms = m[: moduli[0]]
     assert n[0] == X + 1 and ms.tolist() == list(range(Q, 2 * Q + 1))
+    n = n[moduli > 0]
     each = ms.size * (X + 1 + variance._FOLD_OVERHEAD)
-    fft = variance._FFT_COST * (X + 1) * math.log2(X + 1)
-    assert (each < fft) == (folds and X + 1 < variance._PLAN_COST)
-    if not folds:
-        monkeypatch.setattr(variance, "_roots", None)
-    fold = (moduli > 0) & variance._folds(n, moduli, ms)
-    assert fold[0] == folds
-    if not folds:
-        assert (fold.sum() if isinstance(alone, int) else ds[fold].tolist()) == alone
+    assert (each < (variance._FFT_COST * n * np.log2(n)).sum()) == (serves and not planned)
+    lengths, roots = [], variance._roots
+    monkeypatch.setattr(variance, "_roots",
+                        lambda ms, n: lengths.append(n) or roots(ms, n))
+    assert variance._serves(n, ms) is serves
+    assert lengths == ([X + 1] if planned else [])
 
 
 _SWEEP_K2 = [(Q, c) for Q in (1000, 1025, 1049) for c in (0.8, 1.0, 1.2, 1.5, 1.8)]
